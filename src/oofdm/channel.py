@@ -17,7 +17,7 @@ from scipy import stats
 from . import modems
 from .modems import power_relations
 from .multilayer import SchemeConfig, receive, transmit
-from .numerics import make_rng, real_ifft, spawn_seeds
+from .numerics import make_rng, spawn_seeds
 
 DEFAULT_FRAMES = 10_000
 DEFAULT_BATCH = 500
@@ -90,8 +90,8 @@ def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
     """Draw post-equalization noise frames.
 
     White time-domain Gaussian for a flat channel; otherwise the white noise
-    is shaped by 1/|H(k)| in frequency (only the magnitude affects the
-    post-equalization statistics).
+    is shaped by 1/|H(k)| on the half spectrum of a real FFT (only the
+    magnitude affects the post-equalization statistics).
     """
     rng = make_rng(rng)
     v0 = rng.normal(0.0, np.sqrt(profile.noise_power), size=(frames, profile.n))
@@ -102,7 +102,7 @@ def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
         raise ValueError("channel gain must be nonzero on all bins")
     if not np.allclose(g, np.roll(g[::-1], 1)):
         raise ValueError("channel magnitude must satisfy |H(k)| = |H(N-k)|")
-    return real_ifft(np.fft.fft(v0) / g)
+    return np.fft.irfft(np.fft.rfft(v0) / g[: profile.n // 2 + 1], profile.n)
 
 
 def gamma_to_p_eff(scheme: str, gamma_db: float, noise_power: float = 1.0,
@@ -133,9 +133,12 @@ class ExperimentConfig:
         return self.channel if self.channel is not None else ChannelProfile.flat(self.n)
 
     def scheme_config(self, gamma_db: float) -> SchemeConfig:
+        layers = self.layers
+        if layers is None and self.scheme.lower() == "laco":
+            layers = int(np.log2(self.n // 2))  # every LACO layer a frame holds
         p_eff = gamma_to_p_eff(self.scheme, gamma_db, self.profile().noise_power,
-                               self.layers, self.gamma_effective)
-        return SchemeConfig.uniform(self.scheme, self.n, self.M, p_eff, self.layers)
+                               layers, self.gamma_effective)
+        return SchemeConfig.uniform(self.scheme, self.n, self.M, p_eff, layers)
 
 
 def _batches(frames: int, batch: int):
@@ -154,6 +157,8 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     error, and (when instrumented) per-frame delta/error powers and probe-bin
     clipping-noise samples per layer.
     """
+    if frames < 1 or batch < 1:
+        raise ValueError(f"frames and batch must be at least 1, got {frames} and {batch}")
     sizes = _batches(frames, batch)
     seeds = spawn_seeds(seed, len(sizes))
     n_layers = len(scheme_cfg.layers)

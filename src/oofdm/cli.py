@@ -23,11 +23,10 @@ import numpy as np
 from . import __version__
 from .allocate import allocate
 from .channel import (ChannelProfile, ExperimentConfig, measure_power_relations,
-                      measure_rcn_power, rcn_statistics, run_point,
-                      run_ser_experiment)
+                      measure_rcn_power, post_eq_noise, rcn_statistics,
+                      run_point, run_ser_experiment)
 from .modems import power_relations
 from .multilayer import SchemeConfig, receive, transmit
-from .channel import post_eq_noise
 from .ser import evaluate_ser
 
 
@@ -35,6 +34,8 @@ def _parse_grid(text):
     """Parse '0,2,4' or 'start:stop:step' into a list of floats."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"grid step must be positive, got {step:g}")
         return list(np.arange(start, stop + step / 2, step))
     return [float(p) for p in text.split(",")]
 
@@ -123,9 +124,7 @@ def cmd_ser(args):
     outputs = []
     for scheme in args.schemes.split(","):
         scheme = scheme.strip().lower()
-        M = [args.m, args.m]
-        cfg = ExperimentConfig(scheme=scheme, n=args.n,
-                               M=args.m if scheme == "laco" else M,
+        cfg = ExperimentConfig(scheme=scheme, n=args.n, M=args.m,
                                gammas=tuple(gammas), frames=args.runs,
                                seed=args.seed, rims=args.rims, channel=channel)
         sim = run_ser_experiment(cfg)

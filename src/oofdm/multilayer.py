@@ -1,11 +1,12 @@
 """Multi-layer optical OFDM: superposition transmitters (ADO/HACO/LACO) and
 the unified iterative receiver with residual-clipping-noise instrumentation.
 
-Per layer j the receiver takes the FFT of the running residual, selects the
-layer's subcarriers, scales them by 2 to undo the clipping attenuation
-(except for a bias-clipped DCO layer, which is detected unscaled), performs
-ML detection, remodulates the detected layer, and subtracts it from the
-residual before moving to the next layer.
+Per layer j the receiver folds the running residual onto one period of the
+layer frame (N/L samples when every bin of the layer is a multiple of L),
+takes its real FFT, selects the layer's subcarriers, scales them by 2 to undo
+the clipping attenuation (except for a bias-clipped DCO layer, which is
+detected unscaled), performs ML detection, remodulates the detected layer on
+one period, and subtracts it from the residual before the next layer.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .modems import clip, effective_subcarriers, MULTI_LAYER_SCHEMES
-from .numerics import hermitian_embed, make_rng, real_ifft
+from .numerics import make_rng
 
 _LAYER_KINDS = {"ado": ("aco", "dco"), "haco": ("aco", "pam")}
 
@@ -31,15 +32,9 @@ class LayerSpec:
 
     def constellations(self):
         """Unit-power alphabets grouped by order, with the bin columns using each."""
-        out = []
-        for order in np.unique(self.M):
-            cols = np.flatnonzero(self.M == order)
-            if self.kind == "pam":
-                const = Constellation.pam(int(order), 1.0)
-            else:
-                const = Constellation.qam(int(order), 1.0)
-            out.append((const, cols))
-        return out
+        make = Constellation.pam if self.kind == "pam" else Constellation.qam
+        return [(make(int(order), 1.0), np.flatnonzero(self.M == order))
+                for order in np.unique(self.M)]
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,6 @@ class SchemeConfig:
     def from_allocation(cls, n: int, bits, powers) -> "SchemeConfig":
         """LACO config from per-subcarrier bit loading B(k) and effective
         power P_s(k) (full-length arrays); unloaded bins are skipped."""
-        from .modems import layer_index
         bits = np.asarray(bits)
         powers = np.asarray(powers)
         j_count = int(np.log2(n // 2))
@@ -132,6 +126,21 @@ def _map_symbols(spec: LayerSpec, idx):
     return vals * np.sqrt(spec.sym_power)
 
 
+def _fold_factor(bins, n: int) -> int:
+    """Largest power of two L dividing every bin: the layer frame has period n/L."""
+    if not (bins.size and bins.min() >= 1 and bins.max() < n // 2):
+        raise ValueError("a layer needs independent bins in [1, n/2)")
+    acc = int(np.bitwise_or.reduce(bins))
+    return acc & -acc
+
+
+def _synthesize(vals, bins, n: int, L: int):
+    """One period (length n/L) of the real frame loading `vals` on `bins`."""
+    half = np.zeros(vals.shape[:-1] + (n // (2 * L) + 1,), dtype=complex)
+    half[..., bins // L] = vals / L
+    return np.fft.irfft(half, n // L)
+
+
 def transmit(config: SchemeConfig, rng, frames: int, instrument: bool = False) -> TxBatch:
     """Draw random symbols for every layer and superpose the layer signals."""
     rng = make_rng(rng)
@@ -140,20 +149,22 @@ def transmit(config: SchemeConfig, rng, frames: int, instrument: bool = False) -
     sym_idx, sym_val, s_list, x_list = [], [], [], []
     bias = None
     for spec in config.layers:
+        L = _fold_factor(spec.bins, n)
         idx = _draw_indices(rng, spec.M, frames)
         vals = _map_symbols(spec, idx)
-        s = real_ifft(hermitian_embed(vals, spec.bins, n))
+        s = _synthesize(vals, spec.bins, n, L)
         if spec.kind == "dco":
             bias = config.bias_multiplier * np.std(s, axis=-1)
             x_j = clip(s + bias[:, None])
         else:
             x_j = clip(s)
-        x += x_j
+        periods = x.reshape(frames, L, n // L)
+        periods += x_j[:, None]
         sym_idx.append(idx)
         sym_val.append(vals)
         if instrument:
-            s_list.append(s)
-            x_list.append(x_j)
+            s_list.append(np.tile(s, L))
+            x_list.append(np.tile(x_j, L))
     return TxBatch(config, x, sym_idx, sym_val, bias,
                    s_list if instrument else None,
                    x_list if instrument else None)
@@ -182,9 +193,9 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
     the per-layer residual clipping noise delta_t and detection error e_t are
     measured (requires a truth batch transmitted with instrument=True).
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y_cur = np.atleast_2d(np.asarray(y, dtype=float)).copy()  # C order: periods are views
     n = config.n
-    frames = y.shape[0]
+    frames = y_cur.shape[0]
     n_layers = len(config.layers)
     res = RxResult(det_idx=[])
     if truth is not None:
@@ -199,20 +210,18 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
     if keep_signals:
         res.s_hat, res.x_hat, res.delta, res.e, res.y_resid = [], [], [], [], []
 
-    y_cur = y.copy()
     for j, spec in enumerate(config.layers):
-        Y = np.fft.fft(y_cur)
+        L = _fold_factor(spec.bins, n)
+        periods = y_cur.reshape(frames, L, n // L)
+        Y = np.fft.rfft(periods.sum(axis=1))
         scale = 1.0 if spec.kind == "dco" else 2.0
-        obs = scale * Y[:, spec.bins] / np.sqrt(spec.sym_power)
+        obs = scale * Y[:, spec.bins // L] / np.sqrt(spec.sym_power)
         idx = np.empty(obs.shape, dtype=np.int64)
-        det_vals = np.empty(obs.shape, dtype=complex)
         for const, cols in spec.constellations():
             idx[:, cols] = const.detect(obs[:, cols])
-            det_vals[:, cols] = const.points[idx[:, cols]]
-        det_vals *= np.sqrt(spec.sym_power)
         res.det_idx.append(idx)
 
-        s_hat = real_ifft(hermitian_embed(det_vals, spec.bins, n))
+        s_hat = _synthesize(_map_symbols(spec, idx), spec.bins, n, L)
         if spec.kind == "dco":
             b = bias if bias is not None else (truth.bias if truth is not None else None)
             if b is None:
@@ -220,22 +229,24 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
             x_hat = clip(s_hat + np.asarray(b)[:, None])
         else:
             x_hat = clip(s_hat)
-        y_cur = y_cur - x_hat
+        periods -= x_hat[:, None]
 
         if truth is not None:
             res.errors.append(idx != truth.sym_idx[j])
+        if not (instrument or keep_signals):
+            continue
+        s_hat, x_hat = np.tile(s_hat, L), np.tile(x_hat, L)
         delta = e = None
-        if instrument or keep_signals:
-            if truth is not None and truth.s is not None:
-                s = truth.s[j]
-                e = s_hat - s
-                if spec.kind == "dco":
-                    # bias-clipped layer: residual after subtraction, shifted
-                    # so that the three-term decomposition stays exact
-                    delta = truth.x_layers[j] - x_hat + 0.5 * e
-                else:
-                    delta = 0.5 * (np.abs(s) - np.abs(s + e))
-        if instrument and delta is not None:
+        if truth is not None and truth.s is not None:
+            s = truth.s[j]
+            e = s_hat - s
+            if spec.kind == "dco":
+                # bias-clipped layer: residual after subtraction, shifted
+                # so that the three-term decomposition stays exact
+                delta = truth.x_layers[j] - x_hat + 0.5 * e
+            else:
+                delta = 0.5 * (np.abs(s) - np.abs(s + e))
+        if instrument:
             res.delta_power[j] = np.mean(delta ** 2, axis=-1)
             res.err_power[j] = np.mean(e ** 2, axis=-1)
             if probe_bin is not None:

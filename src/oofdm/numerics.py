@@ -53,22 +53,6 @@ def real_ifft(X):
     return x.real
 
 
-def hermitian_embed(values, bins, n):
-    """Place independent complex loads on `bins` (all < n/2) and mirror them.
-
-    values: (..., len(bins)) complex loads; returns a (..., n) spectrum with
-    X(n-k) = conj(X(k)) so the inverse transform is real.
-    """
-    values = np.asarray(values, dtype=complex)
-    bins = np.asarray(bins, dtype=int)
-    if bins.size and (bins.min() < 1 or bins.max() >= n // 2):
-        raise ValueError("independent bins must lie in [1, n/2)")
-    X = np.zeros(values.shape[:-1] + (n,), dtype=complex)
-    X[..., bins] = values
-    X[..., n - bins] = np.conj(values)
-    return X
-
-
 def qfunc(x):
     """Gaussian tail Q(x) = P(N(0,1) > x) = erfc(x/sqrt(2))/2."""
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))

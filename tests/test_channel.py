@@ -98,6 +98,35 @@ def test_run_point_stderr_definition():
     assert out["stderr"] == pytest.approx(np.sqrt(p * (1 - p) / 300))
 
 
+# Per-layer error counts of run_point(cfg, flat, frames=500, seed=0) at 18 dB
+# electrical SNR with 16-QAM, recorded with full-length complex transforms;
+# the folded real transforms draw the same stream and must decide alike.
+RECORDED_LAYER_ERRORS = {
+    ("laco", 9): [18938, 19294, 14916, 9457, 5494, 2992, 1569, 788, 414],
+    ("ado", None): [38475, 60311],
+    ("haco", None): [5397, 62425],
+}
+
+
+@pytest.mark.parametrize("scheme,layers", list(RECORDED_LAYER_ERRORS))
+def test_run_point_layer_errors_match_recorded(scheme, layers):
+    cfg = SchemeConfig.uniform(scheme, N, 16, gamma_to_p_eff(scheme, 18.0, 1.0, layers), layers)
+    out = run_point(cfg, ChannelProfile.flat(N), frames=500, seed=0)
+    assert out["layer_errors"].tolist() == RECORDED_LAYER_ERRORS[scheme, layers]
+
+
+@pytest.mark.parametrize("frames,batch", [(0, 500), (-3, 500), (100, 0)])
+def test_run_point_rejects_empty_runs(frames, batch):
+    cfg = SchemeConfig.uniform("haco", N, 16, 1.0)
+    with pytest.raises(ValueError):
+        run_point(cfg, ChannelProfile.flat(N), frames=frames, seed=0, batch=batch)
+
+
+def test_experiment_config_defaults_laco_to_all_layers():
+    cfg = ExperimentConfig(scheme="laco", n=256).scheme_config(20.0)
+    assert len(cfg.layers) == 7
+
+
 def test_run_ser_experiment_grid():
     cfg = ExperimentConfig(scheme="haco", n=N, M=[16, 16], gammas=(18.0, 26.0),
                            frames=300, seed=1, batch=150)

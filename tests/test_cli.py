@@ -13,6 +13,38 @@ def test_parse_grid():
     assert _parse_grid("5:15:5") == [5.0, 10.0, 15.0]
 
 
+@pytest.mark.parametrize("text", ["5:10:0", "5:10:-1"])
+def test_parse_grid_rejects_nonpositive_step(text):
+    with pytest.raises(ValueError):
+        _parse_grid(text)
+
+
+def test_ser_with_zero_step_grid_is_an_error(tmp_path, capsys):
+    rc = main(["ser", "--schemes", "haco", "--gammas", "5:10:0", "--runs", "10",
+               "--n", "256", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_ser_with_zero_runs_is_an_error(tmp_path, capsys):
+    rc = main(["ser", "--schemes", "haco", "--gammas", "20", "--runs", "0",
+               "--n", "256", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "ser.csv").exists()
+
+
+def test_ser_default_laco_scheme(tmp_path):
+    # laco without a layer count uses all log2(N/2) layers
+    rc = main(["ser", "--schemes", "laco", "--gammas", "20", "--runs", "50",
+               "--n", "256", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "ser.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["scheme"] for r in rows] == ["laco"]
+    assert 0.0 <= float(rows[0]["simulated"]) <= 1.0
+
+
 def test_power_relations_command(capsys):
     rc = main(["power-relations", "--scheme", "laco", "--peff", "1",
                "--layers", "9", "--validate", "200", "--seed", "1"])

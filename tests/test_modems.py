@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from hermitian import hermitian_embed
 from oofdm.constellation import Constellation
 from oofdm.modems import (affected_subcarriers, aco_modulate, clip,
                           dco_modulate, effective_subcarriers, layer_index,
                           laco_ratios, pam_modulate, power_relations)
-from oofdm.numerics import hermitian_embed, real_ifft
+from oofdm.numerics import real_ifft
 
 N = 1024
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oofdm.multilayer import (SchemeConfig, decompose_residual, receive,
-                              transmit)
+from hermitian import hermitian_embed
+from oofdm.modems import effective_subcarriers
+from oofdm.multilayer import (LayerSpec, SchemeConfig, decompose_residual,
+                              receive, transmit)
 
 N = 1024
 
@@ -140,3 +143,56 @@ def test_probe_matches_fft_of_delta():
                  keep_signals=True)
     ref = np.fft.fft(rx.delta[0])[:, 256]
     np.testing.assert_allclose(rx.probe[0], ref, atol=1e-8)
+
+
+# Property tests of the folded layer transforms run at a short frame length.
+N_PROP = 256
+ORDERS = (2, 4, 8, 16, 64)
+
+
+def _pruned_layer(data, kind, candidates):
+    """Allocator-style layer: a nonempty subset of `candidates` with random
+    orders and per-bin powers (frames of order one)."""
+    bins = np.array(sorted(data.draw(st.sets(st.sampled_from(candidates), min_size=1))))
+    orders = data.draw(st.lists(st.sampled_from(ORDERS), min_size=len(bins),
+                                max_size=len(bins)))
+    scale = data.draw(st.lists(st.floats(0.5, 2.0), min_size=len(bins),
+                               max_size=len(bins)))
+    return LayerSpec(kind, bins, np.array(orders, dtype=np.int64),
+                     N_PROP * np.array(scale))
+
+
+def _check_folded_frames_and_noiseless_detection(cfg):
+    tx = transmit(cfg, np.random.default_rng(0), 4, instrument=True)
+    for spec, vals, s in zip(cfg.layers, tx.sym_val, tx.s):
+        ref = np.fft.ifft(hermitian_embed(vals, spec.bins, cfg.n))
+        np.testing.assert_allclose(s, ref.real, rtol=0, atol=1e-12)
+    rx = receive(tx.x, cfg, truth=tx)
+    for spec, err in zip(cfg.layers, rx.errors):
+        assert not np.any(err), f"{spec.kind} layer on bins {spec.bins}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_folded_laco_layers_match_full_transform(data):
+    # any nonempty subset of layers, each pruned to a subset of its bins
+    layers = data.draw(st.sets(st.integers(1, 7), min_size=1))
+    specs = []
+    for j in sorted(layers):
+        ks = effective_subcarriers("laco", j, N_PROP)
+        specs.append(_pruned_layer(data, "aco", ks[ks < N_PROP // 2].tolist()))
+    _check_folded_frames_and_noiseless_detection(SchemeConfig("laco", N_PROP, specs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_folded_hybrid_layer_with_larger_period_factor(data):
+    # the second (even-bin) layer keeps only multiples of 2^p, p >= 2, so its
+    # common power of two exceeds the 2 of an unpruned ADO/HACO layer
+    kind = data.draw(st.sampled_from(("dco", "pam")))
+    step = 2 ** data.draw(st.integers(2, 5))
+    odd = list(range(1, N_PROP // 2, 2))
+    even = list(range(step, N_PROP // 2, step))
+    specs = [_pruned_layer(data, "aco", odd), _pruned_layer(data, kind, even)]
+    scheme = "ado" if kind == "dco" else "haco"
+    _check_folded_frames_and_noiseless_detection(SchemeConfig(scheme, N_PROP, specs))
