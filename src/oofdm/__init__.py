@@ -15,5 +15,5 @@ from .modems import (PowerTriple, aco_modulate, affected_subcarriers,
 from .multilayer import (LayerSpec, RxResult, SchemeConfig, TxBatch,
                          decompose_residual, receive, transmit)
 from .numerics import fft, gaussian_frame, ifft, qfunc, qfunc_inv, real_ifft
-from .rcn import NoiseProfile, rcn_power_worst, worst_case_noise
+from .rcn import NoiseProfile, worst_case_noise
 from .ser import SerReport, evaluate_ser

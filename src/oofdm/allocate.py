@@ -8,14 +8,14 @@ baseline keeps the noise fixed at the channel noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelProfile
-from .modems import effective_subcarriers, layer_index
+from .multilayer import SchemeConfig
 from .numerics import qfunc_inv
-from .rcn import layer_error_power
+from .rcn import worst_case_noise
 
 
 def snr_gap(p_e: float) -> float:
@@ -89,9 +89,6 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
     p_v = channel.bin_noise_power()
     budget = n ** 2 * p_eff
     loadable = np.setdiff1d(np.arange(1, n), [n // 2])
-    j_k = layer_index(loadable, n)
-    j_max = int(np.log2(n // 2))
-    k_t_sizes = [len(effective_subcarriers("laco", t, n)) for t in range(1, j_max + 1)]
 
     p_z = p_v.copy()
     history = []
@@ -118,7 +115,8 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
         if mode == "rcn_unaware":
             converged = True
             break
-        p_z_new = _refresh_noise(n, p_v, bits, powers, j_k, loadable, k_t_sizes, rims)
+        loading = SchemeConfig.from_allocation(n, bits, powers)
+        p_z_new = worst_case_noise(loading, p_v, rims).p_z
         eps = eps_conv if eps_conv is not None else 1e-3 * float(np.sum(p_z ** 2)) / n
         delta = float(np.sum((p_z_new - p_z) ** 2))
         p_z = p_z_new
@@ -127,20 +125,3 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
             break
     return AllocationResult(bits, powers, p_z, iterations, converged, history, mode)
 
-
-def _refresh_noise(n, p_v, bits, powers, j_k, loadable, k_t_sizes, rims):
-    """Worst-case noise chain for the current loading: layer t's RCN bound
-    uses the chain noise accumulated from layers below it, then feeds every
-    higher layer's subcarriers."""
-    rcn = np.zeros(len(k_t_sizes))  # per-layer bound
-    cum = 0.0
-    for t in range(1, len(k_t_sizes) + 1):
-        ks = loadable[(j_k == t) & (bits[loadable] > 0)]
-        if ks.size:
-            f = layer_error_power(2 ** bits[ks], 4.0 * powers[ks], p_v[ks] + cum, rims)
-            rcn[t - 1] = float(np.sum(f)) / (4.0 * k_t_sizes[t - 1])
-        cum += rcn[t - 1]
-    p_z = p_v.copy()
-    cumsum = np.concatenate([[0.0], np.cumsum(rcn)])
-    p_z[loadable] += cumsum[j_k - 1]
-    return p_z

@@ -53,6 +53,8 @@ class ChannelProfile:
                 if not row or not row[0].lstrip("-").isdigit():
                     continue  # header or blank
                 k = int(row[0])
+                if not 0 <= k < n:
+                    raise ValueError(f"channel file {path}: bin {k} is outside [0, {n})")
                 if len(row) >= 3:
                     h[k] = float(row[1]) + 1j * float(row[2])
                 else:
@@ -283,19 +285,7 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
                             layers: int | None = None, batch: int = DEFAULT_BATCH):
     """Monte Carlo estimate of (P_elec, P_opt) of a transmitter at the given
     effective power, for comparison against the closed forms."""
-    if scheme in modems.MULTI_LAYER_SCHEMES:
-        cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
-    else:
-        # single-layer schemes expressed as one-layer configs
-        ks = modems.effective_subcarriers(scheme, 1, n)
-        indep = ks[ks < n // 2]
-        eps = n ** 2 * p_eff / len(ks)
-        kind = scheme
-        power = eps if kind == "dco" else 4.0 * eps
-        from .multilayer import LayerSpec
-        cfg = SchemeConfig(scheme, n, [LayerSpec(
-            kind, indep, np.full(indep.shape, M, dtype=np.int64),
-            np.full(indep.shape, power))])
+    cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
     sizes = _batches(frames, batch)
     seeds = spawn_seeds(seed, len(sizes))
     sq_sum = 0.0

@@ -285,21 +285,30 @@ def build_parser():
     return ap
 
 
+def _apply_config(args, argv):
+    """Fill options from the --config JSON file; flags given on the command
+    line win. A key that names no option of the subcommand is an error."""
+    with open(args.config) as fh:
+        defaults = json.load(fh)
+    if not isinstance(defaults, dict):
+        raise ValueError(f"{args.config}: expected a JSON object of option defaults")
+    options = set(vars(args)) - {"command", "func"}
+    unknown = [key for key in defaults if key.replace("-", "_") not in options]
+    if unknown:
+        raise ValueError(f"{args.config}: unknown {args.command} option(s): {', '.join(unknown)}")
+    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    for key, value in defaults.items():
+        key = key.replace("-", "_")
+        if key not in given:
+            setattr(args, key, value)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        # flags explicitly given on the command line win over the config file
-        given = {a.split("=")[0].lstrip("-").replace("-", "_")
-                 for a in (argv if argv is not None else sys.argv[1:])
-                 if a.startswith("--")}
-        for key, value in defaults.items():
-            key = key.replace("-", "_")
-            if hasattr(args, key) and key not in given:
-                setattr(args, key, value)
     try:
+        if args.config:
+            _apply_config(args, argv if argv is not None else sys.argv[1:])
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,11 +95,12 @@ def ml_detect(observation, constellation: Constellation):
     return idx, constellation.points[idx]
 
 
-def min_distance(M: int, power: float) -> float:
-    """d = sqrt(6 * power / (M - 1)); exact for square QAM grids."""
-    if M < 2:
+def min_distance(M, power):
+    """d = sqrt(6 * power / (M - 1)); exact for square QAM grids. Broadcasts."""
+    M = np.asarray(M)
+    if np.any(M < 2):
         raise ValueError("constellation order must be >= 2")
-    return float(np.sqrt(6.0 * power / (M - 1)))
+    return np.sqrt(6.0 * np.asarray(power, dtype=float) / (M - 1))
 
 
 def ser_qam(M, eps, sigma2):
@@ -122,21 +123,24 @@ def ser_pam(M, eps, sigma2):
     return 2.0 * (M - 1.0) / M * qfunc(arg)
 
 
-def rim_probabilities(d_min: float, sigma2: float, rims: int = 3):
+def rim_probabilities(d_min, sigma2, rims: int = 3):
     """Per-position hit probabilities for the first three rims.
 
     p_a, p_b, p_c are the tail probabilities of one noise axis (variance
     sigma2/2) exceeding d/2, 3d/2, 5d/2. With rims=1, p_b = p_c = 0; with
     rims=2, p_c = 0, which zeroes the corresponding outer-rim positions.
+    Broadcasts over d_min and sigma2.
     """
-    if sigma2 <= 0:
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.any(sigma2 <= 0):
         raise ValueError("noise power must be positive")
     if rims not in (1, 2, 3):
         raise ValueError("rims must be 1, 2 or 3")
+    d_min = np.asarray(d_min, dtype=float)
     sigma_axis = np.sqrt(sigma2 / 2.0)
-    p_a = float(qfunc(d_min / (2.0 * sigma_axis)))
-    p_b = float(qfunc(3.0 * d_min / (2.0 * sigma_axis))) if rims >= 2 else 0.0
-    p_c = float(qfunc(5.0 * d_min / (2.0 * sigma_axis))) if rims >= 3 else 0.0
+    p_a = qfunc(d_min / (2.0 * sigma_axis))
+    p_b = qfunc(3.0 * d_min / (2.0 * sigma_axis)) if rims >= 2 else np.zeros_like(p_a)
+    p_c = qfunc(5.0 * d_min / (2.0 * sigma_axis)) if rims >= 3 else np.zeros_like(p_a)
     p = {
         1: (p_a - p_b) * (1.0 - 2.0 * p_a),
         2: (p_a - p_b) ** 2,
@@ -151,46 +155,45 @@ def rim_probabilities(d_min: float, sigma2: float, rims: int = 3):
     return {"p_a": p_a, "p_b": p_b, "p_c": p_c, "positions": p}
 
 
-@dataclass(frozen=True)
-class RimModel:
-    """Average neighbor counts n_i of an M-QAM grid for the rim positions."""
-    M: int
-    rims: int
-    counts: dict  # position label -> average neighbor count
-
-
 @lru_cache(maxsize=None)
-def _neighbor_counts(M: int):
+def _neighbor_counts(M: int) -> tuple:
+    """Average neighbor count of each rim position (RIM_POSITIONS order)."""
     c = Constellation.qam(M, float(M))  # any power; geometry only
     li = _axis_levels(c.m_i)
     lq = _axis_levels(c.m_q)
     occupied = {(int(a), int(b)) for a in li for b in lq}
-    counts = {}
-    for pos, (da, db) in _RIM_OFFSET.items():
-        total = 0
-        for (a, b) in occupied:
-            # all sign/axis arrangements of the offset (da, db) in d_min units
-            offsets = {(sa * 2 * da, sb * 2 * db) for sa in (1, -1) for sb in (1, -1)}
-            offsets |= {(sa * 2 * db, sb * 2 * da) for sa in (1, -1) for sb in (1, -1)}
-            total += sum((a + oa, b + ob) in occupied for oa, ob in offsets)
-        counts[pos] = total / M
-    return counts
+    counts = []
+    for pos in RIM_POSITIONS:
+        da, db = _RIM_OFFSET[pos]
+        # all sign/axis arrangements of the offset (da, db) in d_min units
+        offsets = {(sa * 2 * da, sb * 2 * db) for sa in (1, -1) for sb in (1, -1)}
+        offsets |= {(sa * 2 * db, sb * 2 * da) for sa in (1, -1) for sb in (1, -1)}
+        total = sum((a + oa, b + ob) in occupied for a, b in occupied for oa, ob in offsets)
+        counts.append(total / M)
+    return tuple(counts)
 
 
-def avg_neighbor_counts(M: int, rims: int = 3) -> RimModel:
-    """Brute-force enumeration of average neighbor counts on the M-QAM grid."""
-    if rims not in (1, 2, 3):
-        raise ValueError("rims must be 1, 2 or 3")
-    return RimModel(M, rims, dict(_neighbor_counts(M)))
+def avg_neighbor_counts(M: int) -> dict:
+    """Brute-force enumeration of average neighbor counts on the M-QAM grid,
+    keyed by rim position."""
+    return dict(zip(RIM_POSITIONS, _neighbor_counts(M)))
 
 
-def detection_error_power(d_min: float, sigma2: float, M: int, rims: int = 3) -> float:
+def detection_error_power(d_min, sigma2, M, rims: int = 3):
     """Rim-model approximation of E{|x - xhat|^2} for ML detection of M-QAM
-    with minimum distance d_min in complex AWGN of power sigma2.
+    with minimum distance d_min in complex AWGN of power sigma2 (zero for
+    zero noise). Broadcasts over d_min, sigma2 and M.
     """
-    if sigma2 == 0.0:
-        return 0.0
-    probs = rim_probabilities(d_min, sigma2, rims)["positions"]
-    counts = avg_neighbor_counts(M, rims).counts
-    d2 = d_min ** 2
-    return float(sum(d2 * RIM_DIST2[i] * probs[i] * counts[i] for i in RIM_POSITIONS))
+    M = np.asarray(M)
+    bits = np.round(np.log2(M)).astype(np.int64)
+    if np.any(M < 2) or np.any(2 ** bits != M):
+        raise ValueError("QAM order must be a power of two >= 2")
+    sigma2 = np.asarray(sigma2, dtype=float)
+    live = sigma2 != 0.0
+    probs = rim_probabilities(d_min, np.where(live, sigma2, 1.0), rims)["positions"]
+    table = np.array([_neighbor_counts(2 ** b) for b in range(1, bits.max(initial=1) + 1)])
+    counts = table[bits - 1]  # (..., position)
+    d2 = np.asarray(d_min, dtype=float) ** 2
+    total = sum(d2 * RIM_DIST2[pos] * probs[pos] * counts[..., i]
+                for i, pos in enumerate(RIM_POSITIONS))
+    return np.where(live, total, 0.0)[()]

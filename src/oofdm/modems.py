@@ -11,7 +11,6 @@ import numpy as np
 from .numerics import _check_length, fft, real_ifft
 
 SINGLE_LAYER_SCHEMES = ("aco", "dco", "pam")
-MULTI_LAYER_SCHEMES = ("ado", "haco", "laco")
 
 
 def _validate_layer(scheme: str, j: int, n: int):

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import Constellation
-from .modems import clip, effective_subcarriers, MULTI_LAYER_SCHEMES
+from .modems import clip, effective_subcarriers
 from .numerics import make_rng
 
-_LAYER_KINDS = {"ado": ("aco", "dco"), "haco": ("aco", "pam")}
+# clipping behavior per layer of each fixed-depth scheme (LACO: "aco" per layer)
+_LAYER_KINDS = {"ado": ("aco", "dco"), "haco": ("aco", "pam"),
+                "aco": ("aco",), "dco": ("dco",), "pam": ("pam",)}
 
 
 @dataclass(frozen=True)
@@ -54,19 +56,20 @@ class SchemeConfig:
                 bias_multiplier: float = 3.0) -> "SchemeConfig":
         """Equal per-subcarrier effective power over all effective subcarriers.
 
-        M may be a scalar or a per-layer sequence. The per-subcarrier
-        effective power is eps = N^2 * p_eff / N'; clipped layers carry
-        symbol power 4*eps (detection recovers S/2), a DCO layer carries eps.
+        A single-layer scheme (aco, dco, pam) gives a one-layer config; the
+        layer count applies to LACO only. M may be a scalar or a per-layer
+        sequence. The per-subcarrier effective power is eps = N^2 * p_eff / N';
+        clipped layers carry symbol power 4*eps (detection recovers S/2), a DCO
+        layer carries eps.
         """
         scheme = scheme.lower()
-        if scheme not in MULTI_LAYER_SCHEMES:
-            raise ValueError(f"unknown multi-layer scheme {scheme!r}")
         if scheme == "laco":
-            j_count = int(np.log2(n // 2)) if layers is None else layers
-            kinds = ("aco",) * j_count
-        else:
-            j_count = 2
+            kinds = ("aco",) * (int(np.log2(n // 2)) if layers is None else layers)
+        elif scheme in _LAYER_KINDS:
             kinds = _LAYER_KINDS[scheme]
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        j_count = len(kinds)
         orders = [M] * j_count if np.isscalar(M) else list(M)
         if len(orders) != j_count:
             raise ValueError("per-layer order list does not match the layer count")

@@ -18,46 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import detection_error_power, min_distance
-from .modems import affected_subcarriers, effective_subcarriers
-from .multilayer import SchemeConfig
+from .modems import affected_subcarriers
+from .multilayer import SchemeConfig, _fold_factor
 
 
 def layer_error_power(M, sym_power, noise_power, rims: int = 3) -> np.ndarray:
     """Per-bin detection-error power f(d(k), 4*P_z(k), M(k)) after scale-by-2.
 
     d(k) = sqrt(6*sym_power/(M-1)); noise_power is the per-bin total noise
-    power before scaling.
+    power before scaling. Broadcasts over its three array arguments.
     """
-    shape = np.broadcast(np.asarray(M), np.asarray(sym_power), np.asarray(noise_power)).shape
-    M, sym_power, noise_power = np.broadcast_arrays(
-        np.asarray(M), np.asarray(sym_power, dtype=float), np.asarray(noise_power, dtype=float))
-    triples = np.stack([M.ravel().astype(float), sym_power.ravel(), noise_power.ravel()])
-    uniq, inverse = np.unique(triples, axis=1, return_inverse=True)
-    vals = np.array([
-        detection_error_power(min_distance(int(m), ps), 4.0 * pz, int(m), rims)
-        for m, ps, pz in uniq.T
-    ])
-    return vals[inverse].reshape(shape)
-
-
-def rcn_power_worst(bins, M, sym_power, noise_power, k_t_size: int, n: int,
-                    rims: int = 3):
-    """Worst-case RCN power of one layer.
-
-    bins: the layer's loaded independent bins (each stands for itself and its
-    Hermitian mirror); k_t_size: nominal size of the layer's full subcarrier
-    set (pruned bins contribute zero but the spreading factor is unchanged).
-    Returns (bin_power, delta_power): the per-affected-bin frequency-domain
-    bound and the time-domain bound on P{delta_t} = bin_power * |K_t| / N^2.
-    """
-    if k_t_size <= 0:
-        raise ValueError("layer has no subcarriers")
-    bins = np.asarray(bins)
-    if bins.size == 0:
-        return 0.0, 0.0
-    f = layer_error_power(M, sym_power, noise_power, rims)
-    bin_power = 2.0 * float(np.sum(f)) / (4.0 * k_t_size)  # both Hermitian mirrors
-    return bin_power, bin_power * k_t_size / n ** 2
+    return detection_error_power(min_distance(M, sym_power),
+                                 4.0 * np.asarray(noise_power, dtype=float), M, rims)
 
 
 @dataclass
@@ -72,32 +44,30 @@ class NoiseProfile:
 def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
     """Iterate the worst-case total-noise bound layer by layer.
 
-    p_v: per-bin post-equalization noise power (length N). Layer t's RCN
-    is added only to its affected subcarriers (nonzero multiples of 2^t,
-    excluding N/2), which contain the subcarriers of all later layers.
+    p_v: per-bin post-equalization noise power (length N). A layer's number
+    t comes from its bins, not its list position: 2^(t-1) is the largest
+    power of two dividing all of them, so a pruned configuration keeps its
+    layers' numbers. Layer t's bound spreads over |K_t| = N/2^t subcarriers,
+    and its RCN is added to its affected subcarriers (nonzero multiples of
+    2^t, excluding N/2), which contain the subcarriers of all later layers.
     """
     n = config.n
     p_v = np.asarray(p_v, dtype=float)
     if p_v.shape != (n,):
         raise ValueError("noise map length does not match the frame length")
     p_z = p_v.copy()
-    n_layers = len(config.layers)
-    bin_powers = np.zeros(n_layers)
-    delta_powers = np.zeros(n_layers)
-    for t, spec in enumerate(config.layers, start=1):
+    bin_powers = np.zeros(len(config.layers))
+    delta_powers = np.zeros(len(config.layers))
+    for i, spec in enumerate(config.layers):
         if spec.kind != "aco":
             # the rim model covers QAM-loaded zero-clipped layers; a DCO or
             # PAM layer is last in its scheme so its residue feeds nothing
             continue
-        k_t = _nominal_set_size(config.scheme, t, n)
-        if spec.bins.size:
-            f = layer_error_power(spec.M, spec.sym_power, p_z[spec.bins], rims)
-            bin_powers[t - 1] = 2.0 * float(np.sum(f)) / (4.0 * k_t)
-        delta_powers[t - 1] = bin_powers[t - 1] * k_t / n ** 2
-        if bin_powers[t - 1] > 0.0:
-            p_z[affected_subcarriers(t, n)] += bin_powers[t - 1]
+        L = _fold_factor(spec.bins, n)  # 2^(t-1)
+        k_t = n // (2 * L)
+        f = layer_error_power(spec.M, spec.sym_power, p_z[spec.bins], rims)
+        bin_powers[i] = 2.0 * float(np.sum(f)) / (4.0 * k_t)  # both Hermitian mirrors
+        delta_powers[i] = bin_powers[i] * k_t / n ** 2
+        if bin_powers[i] > 0.0:
+            p_z[affected_subcarriers(L.bit_length(), n)] += bin_powers[i]
     return NoiseProfile(p_z, bin_powers, delta_powers, p_v)
-
-
-def _nominal_set_size(scheme: str, t: int, n: int) -> int:
-    return len(effective_subcarriers(scheme, t, n))

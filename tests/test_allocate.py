@@ -6,6 +6,8 @@ import pytest
 from oofdm.allocate import allocate, snr_gap, waterfill
 from oofdm.channel import ChannelProfile
 from oofdm.modems import layer_index
+from oofdm.multilayer import SchemeConfig
+from oofdm.rcn import worst_case_noise
 
 N = 1024
 
@@ -115,3 +117,15 @@ def test_history_records_each_iteration():
 def test_mode_validation():
     with pytest.raises(ValueError):
         allocate(ChannelProfile.flat(N), 1.0, 1e-2, mode="genie")
+
+
+def test_aware_noise_is_the_ser_model_noise_with_layer_1_emptied():
+    # odd subcarriers (LACO layer 1) nearly cut off, so nothing loads there;
+    # the allocator's noise map is the one the SER model evaluates
+    h = np.ones(N)
+    h[1::2] = 1e-4
+    channel = ChannelProfile(N, 1.0, h)
+    res = allocate(channel, 10.0 ** 1.4, 1e-2)
+    assert res.converged and not np.any(res.bits[1::2]) and res.total_bits > 0
+    cfg = SchemeConfig.from_allocation(N, res.bits, res.powers)
+    np.testing.assert_array_equal(res.noise, worst_case_noise(cfg, channel.bin_noise_power()).p_z)

@@ -139,3 +139,33 @@ def test_invalid_channel_file(capsys):
                "--channel", "/nonexistent/h.csv"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["300,0.5", "-5,0.5"])
+def test_channel_file_bin_out_of_range_is_an_error(tmp_path, capsys, row):
+    path = tmp_path / "h.csv"
+    path.write_text(f"k,h\n1,0.5\n{row}\n")
+    rc = main(["ser", "--schemes", "haco", "--gammas", "20", "--runs", "10",
+               "--n", "256", "--channel", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"bin {row.split(',')[0]} " in err
+    assert not (tmp_path / "ser.csv").exists()
+
+
+def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamas": "1,2", "peff": 2.0}))
+    rc = main(["power-relations", "--scheme", "aco", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gamas" in err and "peff" not in err
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(["peff"]))
+    rc = main(["power-relations", "--scheme", "aco", "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")

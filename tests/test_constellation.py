@@ -115,17 +115,17 @@ def _brute_force_counts(M):
 
 @pytest.mark.parametrize("M", [4, 16, 64])
 def test_avg_neighbor_counts_match_enumeration(M):
-    model = avg_neighbor_counts(M)
+    counts = avg_neighbor_counts(M)
     oracle = _brute_force_counts(M)
     for pos in RIM_POSITIONS:
-        assert model.counts[pos] == pytest.approx(oracle[pos], abs=1e-12)
+        assert counts[pos] == pytest.approx(oracle[pos], abs=1e-12)
 
 
 def test_avg_neighbor_counts_known_values():
-    c4 = avg_neighbor_counts(4).counts
+    c4 = avg_neighbor_counts(4)
     assert c4[1] == 2.0 and c4[2] == 1.0
     assert all(c4[pos] == 0.0 for pos in RIM_POSITIONS if pos not in (1, 2))
-    c16 = avg_neighbor_counts(16).counts
+    c16 = avg_neighbor_counts(16)
     assert c16[1] == 3.0 and c16[2] == 2.25
 
 

@@ -36,9 +36,19 @@ def test_uniform_config_ado_and_haco():
     assert np.all(haco.layers[1].M == 4)
 
 
+@pytest.mark.parametrize("scheme,bins,power", [("aco", N // 4, 4.0 * N ** 2 / (N // 2)),
+                                                ("pam", N // 2 - 1, 4.0 * N ** 2 / (N - 2)),
+                                                ("dco", N // 2 - 1, N ** 2 / (N - 2))])
+def test_uniform_config_single_layer(scheme, bins, power):
+    cfg = SchemeConfig.uniform(scheme, N, 16, 1.0, layers=5)  # layer count ignored
+    (spec,) = cfg.layers
+    assert spec.kind == scheme and len(spec.bins) == bins
+    np.testing.assert_allclose(spec.sym_power, power)
+
+
 def test_uniform_config_validation():
     with pytest.raises(ValueError):
-        SchemeConfig.uniform("aco", N, 16, 1.0)
+        SchemeConfig.uniform("qam", N, 16, 1.0)
     with pytest.raises(ValueError):
         SchemeConfig.uniform("laco", N, [16, 16], 1.0, layers=3)
 

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oofdm.modems import affected_subcarriers
+from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, avg_neighbor_counts,
+                                 rim_probabilities)
+from oofdm.modems import affected_subcarriers, layer_index
 from oofdm.multilayer import SchemeConfig
-from oofdm.rcn import layer_error_power, rcn_power_worst, worst_case_noise
+from oofdm.rcn import layer_error_power, worst_case_noise
 
 N = 1024
 
@@ -75,25 +79,29 @@ def test_noise_accumulates_on_affected_bins_only():
     assert extra[256] > extra[4]
 
 
+def test_layer_number_comes_from_the_bins():
+    # the allocator can empty LACO layer 1, leaving layer 2 first in the list:
+    # its RCN still lands on multiples of 4 only, bounded over |K_2| = N/4
+    full = SchemeConfig.uniform("laco", N, 64, 10.0, layers=9)
+    cfg = SchemeConfig("laco", N, full.layers[1:])
+    p_v = np.full(N, float(N))
+    prof = worst_case_noise(cfg, p_v)
+    extra = prof.p_z - p_v
+    np.testing.assert_array_equal(extra[2::4], 0.0)
+    assert np.all(extra[affected_subcarriers(2, N)] > 0)
+    spec = cfg.layers[0]
+    f = layer_error_power(spec.M, spec.sym_power, p_v[spec.bins])
+    assert prof.bin_powers[0] == pytest.approx(2.0 * np.sum(f) / N)
+    assert prof.delta_powers[0] == pytest.approx(prof.bin_powers[0] / (4 * N))
+
+
 def test_chain_uses_accumulated_noise():
     # layer 2 sees channel noise plus the layer-1 bound, so its bound exceeds
     # the value computed from channel noise alone at high SNR
     prof = _profile(20)
     cfg = SchemeConfig.uniform("laco", N, 64, 100.0, layers=9)
-    spec = cfg.layers[1]
-    standalone, _ = rcn_power_worst(spec.bins, spec.M, spec.sym_power,
-                                    np.full(len(spec.bins), float(N)),
-                                    N // 4, N)
-    assert prof.bin_powers[1] > standalone
-
-
-def test_rcn_power_worst_empty_bins():
-    bp, dp = rcn_power_worst(np.array([], dtype=int), np.array([]),
-                             np.array([]), np.array([]), 256, N)
-    assert bp == 0.0 and dp == 0.0
-    with pytest.raises(ValueError):
-        rcn_power_worst(np.array([1]), np.array([16]), np.array([1.0]),
-                        np.array([1.0]), 0, N)
+    alone = worst_case_noise(SchemeConfig("laco", N, cfg.layers[1:2]), np.full(N, float(N)))
+    assert prof.bin_powers[1] > alone.bin_powers[0]
 
 
 def test_layer_error_power_matches_scalar_evaluation():
@@ -103,6 +111,48 @@ def test_layer_error_power_matches_scalar_evaluation():
     ref = [detection_error_power(min_distance(16, 8.0), 4.0, 16),
            detection_error_power(min_distance(64, 8.0), 8.0, 64)]
     np.testing.assert_allclose(vals, ref)
+
+
+def _scalar_error_power(M, sym_power, noise_power, rims):
+    # reference: the rim sum for one bin, neighbor counts looked up by position
+    d = float(np.sqrt(6.0 * sym_power / (M - 1)))
+    if noise_power == 0.0:
+        return 0.0
+    probs = rim_probabilities(d, 4.0 * noise_power, rims)["positions"]
+    counts = avg_neighbor_counts(int(M))
+    return sum(d ** 2 * RIM_DIST2[pos] * float(probs[pos]) * counts[pos]
+               for pos in RIM_POSITIONS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.floats(1e-3, 1e4), st.floats(0.0, 1e4)),
+                min_size=1, max_size=24),
+       st.integers(1, 3))
+def test_layer_error_power_is_elementwise(triples, rims):
+    bits, sym_power, noise = (np.array(col) for col in zip(*triples))
+    M = 2 ** bits
+    vals = layer_error_power(M, sym_power, noise, rims)
+    alone = [layer_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, sym_power, noise)]
+    np.testing.assert_array_equal(vals, alone)
+    ref = [_scalar_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, sym_power, noise)]
+    np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 64, 256]), st.data())
+def test_noise_grows_with_layer_depth(n, data):
+    # random pruned LACO loading, some layers emptied, on a flat channel
+    bits = data.draw(arrays(np.int64, n, elements=st.integers(0, 8)))
+    powers = data.draw(arrays(float, n, elements=st.floats(1.0, 1e4)))
+    emptied = data.draw(st.sets(st.integers(1, int(np.log2(n // 2)))))
+    k = np.arange(1, n // 2)
+    bits[k[np.isin(layer_index(k, n), list(emptied))]] = 0
+    p_v = np.full(n, data.draw(st.floats(1.0, 1e3)))
+    cfg = SchemeConfig.from_allocation(n, bits, powers)
+    p_z = worst_case_noise(cfg, p_v).p_z
+    loaded = [p_z[spec.bins] for spec in cfg.layers]  # ascending layer depth
+    for shallow, deep in zip(loaded, loaded[1:]):
+        assert deep.min() >= shallow.max()
 
 
 def test_worst_case_noise_skips_non_qam_layers():
