@@ -3,17 +3,16 @@
 __version__ = "0.1.0"
 
 from .allocate import AllocationResult, allocate, snr_gap, waterfill
-from .channel import (ChannelProfile, ExperimentConfig, equalize,
-                      gamma_to_p_eff, measure_power_relations,
-                      measure_rcn_power, rcn_statistics, run_ser_experiment)
+from .channel import (ChannelProfile, ExperimentConfig, gamma_to_p_eff,
+                      measure_power_relations, measure_rcn_power,
+                      rcn_statistics, run_ser_experiment)
 from .constellation import (Constellation, avg_neighbor_counts,
-                            detection_error_power, min_distance, ml_detect,
+                            detection_error_power, min_distance,
                             rim_probabilities, ser_pam, ser_qam)
-from .modems import (PowerTriple, aco_modulate, affected_subcarriers,
-                     dco_modulate, effective_subcarriers, pam_modulate,
+from .modems import (PowerTriple, affected_subcarriers, effective_subcarriers,
                      power_relations)
-from .multilayer import (LayerSpec, RxResult, SchemeConfig, TxBatch,
-                         decompose_residual, receive, transmit)
-from .numerics import fft, gaussian_frame, ifft, qfunc, qfunc_inv, real_ifft
+from .multilayer import (LayerSpec, RxResult, SchemeConfig, TxBatch, receive,
+                         transmit)
+from .numerics import qfunc, qfunc_inv
 from .rcn import NoiseProfile, worst_case_noise
 from .ser import SerReport, evaluate_ser

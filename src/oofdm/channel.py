@@ -1,10 +1,10 @@
-"""Channel profiles, channel-inversion equalization, and the Monte Carlo
-experiment engine (SER runs, clipping-noise power measurement, statistics).
+"""Channel profiles and the Monte Carlo experiment engine (SER runs,
+clipping-noise power measurement, statistics).
 
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
-otherwise. Frames are processed in seeded batches so a run is reproducible
-for a given (seed, batch size) pair.
+otherwise; a received frame is never inverted. Frames are processed in
+seeded batches so a run is reproducible for a given (seed, batch size) pair.
 """
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from . import modems
-from .modems import power_relations
+from .modems import layer_index, power_relations
 from .multilayer import SchemeConfig, receive, transmit
 from .numerics import make_rng, spawn_seeds
 
@@ -25,10 +24,21 @@ DEFAULT_BATCH = 500
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Per-subcarrier gain H(k) plus the pre-equalization white-noise power."""
+    """Per-subcarrier gain H(k) plus the pre-equalization white-noise power.
+
+    A real frame sees |H(k)| = |H(N-k)|, and equalization needs H(k) != 0;
+    a profile that breaks either is rejected when it is built.
+    """
     n: int
     noise_power: float = 1.0
     h: np.ndarray | None = None   # None means flat (H = 1)
+
+    def __post_init__(self):
+        g = self.gain
+        if np.any(g == 0.0):
+            raise ValueError("channel gain must be nonzero on all bins")
+        if not np.allclose(g, np.roll(g[::-1], 1)):
+            raise ValueError("channel magnitude must satisfy |H(k)| = |H(N-k)|")
 
     @classmethod
     def flat(cls, n: int, noise_power: float = 1.0) -> "ChannelProfile":
@@ -69,23 +79,7 @@ class ChannelProfile:
 
     def bin_noise_power(self) -> np.ndarray:
         """Post-equalization noise power per bin, P{V(k)} = N*Pv/|H(k)|^2."""
-        g = self.gain
-        if np.any(g == 0.0):
-            raise ValueError("channel gain must be nonzero on all bins")
-        return self.n * self.noise_power / g ** 2
-
-
-def equalize(received, profile: ChannelProfile):
-    """Channel inversion Y'(k) = Y(k)/H(k) applied to a time-domain frame."""
-    y = np.asarray(received, dtype=float)
-    if y.shape[-1] != profile.n:
-        raise ValueError("frame length does not match the channel profile")
-    if profile.h is None:
-        return y.copy()
-    h = np.asarray(profile.h)
-    if np.any(np.abs(h) == 0.0):
-        raise ValueError("channel gain must be nonzero on all bins")
-    return np.fft.ifft(np.fft.fft(y) / h).real
+        return self.n * self.noise_power / self.gain ** 2
 
 
 def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
@@ -99,12 +93,8 @@ def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
     v0 = rng.normal(0.0, np.sqrt(profile.noise_power), size=(frames, profile.n))
     if profile.h is None:
         return v0
-    g = profile.gain
-    if np.any(g == 0.0):
-        raise ValueError("channel gain must be nonzero on all bins")
-    if not np.allclose(g, np.roll(g[::-1], 1)):
-        raise ValueError("channel magnitude must satisfy |H(k)| = |H(N-k)|")
-    return np.fft.irfft(np.fft.rfft(v0) / g[: profile.n // 2 + 1], profile.n)
+    g = profile.gain[: profile.n // 2 + 1]
+    return np.fft.irfft(np.fft.rfft(v0) / g, profile.n)
 
 
 def gamma_to_p_eff(scheme: str, gamma_db: float, noise_power: float = 1.0,
@@ -271,13 +261,12 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
 
 
 def _probed_layers(scheme_cfg: SchemeConfig, probe_bin: int) -> int:
-    count = 0
-    for t in range(1, len(scheme_cfg.layers) + 1):
-        if probe_bin in modems.affected_subcarriers(t, scheme_cfg.n):
-            count = t
-        else:
-            break
-    return count
+    """Count of layers 1..T whose affected sets all hold the probe bin: the
+    multiples of 2^t hold it for t below its layer index."""
+    n = scheme_cfg.n
+    if not 0 < probe_bin < n or probe_bin == n // 2:
+        return 0
+    return min(layer_index(probe_bin, n) - 1, len(scheme_cfg.layers))
 
 
 def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 64,

@@ -25,8 +25,9 @@ from .allocate import allocate
 from .channel import (ChannelProfile, ExperimentConfig, measure_power_relations,
                       measure_rcn_power, post_eq_noise, rcn_statistics,
                       run_point, run_ser_experiment)
-from .modems import power_relations
+from .modems import layer_index, power_relations
 from .multilayer import SchemeConfig, receive, transmit
+from .rcn import worst_case_noise
 from .ser import evaluate_ser
 
 
@@ -97,12 +98,11 @@ def cmd_rcn_power(args):
                            gammas=tuple(_parse_grid(args.gammas_eff)),
                            gamma_effective=True, frames=args.runs,
                            seed=args.seed, channel=channel)
+    p_v = channel.bin_noise_power()
     rows = []
-    from .rcn import worst_case_noise
     for meas in measure_rcn_power(cfg):
         scheme_cfg = cfg.scheme_config(meas["gamma"])
-        estimates = {r: worst_case_noise(scheme_cfg, channel.bin_noise_power(), r).delta_powers
-                     for r in (1, 2, 3)}
+        estimates = {r: worst_case_noise(scheme_cfg, p_v, r).delta_powers for r in (1, 2, 3)}
         for t in range(len(meas["delta_power"])):
             rows.append([meas["gamma"], t + 1, meas["delta_power"][t],
                          estimates[1][t], estimates[2][t], estimates[3][t],
@@ -120,6 +120,7 @@ def cmd_ser(args):
     out_dir = _out_dir(args)
     channel = _channel(args, args.n)
     gammas = _parse_grid(args.gammas)
+    p_v = channel.bin_noise_power()
     rows = []
     outputs = []
     for scheme in args.schemes.split(","):
@@ -130,7 +131,6 @@ def cmd_ser(args):
         sim = run_ser_experiment(cfg)
         for gamma, point in zip(gammas, sim):
             scheme_cfg = cfg.scheme_config(gamma)
-            p_v = channel.bin_noise_power()
             aware = evaluate_ser(scheme_cfg, p_v, "rcn_aware", args.rims).overall
             unaware = evaluate_ser(scheme_cfg, p_v, "rcn_unaware", args.rims).overall
             rows.append([gamma, scheme, point["ser"], point["stderr"], aware, unaware])
@@ -193,14 +193,14 @@ def cmd_rcn_stats(args):
 def cmd_allocate(args):
     out_dir = _out_dir(args)
     channel = _channel(args, args.n)
+    p_v = channel.bin_noise_power()
     outputs = []
     summary = []
-    from .modems import layer_index
     for gamma_eff in _parse_grid(args.gammas_eff):
         p_eff = 10.0 ** (gamma_eff / 10.0) * channel.noise_power
         for mode in ("rcn_aware", "rcn_unaware"):
             res = allocate(channel, p_eff, args.pe, mode=mode, rims=args.rims)
-            rows = [[k, int(layer_index(int(k), args.n)), res.bits[k],
+            rows = [[k, layer_index(int(k), args.n), res.bits[k],
                      res.powers[k], res.noise[k]] for k in res.loaded]
             path = out_dir / f"allocation_{mode}_{gamma_eff:g}dB.csv"
             _write_csv(path, ["k", "layer", "bits", "power", "noise"], rows)
@@ -213,8 +213,7 @@ def cmd_allocate(args):
                 scheme_cfg = SchemeConfig.from_allocation(args.n, res.bits, res.powers)
                 point = run_point(scheme_cfg, channel, args.validate_runs, args.seed)
                 entry["simulated_ser"] = point["ser"]
-                pred = evaluate_ser(scheme_cfg, channel.bin_noise_power(),
-                                    "rcn_aware", args.rims)
+                pred = evaluate_ser(scheme_cfg, p_v, "rcn_aware", args.rims)
                 entry["predicted_ser"] = pred.overall
             summary.append(entry)
     summary_path = out_dir / "allocation_summary.json"

@@ -1,5 +1,5 @@
-"""QAM/PAM constellation geometry, ML detection, closed-form SER, and the
-rim-based detection-error power model.
+"""QAM/PAM constellation geometry, per-axis ML detection, closed-form SER, and
+the rim-based detection-error power model.
 
 The rim model approximates E{|x - xhat|^2} for ML detection of M-QAM in
 complex AWGN by summing contributions of neighbors in the first three
@@ -65,10 +65,6 @@ class Constellation:
         scale = np.sqrt(3.0 * power / (M ** 2 - 1))
         return cls("pam", M, power, 1j * levels * scale, 2.0 * scale, 1, M)
 
-    @property
-    def is_square(self) -> bool:
-        return self.kind == "qam" and self.m_i == self.m_q
-
     def detect(self, obs):
         """ML detection via per-axis quantization (exact for rectangular grids).
 
@@ -82,17 +78,6 @@ class Constellation:
         qi = np.clip(np.round((obs.real / half + (self.m_i - 1)) / 2.0), 0, self.m_i - 1)
         qq = np.clip(np.round((obs.imag / half + (self.m_q - 1)) / 2.0), 0, self.m_q - 1)
         return (qi * self.m_q + qq).astype(np.int64)
-
-
-def ml_detect(observation, constellation: Constellation):
-    """Brute-force nearest-point detection; ties broken by lowest index.
-
-    Returns (index, point value). Vectorized over `observation`.
-    """
-    obs = np.asarray(observation, dtype=complex)
-    d2 = np.abs(obs[..., None] - constellation.points) ** 2
-    idx = np.argmin(d2, axis=-1)
-    return idx, constellation.points[idx]
 
 
 def min_distance(M, power):

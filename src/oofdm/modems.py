@@ -1,6 +1,7 @@
-"""Single-layer optical OFDM primitives: effective/affected subcarrier index
-sets, the ACO/DCO/PAM-DMT clipping modulators, and closed-form power relations
-between electrical, optical, and effective power.
+"""Optical OFDM primitives: effective/affected subcarrier index sets, the
+layer index of a subcarrier, zero clipping, and closed-form power relations
+between electrical, optical, and effective power. Every scheme, single-layer
+ACO/DCO/PAM-DMT included, is transmitted by `multilayer.transmit`.
 """
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_length, fft, real_ifft
+from .numerics import _check_length
 
 SINGLE_LAYER_SCHEMES = ("aco", "dco", "pam")
 
@@ -56,69 +57,18 @@ def affected_subcarriers(t: int, n: int) -> np.ndarray:
 
 
 def layer_index(k, n: int):
-    """Layer containing subcarrier k in the layered decomposition: one plus
-    the number of trailing zero bits of k."""
+    """Layer containing subcarrier k in the layered decomposition: the bit
+    length of the lowest set bit of k (one plus its trailing zero bits)."""
     k = np.asarray(k, dtype=np.int64)
     if np.any(k <= 0) or np.any(k >= n) or np.any(k == n // 2):
         raise ValueError("subcarrier outside the loadable range")
-    j = np.ones_like(k)
-    kk = k.copy()
-    while np.any(kk % 2 == 0):
-        even = kk % 2 == 0
-        j[even] += 1
-        kk[even] //= 2
+    j = np.frexp(k & -k)[1].astype(np.int64)  # 2^(j-1) = 0.5 * 2^j
     return j if j.ndim else int(j)
 
 
 def clip(s):
     """Zero-clipping (s)+ = (s + |s|)/2."""
     return np.maximum(np.asarray(s), 0.0)
-
-
-def _check_support(X, allowed, n, what):
-    mask = np.ones(n, dtype=bool)
-    mask[allowed] = False
-    leak = np.max(np.abs(np.asarray(X)[..., mask])) if np.any(mask) else 0.0
-    scale = np.max(np.abs(X))
-    if scale > 0 and leak / scale > 1e-9:
-        raise ValueError(f"{what}: spectrum loaded outside the allowed subcarriers")
-
-
-def aco_modulate(spectrum) -> np.ndarray:
-    """Zero-clip the odd-subcarrier frame; clipping noise lands on even bins."""
-    X = np.asarray(spectrum, dtype=complex)
-    n = X.shape[-1]
-    _check_support(X, effective_subcarriers("aco", 1, n), n, "aco_modulate")
-    return clip(real_ifft(X))
-
-
-def dco_modulate(spectrum, bias_multiplier: float = 3.0):
-    """Add a per-frame bias of bias_multiplier * std(s) and clip the residue.
-
-    Returns (signal, bias); the bias is treated as side information known to
-    the receiver. With the default multiplier the residual clip rate is small
-    (< 0.2% of samples) rather than idealized to zero.
-    """
-    X = np.asarray(spectrum, dtype=complex)
-    n = X.shape[-1]
-    if np.max(np.abs(X[..., [0, n // 2]])) > 1e-9 * max(np.max(np.abs(X)), 1.0):
-        raise ValueError("dco_modulate: bins 0 and N/2 must be empty")
-    s = real_ifft(X)
-    bias = bias_multiplier * np.std(s, axis=-1)
-    return clip(s + bias[..., None]), bias
-
-
-def pam_modulate(spectrum) -> np.ndarray:
-    """Zero-clip a frame with purely imaginary loads; the pre-clipping frame
-    satisfies s(n) = -s(N-1-n) so clipping noise is real-valued in frequency.
-    """
-    X = np.asarray(spectrum, dtype=complex)
-    n = X.shape[-1]
-    _check_support(X, effective_subcarriers("pam", 1, n), n, "pam_modulate")
-    scale = np.max(np.abs(X))
-    if scale > 0 and np.max(np.abs(X.real)) / scale > 1e-9:
-        raise ValueError("pam_modulate: loads must be purely imaginary")
-    return clip(real_ifft(X))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Multi-layer optical OFDM: superposition transmitters (ADO/HACO/LACO) and
-the unified iterative receiver with residual-clipping-noise instrumentation.
+"""Multi-layer optical OFDM: the one superposition transmitter for every
+scheme (single-layer ACO/DCO/PAM-DMT and layered ADO/HACO/LACO) and the
+unified iterative receiver with residual-clipping-noise instrumentation.
 
 Per layer j the receiver folds the running residual onto one period of the
 layer frame (N/L samples when every bin of the layer is a multiple of L),
@@ -262,18 +263,3 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
             res.e.append(e)
             res.y_resid.append(y_cur.copy())
     return res
-
-
-def decompose_residual(y, truth: TxBatch, rx: RxResult, j: int):
-    """Split the residual after removing layers 1..j into its three parts.
-
-    Returns (noise, err, rcn) with noise = y - x the channel noise,
-    err = -(1/2) sum_{t<=j} e_t, and rcn = sum_{t<=j} delta_t, satisfying
-    y_j - sum_{t>j} x_t = noise + err + rcn exactly.
-    """
-    if truth.s is None or rx.e is None:
-        raise ValueError("decompose_residual needs instrumented truth and kept signals")
-    noise = np.atleast_2d(y) - truth.x
-    err = -0.5 * sum(rx.e[: j])
-    rcn = sum(rx.delta[: j])
-    return noise, err, rcn

@@ -1,12 +1,13 @@
-"""Tests for channel profiles, equalization, and the Monte Carlo engine."""
+"""Tests for channel profiles and the Monte Carlo engine."""
 
 import numpy as np
 import pytest
 
-from oofdm.channel import (ChannelProfile, ExperimentConfig, equalize,
+from oofdm.channel import (ChannelProfile, ExperimentConfig, _probed_layers,
                            gamma_to_p_eff, measure_power_relations,
-                           measure_rcn_power, post_eq_noise, run_point,
-                           run_ser_experiment)
+                           measure_rcn_power, post_eq_noise, rcn_statistics,
+                           run_point, run_ser_experiment)
+from oofdm.modems import affected_subcarriers
 from oofdm.multilayer import SchemeConfig
 
 N = 1024
@@ -30,20 +31,10 @@ def test_exponential_profile_shape():
 
 def test_from_csv(tmp_path):
     path = tmp_path / "h.csv"
-    path.write_text("k,h\n1,0.5\n2,0.25\n")
+    path.write_text("k,h\n1,0.5\n2,0.25\n15,0.5\n14,0.25\n")
     prof = ChannelProfile.from_csv(path, 16)
     assert prof.gain[1] == 0.5 and prof.gain[2] == 0.25
     assert prof.gain[3] == 1.0
-
-
-def test_equalize_inverts_channel():
-    rng = np.random.default_rng(0)
-    prof = ChannelProfile.exponential(N)
-    x = rng.standard_normal((3, N))
-    y = np.fft.ifft(np.fft.fft(x) * prof.h).real
-    np.testing.assert_allclose(equalize(y, prof), x, atol=1e-10)
-    flat = ChannelProfile.flat(N)
-    np.testing.assert_allclose(equalize(x, flat), x)
 
 
 def test_post_eq_noise_power_matches_map():
@@ -68,8 +59,23 @@ def test_post_eq_noise_flat_is_white():
 def test_post_eq_noise_rejects_asymmetric_gain():
     h = np.ones(N)
     h[3] = 0.5  # no matching attenuation at N-3
+    # the profile itself is rejected, so no noise is ever drawn for it
     with pytest.raises(ValueError):
         post_eq_noise(ChannelProfile(N, 1.0, h), np.random.default_rng(0), 1)
+
+
+@pytest.mark.parametrize("k,gain", [(3, 0.5), (3, 0.0), (0, 0.0), (N // 2, 0.0)])
+def test_profile_rejects_bad_gains_when_built(k, gain):
+    h = np.ones(N)
+    h[k] = gain
+    with pytest.raises(ValueError):
+        ChannelProfile(N, 1.0, h)
+
+
+def test_profile_accepts_a_phase_on_one_mirror():
+    h = np.ones(N, dtype=complex)
+    h[5] = -1j  # |H(5)| = |H(N-5)| still holds
+    assert ChannelProfile(N, 1.0, h).gain[5] == 1.0
 
 
 def test_gamma_to_p_eff():
@@ -144,6 +150,24 @@ def test_measure_rcn_power_shapes():
     assert rows[0]["delta_power_frames"].shape == (9, 200)
     # coarse agreement with the reference value 0.427 at small frame count
     assert rows[0]["delta_power"][0] == pytest.approx(0.427, rel=0.10)
+
+
+def test_probed_layers_match_affected_set_membership():
+    cfg = SchemeConfig.uniform("laco", N, 16, 1.0, layers=9)
+    for probe in range(N):
+        count = 0
+        for t in range(1, len(cfg.layers) + 1):
+            if probe not in affected_subcarriers(t, N):
+                break
+            count = t
+        assert _probed_layers(cfg, probe) == count, probe
+
+
+@pytest.mark.parametrize("probe", [0, N // 2, N, -4])
+def test_rcn_statistics_rejects_unaffected_probe(probe):
+    cfg = ExperimentConfig(scheme="laco", n=N, layers=9, frames=10)
+    with pytest.raises(ValueError, match="not affected by any layer"):
+        rcn_statistics(cfg, probe)
 
 
 def test_measure_power_relations_single_layer():

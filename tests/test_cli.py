@@ -2,10 +2,33 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from oofdm.cli import _parse_grid, main
+from oofdm.cli import _parse_grid, build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_invocations():
+    """Every `oofdm ...` line of the README's "Command line" code block, with
+    backslash continuations joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("oofdm ")]
+
+
+def test_readme_invocations_parse():
+    invocations = _readme_invocations()
+    assert len(invocations) >= 5
+    parser = build_parser()
+    for line in invocations:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def test_parse_grid():
@@ -152,6 +175,19 @@ def test_channel_file_bin_out_of_range_is_an_error(tmp_path, capsys, row):
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"bin {row.split(',')[0]} " in err
     assert not (tmp_path / "ser.csv").exists()
+
+
+def test_allocate_on_asymmetric_channel_is_an_error(tmp_path, capsys):
+    # |H(3)| = 0.2 without the mirror at N - 3 would load bin 61 on its own
+    path = tmp_path / "h.csv"
+    path.write_text("k,h\n3,0.2\n")
+    rc = main(["allocate", "--n", "64", "--channel", str(path),
+               "--gammas-eff", "14", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "|H(k)| = |H(N-k)|" in err
+    assert not list(tmp_path.glob("allocation_*.csv"))
 
 
 def test_config_file_unknown_key_is_an_error(tmp_path, capsys):

@@ -1,22 +1,21 @@
-"""Tests for subcarrier index sets, clipping modulators, and power relations."""
+"""Tests for subcarrier index sets, single-layer clipping through the one
+transmitter, and power relations."""
 
 import numpy as np
 import pytest
 
-from hermitian import hermitian_embed
-from oofdm.constellation import Constellation
-from oofdm.modems import (affected_subcarriers, aco_modulate, clip,
-                          dco_modulate, effective_subcarriers, layer_index,
-                          laco_ratios, pam_modulate, power_relations)
-from oofdm.numerics import real_ifft
+from oofdm.modems import (affected_subcarriers, clip, effective_subcarriers,
+                          layer_index, laco_ratios, power_relations)
+from oofdm.multilayer import SchemeConfig, transmit
 
 N = 1024
 
 
-def _random_spectrum(rng, bins, n=N):
-    indep = np.asarray(bins)[np.asarray(bins) < n // 2]
-    loads = rng.standard_normal(len(indep)) + 1j * rng.standard_normal(len(indep))
-    return hermitian_embed(loads, indep, n)
+def _single_layer(scheme):
+    """20 instrumented frames of a one-layer scheme, as `transmit` sends them."""
+    cfg = SchemeConfig.uniform(scheme, N, 16, 10.0)
+    seed = {"aco": 1, "pam": 3, "dco": 4}[scheme]
+    return transmit(cfg, np.random.default_rng(seed), 20, instrument=True)
 
 
 def test_effective_subcarriers_layer_one_is_odd():
@@ -88,69 +87,51 @@ def test_clip():
     np.testing.assert_array_equal(clip(np.array([-1.0, 0.0, 2.5])), [0.0, 0.0, 2.5])
 
 
+@pytest.mark.parametrize("scheme", ["aco", "pam", "dco"])
+def test_single_layer_transmit(scheme):
+    # the sent frame is the clipped pre-clip frame, which loads only the
+    # scheme's effective subcarriers
+    tx = _single_layer(scheme)
+    s = tx.s[0]
+    shift = 0.0 if tx.bias is None else tx.bias[:, None]
+    np.testing.assert_array_equal(tx.x, clip(s + shift))
+    np.testing.assert_array_equal(tx.x, tx.x_layers[0])
+    assert np.all(tx.x >= 0.0)
+    S = np.fft.fft(s)
+    off = np.setdiff1d(np.arange(N), effective_subcarriers(scheme, 1, N))
+    assert np.max(np.abs(S[:, off])) < 1e-12 * np.max(np.abs(S))
+
+
 def test_aco_clipping_noise_on_even_bins():
-    rng = np.random.default_rng(1)
-    X = _random_spectrum(rng, effective_subcarriers("aco", 1, N))
-    x = aco_modulate(X)
-    assert np.all(x >= 0.0)
+    tx = _single_layer("aco")
     # clipping halves the odd-bin content and moves the rest to even bins
-    D = np.fft.fft(x) - X / 2.0
+    D = np.fft.fft(tx.x_layers[0] - tx.s[0] / 2.0)
     odd = np.arange(1, N, 2)
-    assert np.max(np.abs(D[odd])) < 1e-9 * np.max(np.abs(X))
+    assert np.max(np.abs(D[:, odd])) < 1e-12 * np.max(np.abs(D))
 
 
 def test_aco_antisymmetry_before_clipping():
-    rng = np.random.default_rng(2)
-    X = _random_spectrum(rng, effective_subcarriers("aco", 1, N))
-    s = real_ifft(X)
-    np.testing.assert_allclose(s[: N // 2], -s[N // 2:], atol=1e-9 * np.max(np.abs(s)))
-
-
-def test_aco_rejects_even_loads():
-    X = np.zeros(N, dtype=complex)
-    X[2] = 1.0
-    X[N - 2] = 1.0
-    with pytest.raises(ValueError):
-        aco_modulate(X)
+    s = _single_layer("aco").s[0]
+    np.testing.assert_allclose(s[:, : N // 2], -s[:, N // 2:], atol=1e-12 * np.max(np.abs(s)))
 
 
 def test_pam_clipping_noise_is_real_in_frequency():
-    rng = np.random.default_rng(3)
-    bins = effective_subcarriers("pam", 1, N)
-    loads = 1j * rng.standard_normal(N // 2 - 1)
-    X = hermitian_embed(loads, bins[bins < N // 2], N)
-    x = pam_modulate(X)
-    s = real_ifft(X)
+    tx = _single_layer("pam")
+    s = tx.s[0]
     # purely imaginary loads give an odd frame: s(n) = -s((N - n) mod N)
-    np.testing.assert_allclose(s, -np.roll(s[::-1], 1),
-                               atol=1e-9 * np.max(np.abs(s)))
-    D = np.fft.fft(x - s / 2.0)
-    assert np.max(np.abs(D.imag)) < 1e-9 * np.max(np.abs(D))
-
-
-def test_pam_rejects_real_loads():
-    bins = effective_subcarriers("pam", 1, N)
-    X = hermitian_embed(np.ones(1, dtype=complex), bins[:1], N)
-    with pytest.raises(ValueError):
-        pam_modulate(X)
+    np.testing.assert_allclose(s, -np.roll(s[:, ::-1], 1, axis=-1),
+                               atol=1e-12 * np.max(np.abs(s)))
+    D = np.fft.fft(tx.x_layers[0] - s / 2.0)
+    assert np.max(np.abs(D.imag)) < 1e-12 * np.max(np.abs(D))
 
 
 def test_dco_bias_and_clip_rate():
-    rng = np.random.default_rng(4)
-    X = _random_spectrum(rng, effective_subcarriers("dco", 1, N)) * 10.0
-    x, bias = dco_modulate(X)
-    s = real_ifft(X)
-    assert bias == pytest.approx(3.0 * np.std(s))
-    clip_rate = np.mean(s + bias < 0.0)
+    tx = _single_layer("dco")
+    s = tx.s[0]
+    np.testing.assert_allclose(tx.bias, 3.0 * np.std(s, axis=-1), rtol=1e-12)
+    clip_rate = np.mean(s + tx.bias[:, None] < 0.0)
     assert clip_rate < 0.002  # 3-sigma bias leaves a small residual clip rate
-    assert np.all(x >= 0.0)
-
-
-def test_dco_rejects_dc_load():
-    X = np.zeros(N, dtype=complex)
-    X[0] = 1.0
-    with pytest.raises(ValueError):
-        dco_modulate(X)
+    assert np.all(tx.x >= 0.0)
 
 
 def test_power_relations_closed_forms():

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermitian import hermitian_embed
 from oofdm.modems import effective_subcarriers
-from oofdm.multilayer import (LayerSpec, SchemeConfig, decompose_residual,
-                              receive, transmit)
+from oofdm.multilayer import LayerSpec, SchemeConfig, receive, transmit
 
 N = 1024
 
@@ -93,6 +92,19 @@ def test_delta_bounded_by_half_error():
         if spec.kind != "aco":
             continue
         assert np.all(np.abs(rx.delta[j]) <= 0.5 * np.abs(rx.e[j]) + 1e-12)
+
+
+def decompose_residual(y, truth, rx, j):
+    """Split the residual after removing layers 1..j into its three parts.
+
+    Returns (noise, err, rcn) with noise = y - x the channel noise,
+    err = -(1/2) sum_{t<=j} e_t, and rcn = sum_{t<=j} delta_t, satisfying
+    y_j - sum_{t>j} x_t = noise + err + rcn exactly.
+    """
+    noise = np.atleast_2d(y) - truth.x
+    err = -0.5 * sum(rx.e[: j])
+    rcn = sum(rx.delta[: j])
+    return noise, err, rcn
 
 
 def test_residual_decomposition_is_exact():

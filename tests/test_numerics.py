@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hermitian import hermitian_embed
-from oofdm.numerics import (IMAG_RESIDUE_TOL, fft, gaussian_frame, ifft, qfunc,
-                            qfunc_inv, real_ifft, spawn_seeds)
+from oofdm.modems import affected_subcarriers, effective_subcarriers
+from oofdm.multilayer import SchemeConfig, transmit
+from oofdm.numerics import qfunc, qfunc_inv, spawn_seeds
 
 # frozen oracle: numeric integration of the standard normal tail to 1e-6
 Q_AT_1_2816 = 0.09999150009767514
@@ -39,48 +39,26 @@ def test_qfunc_inv_domain(p):
 
 
 def test_fft_parseval():
-    # forward unnormalized, inverse 1/N: sum x^2 = (1/N) sum |X|^2
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(256)
-    X = fft(x)
-    assert np.sum(x ** 2) == pytest.approx(np.sum(np.abs(X) ** 2) / 256)
-    np.testing.assert_allclose(ifft(X).real, x, atol=1e-12)
+    # forward unnormalized, inverse 1/N: a transmitted frame's DFT carries
+    # its loads unscaled, and sum x^2 = (1/N) sum |X|^2
+    cfg = SchemeConfig.uniform("aco", 256, 16, 1.0)
+    tx = transmit(cfg, np.random.default_rng(7), 1, instrument=True)
+    s = tx.s[0][0]
+    X = np.fft.fft(s)
+    bins = cfg.layers[0].bins
+    np.testing.assert_allclose(X[bins], tx.sym_val[0][0], atol=1e-9)
+    np.testing.assert_allclose(X[256 - bins], np.conj(tx.sym_val[0][0]), atol=1e-9)
+    assert np.sum(s ** 2) == pytest.approx(np.sum(np.abs(X) ** 2) / 256)
 
 
 @pytest.mark.parametrize("n", [7, 12, 4, 0])
 def test_fft_rejects_bad_length(n):
+    # N is the length of every layer transform; the subcarrier index sets
+    # every config is built from reject an N that is not a power of two >= 8
     with pytest.raises(ValueError):
-        fft(np.zeros(max(n, 1)) if n else np.zeros(1))
-
-
-def test_real_ifft_accepts_hermitian_spectrum():
-    rng = np.random.default_rng(3)
-    n = 64
-    loads = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    X = hermitian_embed(loads, np.arange(1, 11), n)
-    x = real_ifft(X)
-    assert x.dtype == float
-    np.testing.assert_allclose(np.fft.fft(x), X, atol=1e-12)
-
-
-def test_real_ifft_rejects_non_hermitian():
-    X = np.zeros(64, dtype=complex)
-    X[3] = 1.0 + 1.0j  # no mirror at bin 61
+        effective_subcarriers("aco", 1, n)
     with pytest.raises(ValueError):
-        real_ifft(X)
-
-
-def test_imag_residue_tolerance_is_tight():
-    assert IMAG_RESIDUE_TOL <= 1e-9
-
-
-def test_gaussian_frame_variance():
-    # statistical check: sample variance within 1% at N = 2^20
-    x = gaussian_frame(12345, 1.0, 2 ** 20)
-    assert np.var(x) == pytest.approx(1.0, rel=0.01)
-    assert np.all(gaussian_frame(0, 0.0, 16) == 0.0)
-    with pytest.raises(ValueError):
-        gaussian_frame(0, -1.0, 16)
+        affected_subcarriers(1, n)
 
 
 def test_spawn_seeds_deterministic_and_independent():
