@@ -99,7 +99,6 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
     for _ in range(max_iters):
         iterations += 1
         phi = loadable.copy()
-        bits = np.zeros(n, dtype=np.int64)
         while True:
             powers = waterfill(np.ones(n), p_z, phi, budget)
             rate = np.log2(1.0 + powers[phi] / (gamma_gap * p_z[phi]))

@@ -3,23 +3,28 @@ clipping-noise power measurement, statistics).
 
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
-otherwise; a received frame is never inverted. Frames are processed in
-seeded batches so a run is reproducible for a given (seed, batch size) pair.
+otherwise; a received frame is never inverted. Each seeded batch draws its
+symbols and noise whole, then is modulated and received in row blocks of
+about 512 KiB of frame samples, so that a block's signals stay in cache.
+Every step is row-independent: results depend on (seed, batch size) only,
+never on the block.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .modems import layer_index, power_relations
-from .multilayer import SchemeConfig, receive, transmit
+from .multilayer import SchemeConfig, draw_symbols, modulate, receive, transmit
 from .numerics import make_rng, spawn_seeds
 
 DEFAULT_FRAMES = 10_000
 DEFAULT_BATCH = 500
+# Frame samples per row block of run_point: a (rows, N) float64 block of 512 KiB.
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,16 @@ class ChannelProfile:
         """Load (k, |H|) or (k, Re H, Im H) rows; unlisted bins default to 1."""
         h = np.ones(n, dtype=complex)
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 row = [c.strip() for c in row if c.strip()]
                 if not row or not row[0].lstrip("-").isdigit():
                     continue  # header or blank
                 k = int(row[0])
                 if not 0 <= k < n:
                     raise ValueError(f"channel file {path}: bin {k} is outside [0, {n})")
+                if len(row) < 2:
+                    raise ValueError(f"channel file {path}: row {reader.line_num} has no gain")
                 if len(row) >= 3:
                     h[k] = float(row[1]) + 1j * float(row[2])
                 else:
@@ -134,10 +142,7 @@ class ExperimentConfig:
 
 
 def _batches(frames: int, batch: int):
-    sizes = [batch] * (frames // batch)
-    if frames % batch:
-        sizes.append(frames % batch)
-    return sizes
+    return [min(batch, frames - lo) for lo in range(0, frames, batch)]
 
 
 def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
@@ -145,37 +150,45 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
               probe_bin: int | None = None):
     """Monte Carlo run at a single operating point.
 
-    Returns a dict with per-layer error counts, overall SER and its standard
-    error, and (when instrumented) per-frame delta/error powers and probe-bin
-    clipping-noise samples per layer.
+    Returns a dict with per-layer error counts, overall and per-layer SER with
+    their standard errors (sample SD of the per-frame SER over sqrt(frames);
+    nan for one frame), and (when instrumented) per-frame delta/error powers
+    and probe-bin clipping-noise samples per layer.
     """
     if frames < 1 or batch < 1:
         raise ValueError(f"frames and batch must be at least 1, got {frames} and {batch}")
     sizes = _batches(frames, batch)
-    seeds = spawn_seeds(seed, len(sizes))
-    n_layers = len(scheme_cfg.layers)
-    err_counts = np.zeros(n_layers, dtype=np.int64)
-    delta_p, err_p, probes = [], [], []
-    for size, ss in zip(sizes, seeds):
+    rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
+    frame_err, delta_p, err_p, probes = [], [], [], []
+    for size, ss in zip(sizes, spawn_seeds(seed, len(sizes))):
         rng = np.random.default_rng(ss)
-        tx = transmit(scheme_cfg, rng, size, instrument=instrument)
-        y = tx.x + post_eq_noise(profile, rng, size)
-        rx = receive(y, scheme_cfg, truth=tx, instrument=instrument, probe_bin=probe_bin)
-        for j in range(n_layers):
-            err_counts[j] += int(np.count_nonzero(rx.errors[j]))
-        if instrument:
-            delta_p.append(rx.delta_power)
-            err_p.append(rx.err_power)
-            if probe_bin is not None:
-                probes.append(rx.probe)
+        sym_idx = draw_symbols(scheme_cfg, rng, size)
+        v = post_eq_noise(profile, rng, size)
+        for lo in range(0, size, rows):
+            blk = slice(lo, lo + rows)
+            tx = modulate(scheme_cfg, [idx[blk] for idx in sym_idx], instrument)
+            rx = receive(tx.x + v[blk], scheme_cfg, truth=tx, instrument=instrument,
+                         probe_bin=probe_bin)
+            frame_err.append([np.count_nonzero(e, axis=1) for e in rx.errors])
+            if instrument:
+                delta_p.append(rx.delta_power)
+                err_p.append(rx.err_power)
+                if probe_bin is not None:
+                    probes.append(rx.probe)
+    frame_err = np.concatenate(frame_err, axis=1)          # (J, frames)
+    err_counts = frame_err.sum(axis=1)
+    n_bins = np.array([len(sp.bins) for sp in scheme_cfg.layers])
     n_prime = scheme_cfg.n_loaded
-    ser = 2.0 * err_counts.sum() / (frames * n_prime)
+    # per-frame SER, overall then per layer; one frame has no spread estimate
+    per_frame = np.vstack([2.0 * frame_err.sum(axis=0) / n_prime, frame_err / n_bins[:, None]])
+    se = (np.std(per_frame, axis=1, ddof=1) / np.sqrt(frames) if frames > 1
+          else np.full(len(per_frame), np.nan))
     out = {
-        "ser": ser,
-        "stderr": float(np.sqrt(max(ser * (1.0 - ser), 0.0) / frames)),
+        "ser": 2.0 * err_counts.sum() / (frames * n_prime),
+        "stderr": float(se[0]),
         "layer_errors": err_counts,
-        "layer_ser": [2.0 * err_counts[j] / (frames * 2 * len(scheme_cfg.layers[j].bins))
-                      for j in range(n_layers)],
+        "layer_ser": [2.0 * e / (frames * 2 * nb) for e, nb in zip(err_counts, n_bins)],
+        "layer_stderr": se[1:].tolist(),
         "frames": frames,
     }
     if instrument:
@@ -244,16 +257,10 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
         var = np.mean(np.abs(centered) ** 2, axis=1)
         rho = (centered @ centered.conj().T) / samples.shape[1]
         rho /= np.sqrt(np.outer(var, var))
-        norm_re, norm_im, ks = [], [], []
-        for t in range(t_max):
-            both = np.concatenate([samples[t].real, samples[t].imag])
-            sd = np.std(both)
-            re = samples[t].real / sd
-            im = samples[t].imag / sd
-            norm_re.append(re)
-            norm_im.append(im)
-            ks.append((stats.kstest(re, "norm").statistic,
-                       stats.kstest(im, "norm").statistic))
+        sd = np.std(np.concatenate([samples.real, samples.imag], axis=1), axis=1, keepdims=True)
+        norm_re, norm_im = samples.real / sd, samples.imag / sd
+        ks = [(stats.kstest(re, "norm").statistic, stats.kstest(im, "norm").statistic)
+              for re, im in zip(norm_re, norm_im)]
         rows.append({"gamma": gamma, "rho": rho, "ks": ks,
                      "normalized_re": norm_re, "normalized_im": norm_im,
                      "delta_power": point["delta_power"].mean(axis=1)})
@@ -276,13 +283,9 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
     effective power, for comparison against the closed forms."""
     cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
     sizes = _batches(frames, batch)
-    seeds = spawn_seeds(seed, len(sizes))
-    sq_sum = 0.0
-    mean_sum = 0.0
-    count = 0
-    for size, ss in zip(sizes, seeds):
-        tx = transmit(cfg, np.random.default_rng(ss), size)
-        sq_sum += float(np.sum(tx.x ** 2))
-        mean_sum += float(np.sum(tx.x))
-        count += tx.x.size
-    return {"p_elec": sq_sum / count, "p_opt": mean_sum / count, "p_eff": p_eff}
+    sq_sum = mean_sum = 0.0
+    for size, ss in zip(sizes, spawn_seeds(seed, len(sizes))):
+        x = transmit(cfg, np.random.default_rng(ss), size).x
+        sq_sum += float(np.sum(x ** 2))
+        mean_sum += float(np.sum(x))
+    return {"p_elec": sq_sum / (frames * n), "p_opt": mean_sum / (frames * n), "p_eff": p_eff}

@@ -2,16 +2,20 @@
 scheme (single-layer ACO/DCO/PAM-DMT and layered ADO/HACO/LACO) and the
 unified iterative receiver with residual-clipping-noise instrumentation.
 
-Per layer j the receiver folds the running residual onto one period of the
-layer frame (N/L samples when every bin of the layer is a multiple of L),
-takes its real FFT, selects the layer's subcarriers, scales them by 2 to undo
+A layer whose bins are all multiples of L has a frame of period N/L; a
+config's layers have nested periods (L never decreases from layer to layer).
+Each layer is synthesized, clipped and remodulated on one period. The
+receiver keeps the residual folded onto the current layer's period: when the
+next period is shorter it adds up the periods of the residual, takes the real
+FFT of that period, selects the layer's subcarriers, scales them by 2 to undo
 the clipping attenuation (except for a bias-clipped DCO layer, which is
-detected unscaled), performs ML detection, remodulates the detected layer on
-one period, and subtracts it from the residual before the next layer.
+detected unscaled), performs ML detection, remodulates the detected layer and
+subtracts L times it from the folded residual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +37,7 @@ class LayerSpec:
     M: np.ndarray           # constellation order per bin
     sym_power: np.ndarray   # E|S_j(k)|^2 per bin
 
+    @cached_property
     def constellations(self):
         """Unit-power alphabets grouped by order, with the bin columns using each."""
         make = Constellation.pam if self.kind == "pam" else Constellation.qam
@@ -46,6 +51,11 @@ class SchemeConfig:
     n: int
     layers: list
     bias_multiplier: float = 3.0
+
+    def __post_init__(self):
+        folds = [_fold_factor(sp.bins, self.n) for sp in self.layers]
+        if folds != sorted(folds):
+            raise ValueError(f"layer periods must be nested: fold factors {folds} decrease")
 
     @property
     def n_loaded(self) -> int:
@@ -125,7 +135,7 @@ def _draw_indices(rng, M, frames):
 
 def _map_symbols(spec: LayerSpec, idx):
     vals = np.empty(idx.shape, dtype=complex)
-    for const, cols in spec.constellations():
+    for const, cols in spec.constellations:
         vals[:, cols] = const.points[idx[:, cols]]
     return vals * np.sqrt(spec.sym_power)
 
@@ -145,16 +155,22 @@ def _synthesize(vals, bins, n: int, L: int):
     return np.fft.irfft(half, n // L)
 
 
-def transmit(config: SchemeConfig, rng, frames: int, instrument: bool = False) -> TxBatch:
-    """Draw random symbols for every layer and superpose the layer signals."""
+def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
+    """Random symbol indices, per layer (frames, n_j), drawn in layer order."""
     rng = make_rng(rng)
+    return [_draw_indices(rng, spec.M, frames) for spec in config.layers]
+
+
+def modulate(config: SchemeConfig, sym_idx, instrument: bool = False) -> TxBatch:
+    """Map, synthesize and clip each layer on one period, then add the layers
+    in layer order onto the first layer's frame tiled to full length."""
+    if not config.layers:
+        raise ValueError("the config loads no subcarrier: nothing to transmit")
     n = config.n
-    x = np.zeros((frames, n))
-    sym_idx, sym_val, s_list, x_list = [], [], [], []
+    sym_val, parts, s_list, x_list = [], [], [], []
     bias = None
-    for spec in config.layers:
+    for spec, idx in zip(config.layers, sym_idx):
         L = _fold_factor(spec.bins, n)
-        idx = _draw_indices(rng, spec.M, frames)
         vals = _map_symbols(spec, idx)
         s = _synthesize(vals, spec.bins, n, L)
         if spec.kind == "dco":
@@ -162,16 +178,23 @@ def transmit(config: SchemeConfig, rng, frames: int, instrument: bool = False) -
             x_j = clip(s + bias[:, None])
         else:
             x_j = clip(s)
-        periods = x.reshape(frames, L, n // L)
-        periods += x_j[:, None]
-        sym_idx.append(idx)
         sym_val.append(vals)
+        parts.append(x_j)
         if instrument:
             s_list.append(np.tile(s, L))
             x_list.append(np.tile(x_j, L))
+    x = np.tile(parts[0], n // parts[0].shape[-1])
+    for x_j in parts[1:]:
+        periods = x.reshape(len(x), -1, x_j.shape[-1])
+        periods += x_j[:, None]
     return TxBatch(config, x, sym_idx, sym_val, bias,
                    s_list if instrument else None,
                    x_list if instrument else None)
+
+
+def transmit(config: SchemeConfig, rng, frames: int, instrument: bool = False) -> TxBatch:
+    """Draw random symbols for every layer and superpose the layer signals."""
+    return modulate(config, draw_symbols(config, rng, frames), instrument)
 
 
 @dataclass
@@ -197,9 +220,9 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
     the per-layer residual clipping noise delta_t and detection error e_t are
     measured (requires a truth batch transmitted with instrument=True).
     """
-    y_cur = np.atleast_2d(np.asarray(y, dtype=float)).copy()  # C order: periods are views
+    resid = np.atleast_2d(np.asarray(y, dtype=float)).copy()  # folded as layers go
     n = config.n
-    frames = y_cur.shape[0]
+    frames = resid.shape[0]
     n_layers = len(config.layers)
     res = RxResult(det_idx=[])
     if truth is not None:
@@ -213,15 +236,17 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
             res.probe = np.zeros((n_layers, frames), dtype=complex)
     if keep_signals:
         res.s_hat, res.x_hat, res.delta, res.e, res.y_resid = [], [], [], [], []
+        y_cur = resid.copy()
 
     for j, spec in enumerate(config.layers):
         L = _fold_factor(spec.bins, n)
-        periods = y_cur.reshape(frames, L, n // L)
-        Y = np.fft.rfft(periods.sum(axis=1))
+        if resid.shape[-1] > n // L:
+            resid = resid.reshape(frames, -1, n // L).sum(axis=1)
+        Y = np.fft.rfft(resid)
         scale = 1.0 if spec.kind == "dco" else 2.0
         obs = scale * Y[:, spec.bins // L] / np.sqrt(spec.sym_power)
         idx = np.empty(obs.shape, dtype=np.int64)
-        for const, cols in spec.constellations():
+        for const, cols in spec.constellations:
             idx[:, cols] = const.detect(obs[:, cols])
         res.det_idx.append(idx)
 
@@ -233,7 +258,7 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
             x_hat = clip(s_hat + np.asarray(b)[:, None])
         else:
             x_hat = clip(s_hat)
-        periods -= x_hat[:, None]
+        resid -= L * x_hat  # resid holds the sum of L periods
 
         if truth is not None:
             res.errors.append(idx != truth.sym_idx[j])
@@ -261,5 +286,6 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
             res.x_hat.append(x_hat)
             res.delta.append(delta)
             res.e.append(e)
+            y_cur -= x_hat
             res.y_resid.append(y_cur.copy())
     return res

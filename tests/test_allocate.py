@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oofdm.allocate import allocate, snr_gap, waterfill
 from oofdm.channel import ChannelProfile
@@ -62,6 +63,28 @@ def test_waterfill_matches_bisection_oracle():
         obj_ref = np.sum(np.log1p(p_ref / q))
         assert abs(obj - obj_ref) <= 1e-8
         assert np.sum(p) == pytest.approx(budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.1, 10.0), st.booleans()),
+                min_size=1, max_size=64),
+       st.floats(10.0, 1e4))
+def test_waterfill_kkt_and_budget(carriers, budget):
+    # KKT: every active carrier is filled to one water level mu (p + q = mu),
+    # every inactive one has q >= mu, and the whole budget is spent
+    h, p_z, on = (np.array(col) for col in zip(*carriers))
+    phi = np.flatnonzero(on)
+    if phi.size == 0:
+        phi = np.arange(len(h))
+    p = waterfill(h, p_z, phi, budget)
+    q = p_z / h ** 2
+    assert np.all(p[np.setdiff1d(np.arange(len(h)), phi)] == 0.0)
+    assert abs(p.sum() - budget) <= 1e-12 * budget
+    active = phi[p[phi] > 0.0]
+    mu = (p + q)[active]
+    assert active.size > 0 and np.ptp(mu) <= 1e-12 * mu.max()
+    inactive = np.setdiff1d(phi, active)
+    assert np.all(q[inactive] >= mu.max() * (1.0 - 1e-12))
 
 
 def test_waterfill_validation():

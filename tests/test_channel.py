@@ -1,14 +1,18 @@
 """Tests for channel profiles and the Monte Carlo engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import oofdm.channel as channel_module
 from oofdm.channel import (ChannelProfile, ExperimentConfig, _probed_layers,
                            gamma_to_p_eff, measure_power_relations,
                            measure_rcn_power, post_eq_noise, rcn_statistics,
                            run_point, run_ser_experiment)
 from oofdm.modems import affected_subcarriers
-from oofdm.multilayer import SchemeConfig
+from oofdm.multilayer import SchemeConfig, receive, transmit
+from oofdm.numerics import spawn_seeds
 
 N = 1024
 
@@ -98,10 +102,56 @@ def test_run_point_is_deterministic():
 
 
 def test_run_point_stderr_definition():
+    # the standard error is the sample SD (ddof = 1) of the per-frame SER over
+    # sqrt(frames), overall and per layer; the per-frame errors are recomputed
+    # here by transmitting and receiving each batch whole
     cfg = SchemeConfig.uniform("laco", N, 16, gamma_to_p_eff("laco", 18.0, 1.0, 9), 9)
-    out = run_point(cfg, ChannelProfile.flat(N), frames=300, seed=0, batch=150)
-    p = out["ser"]
-    assert out["stderr"] == pytest.approx(np.sqrt(p * (1 - p) / 300))
+    prof = ChannelProfile.flat(N)
+    out = run_point(cfg, prof, frames=300, seed=0, batch=150)
+    counts = []
+    for ss in spawn_seeds(0, 2):
+        rng = np.random.default_rng(ss)
+        tx = transmit(cfg, rng, 150)
+        rx = receive(tx.x + post_eq_noise(prof, rng, 150), cfg, truth=tx)
+        counts.append([np.count_nonzero(e, axis=1) for e in rx.errors])
+    counts = np.concatenate(counts, axis=1)  # (J, frames)
+    frame_ser = 2.0 * counts.sum(axis=0) / cfg.n_loaded
+    assert out["ser"] == pytest.approx(frame_ser.mean(), rel=1e-12)
+    assert out["stderr"] == pytest.approx(np.std(frame_ser, ddof=1) / np.sqrt(300), rel=1e-12)
+    layer_ser = counts / np.array([[len(sp.bins)] for sp in cfg.layers])
+    np.testing.assert_allclose(out["layer_ser"], layer_ser.mean(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(out["layer_stderr"],
+                               np.std(layer_ser, axis=1, ddof=1) / np.sqrt(300), rtol=1e-12)
+    # far below the per-symbol Bernoulli value sqrt(p(1-p)/frames) reported before
+    assert out["stderr"] < 0.2 * np.sqrt(out["ser"] * (1 - out["ser"]) / 300)
+
+
+def test_run_point_stderr_of_one_frame_is_nan():
+    cfg = SchemeConfig.uniform("haco", N, 16, gamma_to_p_eff("haco", 10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run_point(cfg, ChannelProfile.flat(N), frames=1, seed=0)
+    assert out["ser"] > 0.0
+    assert np.isnan(out["stderr"]) and np.all(np.isnan(out["layer_stderr"]))
+    assert len(out["layer_stderr"]) == 2
+
+
+@pytest.mark.parametrize("scheme,layers,channel", [("laco", 9, "flat"), ("ado", None, "exp"),
+                                                   ("haco", None, "exp")])
+def test_run_point_results_do_not_depend_on_the_block(monkeypatch, scheme, layers, channel):
+    # 7-row blocks divide neither the 150-frame batches nor the 40-frame tail
+    cfg = SchemeConfig.uniform(scheme, N, 16, gamma_to_p_eff(scheme, 14.0, 1.0, layers), layers)
+    prof = ChannelProfile.flat(N) if channel == "flat" else ChannelProfile.exponential(N)
+
+    def run():
+        return run_point(cfg, prof, frames=340, seed=3, batch=150, instrument=True,
+                         probe_bin=4)
+    default = run()
+    monkeypatch.setattr(channel_module, "_BLOCK_ELEMS", 7 * N)
+    blocked = run()
+    assert default["ser"] == blocked["ser"] and default["stderr"] == blocked["stderr"]
+    for key in ("layer_errors", "delta_power", "err_power", "probe", "layer_stderr"):
+        np.testing.assert_array_equal(blocked[key], default[key])
 
 
 # Per-layer error counts of run_point(cfg, flat, frames=500, seed=0) at 18 dB

@@ -177,6 +177,28 @@ def test_channel_file_bin_out_of_range_is_an_error(tmp_path, capsys, row):
     assert not (tmp_path / "ser.csv").exists()
 
 
+def test_channel_file_row_without_gain_is_an_error(tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    path.write_text("k,h\n3\n")
+    rc = main(["ser", "--n", "64", "--schemes", "haco", "--gammas", "20", "--runs", "10",
+               "--channel", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "row 2" in err
+    assert not (tmp_path / "ser.csv").exists()
+
+
+def test_validating_an_empty_allocation_is_an_error(tmp_path, capsys):
+    # at -20 dB nothing is loaded, so there is no SER to simulate
+    rc = main(["allocate", "--n", "64", "--gammas-eff", "-20", "--validate-runs", "10",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "allocation_summary.json").exists()
+
+
 def test_allocate_on_asymmetric_channel_is_an_error(tmp_path, capsys):
     # |H(3)| = 0.2 without the mirror at N - 3 would load bin 61 on its own
     path = tmp_path / "h.csv"

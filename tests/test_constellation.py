@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, Constellation,
                                  avg_neighbor_counts, detection_error_power,
@@ -68,6 +69,30 @@ def test_detect_agrees_with_brute_force_ml():
             rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
         idx_bf, _ = ml_detect(obs, c)
         np.testing.assert_array_equal(c.detect(obs), idx_bf)
+
+
+ALPHABETS = ([(Constellation.qam, 2 ** b) for b in range(1, 9)]
+             + [(Constellation.pam, 2 ** b) for b in range(1, 5)])
+
+
+@pytest.mark.parametrize("maker,M", ALPHABETS, ids=lambda a: getattr(a, "__name__", a))
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1e-3, 1e3),
+       st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1,
+                max_size=40))
+def test_detect_is_brute_force_ml(maker, M, power, coords):
+    # observations up to twice the unit-power extent, so the outer decision
+    # regions are hit too; ties (a measure-zero set) may go either way
+    c = maker(M, power)
+    obs = np.sqrt(power) * np.array([re + 1j * im for re, im in coords])
+    det = c.detect(obs)
+    idx_bf, _ = ml_detect(obs, c)
+    d2 = np.abs(obs[:, None] - c.points) ** 2
+    best = d2.min(axis=1)
+    tol = 1e-9 * power
+    np.testing.assert_array_less(d2[np.arange(len(obs)), det], best + tol)
+    unique = np.sum(d2 <= best[:, None] + tol, axis=1) == 1
+    np.testing.assert_array_equal(det[unique], idx_bf[unique])
 
 
 def test_detect_roundtrip_noiseless():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hermitian import hermitian_embed
 from oofdm.modems import effective_subcarriers
-from oofdm.multilayer import LayerSpec, SchemeConfig, receive, transmit
+from oofdm.multilayer import (LayerSpec, SchemeConfig, draw_symbols, modulate,
+                               receive, transmit)
 
 N = 1024
 
@@ -50,6 +51,31 @@ def test_uniform_config_validation():
         SchemeConfig.uniform("qam", N, 16, 1.0)
     with pytest.raises(ValueError):
         SchemeConfig.uniform("laco", N, [16, 16], 1.0, layers=3)
+
+
+def test_config_rejects_decreasing_fold_factors():
+    laco = SchemeConfig.uniform("laco", N, 16, 1.0, layers=3)
+    SchemeConfig("laco", N, [laco.layers[0], laco.layers[2]])  # a pruned, nested config
+    with pytest.raises(ValueError, match="nested"):
+        SchemeConfig("laco", N, [laco.layers[1], laco.layers[0]])
+    ado = SchemeConfig.uniform("ado", N, 16, 1.0)
+    with pytest.raises(ValueError, match="nested"):
+        SchemeConfig("ado", N, ado.layers[::-1])
+
+
+def test_layer_alphabets_are_built_once():
+    bits = np.full(N, 2)
+    bits[3::4] = 3  # layer 1 mixes 4-QAM and 8-QAM
+    spec = SchemeConfig.from_allocation(N, bits, np.ones(N)).layers[0]
+    assert spec.constellations is spec.constellations
+    assert [c.M for c, _ in spec.constellations] == [4, 8]
+
+
+def test_config_without_layers_has_nothing_to_transmit():
+    cfg = SchemeConfig.from_allocation(N, np.zeros(N, dtype=int), np.zeros(N))
+    assert cfg.layers == []
+    with pytest.raises(ValueError, match="nothing to transmit"):
+        transmit(cfg, np.random.default_rng(0), 4)
 
 
 def test_transmit_signal_is_nonnegative_with_expected_power():
@@ -218,3 +244,25 @@ def test_folded_hybrid_layer_with_larger_period_factor(data):
     specs = [_pruned_layer(data, "aco", odd), _pruned_layer(data, kind, even)]
     scheme = "ado" if kind == "dco" else "haco"
     _check_folded_frames_and_noiseless_detection(SchemeConfig(scheme, N_PROP, specs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("laco", 7), ("laco", 3), ("ado", None), ("haco", None),
+                        ("aco", None), ("dco", None), ("pam", None)]),
+       st.integers(2, 24), st.data())
+def test_modulate_over_row_splits_equals_transmit(scheme_layers, frames, data):
+    # frames are modulated row by row, so any split of one draw sends the
+    # same bits as transmitting the whole batch
+    cfg = SchemeConfig.uniform(scheme_layers[0], N_PROP, 16, 10.0, scheme_layers[1])
+    whole = transmit(cfg, np.random.default_rng(frames), frames, instrument=True)
+    sym_idx = draw_symbols(cfg, np.random.default_rng(frames), frames)
+    cuts = sorted(data.draw(st.sets(st.integers(1, frames - 1))))
+    parts = [modulate(cfg, [idx[lo:hi] for idx in sym_idx], instrument=True)
+             for lo, hi in zip([0] + cuts, cuts + [frames])]
+    np.testing.assert_array_equal(np.concatenate([p.x for p in parts]), whole.x)
+    for j in range(len(cfg.layers)):
+        for field in ("sym_idx", "sym_val", "s", "x_layers"):
+            got = np.concatenate([getattr(p, field)[j] for p in parts])
+            np.testing.assert_array_equal(got, getattr(whole, field)[j])
+    if whole.bias is not None:
+        np.testing.assert_array_equal(np.concatenate([p.bias for p in parts]), whole.bias)
