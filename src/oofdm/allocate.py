@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelProfile
+from .modems import _loadable
 from .multilayer import SchemeConfig
 from .numerics import qfunc_inv
 from .rcn import worst_case_noise
@@ -88,7 +89,7 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
     gamma_gap = snr_gap(p_e)
     p_v = channel.bin_noise_power()
     budget = n ** 2 * p_eff
-    loadable = np.setdiff1d(np.arange(1, n), [n // 2])
+    loadable, _ = _loadable(n)
 
     p_z = p_v.copy()
     history = []

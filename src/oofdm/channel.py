@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .modems import layer_index, power_relations
+from .modems import layer_index, layer_kinds, power_relations
 from .multilayer import SchemeConfig, draw_symbols, modulate, receive, transmit
-from .numerics import make_rng, spawn_seeds
+from .numerics import spawn_seeds
 
 DEFAULT_FRAMES = 10_000
 DEFAULT_BATCH = 500
@@ -95,9 +95,8 @@ def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
 
     White time-domain Gaussian for a flat channel; otherwise the white noise
     is shaped by 1/|H(k)| on the half spectrum of a real FFT (only the
-    magnitude affects the post-equalization statistics).
+    magnitude affects the post-equalization statistics). `rng` is a Generator.
     """
-    rng = make_rng(rng)
     v0 = rng.normal(0.0, np.sqrt(profile.noise_power), size=(frames, profile.n))
     if profile.h is None:
         return v0
@@ -125,7 +124,6 @@ class ExperimentConfig:
     gamma_effective: bool = False   # interpret gammas as effective SNR
     frames: int = DEFAULT_FRAMES
     seed: int = 0
-    rims: int = 3
     channel: ChannelProfile | None = None
     batch: int = DEFAULT_BATCH
 
@@ -133,9 +131,7 @@ class ExperimentConfig:
         return self.channel if self.channel is not None else ChannelProfile.flat(self.n)
 
     def scheme_config(self, gamma_db: float) -> SchemeConfig:
-        layers = self.layers
-        if layers is None and self.scheme.lower() == "laco":
-            layers = int(np.log2(self.n // 2))  # every LACO layer a frame holds
+        layers = len(layer_kinds(self.scheme, self.n, self.layers))
         p_eff = gamma_to_p_eff(self.scheme, gamma_db, self.profile().noise_power,
                                layers, self.gamma_effective)
         return SchemeConfig.uniform(self.scheme, self.n, self.M, p_eff, layers)
@@ -199,40 +195,27 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     return out
 
 
+def _grid_points(cfg: ExperimentConfig, **run_kw):
+    """(gamma, run_point result) per grid point; point i is seeded (cfg.seed, i)."""
+    profile = cfg.profile()
+    for i, gamma in enumerate(cfg.gammas):
+        yield gamma, run_point(cfg.scheme_config(gamma), profile, cfg.frames,
+                               (cfg.seed, i), batch=cfg.batch, **run_kw)
+
+
 def run_ser_experiment(cfg: ExperimentConfig):
     """Simulated SER over the configured SNR grid. Returns a list of rows
     {gamma, ser, stderr, layer_ser}."""
-    rows = []
-    profile = cfg.profile()
-    for i, gamma in enumerate(cfg.gammas):
-        point = run_point(cfg.scheme_config(gamma), profile, cfg.frames,
-                          (cfg.seed, i), batch=cfg.batch)
-        rows.append({"gamma": gamma, "ser": point["ser"], "stderr": point["stderr"],
-                     "layer_ser": point["layer_ser"]})
-    return rows
+    return [{"gamma": gamma, "ser": point["ser"], "stderr": point["stderr"],
+             "layer_ser": point["layer_ser"]} for gamma, point in _grid_points(cfg)]
 
 
 def measure_rcn_power(cfg: ExperimentConfig):
-    """Measured per-layer residual-clipping-noise and detection-error powers.
-
-    Returns rows {gamma, delta_power, err_power, delta_stderr} with per-layer
-    arrays, averaged over frames.
-    """
-    rows = []
-    profile = cfg.profile()
-    for i, gamma in enumerate(cfg.gammas):
-        point = run_point(cfg.scheme_config(gamma), profile, cfg.frames,
-                          (cfg.seed, i), batch=cfg.batch, instrument=True)
-        dp = point["delta_power"]
-        rows.append({
-            "gamma": gamma,
-            "delta_power": dp.mean(axis=1),
-            "delta_stderr": dp.std(axis=1) / np.sqrt(dp.shape[1]),
-            "err_power": point["err_power"].mean(axis=1),
-            "delta_power_frames": dp,
-            "err_power_frames": point["err_power"],
-        })
-    return rows
+    """Measured per-layer residual-clipping-noise and detection-error powers,
+    averaged over frames: rows {gamma, delta_power, err_power} of (J,) arrays."""
+    return [{"gamma": gamma, "delta_power": point["delta_power"].mean(axis=1),
+             "err_power": point["err_power"].mean(axis=1)}
+            for gamma, point in _grid_points(cfg, instrument=True)]
 
 
 def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
@@ -243,15 +226,11 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
     standard deviation of their combined sample set, and reports the
     normalized covariance matrix and Kolmogorov-Smirnov distances to N(0,1).
     """
+    t_max = _probed_layers(cfg.n, probe_bin)
+    if t_max == 0:
+        raise ValueError(f"probe bin {probe_bin} is not affected by any layer")
     rows = []
-    profile = cfg.profile()
-    for i, gamma in enumerate(cfg.gammas):
-        scheme_cfg = cfg.scheme_config(gamma)
-        t_max = _probed_layers(scheme_cfg, probe_bin)
-        if t_max == 0:
-            raise ValueError(f"probe bin {probe_bin} is not affected by any layer")
-        point = run_point(scheme_cfg, profile, cfg.frames, (cfg.seed, i),
-                          batch=cfg.batch, instrument=True, probe_bin=probe_bin)
+    for gamma, point in _grid_points(cfg, instrument=True, probe_bin=probe_bin):
         samples = point["probe"][:t_max]            # (T, frames)
         centered = samples - samples.mean(axis=1, keepdims=True)
         var = np.mean(np.abs(centered) ** 2, axis=1)
@@ -267,13 +246,12 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
     return rows
 
 
-def _probed_layers(scheme_cfg: SchemeConfig, probe_bin: int) -> int:
-    """Count of layers 1..T whose affected sets all hold the probe bin: the
-    multiples of 2^t hold it for t below its layer index."""
-    n = scheme_cfg.n
+def _probed_layers(n: int, probe_bin: int) -> int:
+    """Largest T whose layers 1..T all have the probe bin in their affected
+    sets (zero if none): the multiples of 2^t hold it for t below its layer index."""
     if not 0 < probe_bin < n or probe_bin == n // 2:
         return 0
-    return min(layer_index(probe_bin, n) - 1, len(scheme_cfg.layers))
+    return layer_index(probe_bin, n) - 1
 
 
 def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 64,

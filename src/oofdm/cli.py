@@ -25,20 +25,25 @@ from .allocate import allocate
 from .channel import (ChannelProfile, ExperimentConfig, measure_power_relations,
                       measure_rcn_power, post_eq_noise, rcn_statistics,
                       run_point, run_ser_experiment)
-from .modems import layer_index, power_relations
-from .multilayer import SchemeConfig, receive, transmit
+from .modems import layer_index, layer_kinds, power_relations
+from .multilayer import SchemeConfig, modulate, receive, transmit
 from .rcn import worst_case_noise
 from .ser import evaluate_ser
 
 
 def _parse_grid(text):
-    """Parse '0,2,4' or 'start:stop:step' into a list of floats."""
+    """Parse '0,2,4' or 'start:stop:step' into a nonempty list of finite floats."""
+    values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"grid {text!r} holds a non-finite value")
     if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
+        start, stop, step = values
         if not step > 0:
             raise ValueError(f"grid step must be positive, got {step:g}")
-        return list(np.arange(start, stop + step / 2, step))
-    return [float(p) for p in text.split(",")]
+        values = list(np.arange(start, stop + step / 2, step))
+    if not values:
+        raise ValueError(f"grid {text!r} is empty")
+    return values
 
 
 def _out_dir(args) -> Path:
@@ -48,12 +53,18 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _channel(args, n) -> ChannelProfile:
-    if getattr(args, "channel", None):
-        return ChannelProfile.from_csv(args.channel, n)
-    if getattr(args, "selective", False):
-        return ChannelProfile.exponential(n)
-    return ChannelProfile.flat(n)
+def _channel(args) -> ChannelProfile:
+    if args.channel:
+        return ChannelProfile.from_csv(args.channel, args.n)
+    if args.selective:
+        return ChannelProfile.exponential(args.n)
+    return ChannelProfile.flat(args.n)
+
+
+def _experiment(args, scheme: str, gammas, effective: bool) -> ExperimentConfig:
+    return ExperimentConfig(scheme=scheme, n=args.n, M=args.m, gammas=tuple(gammas),
+                            gamma_effective=effective, frames=args.runs,
+                            seed=args.seed, channel=_channel(args))
 
 
 def _write_csv(path: Path, header, rows):
@@ -77,13 +88,14 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs):
 
 
 def cmd_power_relations(args):
-    triple = power_relations(args.scheme, args.peff, args.layers)
+    layers = len(layer_kinds(args.scheme, args.n, args.layers))
+    triple = power_relations(args.scheme, args.peff, layers)
     print(f"scheme={args.scheme} P_eff={args.peff:g}")
     print(f"closed form: P_elec={triple.p_elec:.6g} P_opt={triple.p_opt:.6g}")
     if args.validate:
         mc = measure_power_relations(args.scheme, args.peff, n=args.n, M=args.m,
                                      frames=args.validate, seed=args.seed,
-                                     layers=args.layers)
+                                     layers=layers)
         rel_e = abs(mc["p_elec"] - triple.p_elec) / triple.p_elec
         rel_o = abs(mc["p_opt"] - triple.p_opt) / triple.p_opt
         print(f"monte carlo ({args.validate} frames): P_elec={mc['p_elec']:.6g} "
@@ -93,12 +105,8 @@ def cmd_power_relations(args):
 
 def cmd_rcn_power(args):
     out_dir = _out_dir(args)
-    channel = _channel(args, args.n)
-    cfg = ExperimentConfig(scheme="laco", n=args.n, M=args.m,
-                           gammas=tuple(_parse_grid(args.gammas_eff)),
-                           gamma_effective=True, frames=args.runs,
-                           seed=args.seed, channel=channel)
-    p_v = channel.bin_noise_power()
+    cfg = _experiment(args, "laco", _parse_grid(args.gammas_eff), effective=True)
+    p_v = cfg.channel.bin_noise_power()
     rows = []
     for meas in measure_rcn_power(cfg):
         scheme_cfg = cfg.scheme_config(meas["gamma"])
@@ -118,24 +126,19 @@ def cmd_rcn_power(args):
 
 def cmd_ser(args):
     out_dir = _out_dir(args)
-    channel = _channel(args, args.n)
     gammas = _parse_grid(args.gammas)
-    p_v = channel.bin_noise_power()
     rows = []
     outputs = []
     for scheme in args.schemes.split(","):
-        scheme = scheme.strip().lower()
-        cfg = ExperimentConfig(scheme=scheme, n=args.n, M=args.m,
-                               gammas=tuple(gammas), frames=args.runs,
-                               seed=args.seed, rims=args.rims, channel=channel)
-        sim = run_ser_experiment(cfg)
-        for gamma, point in zip(gammas, sim):
+        cfg = _experiment(args, scheme.strip().lower(), gammas, effective=False)
+        p_v = cfg.channel.bin_noise_power()
+        for gamma, point in zip(gammas, run_ser_experiment(cfg)):
             scheme_cfg = cfg.scheme_config(gamma)
             aware = evaluate_ser(scheme_cfg, p_v, "rcn_aware", args.rims).overall
             unaware = evaluate_ser(scheme_cfg, p_v, "rcn_unaware", args.rims).overall
-            rows.append([gamma, scheme, point["ser"], point["stderr"], aware, unaware])
+            rows.append([gamma, cfg.scheme, point["ser"], point["stderr"], aware, unaware])
         if args.dump_frames:
-            outputs.append(_dump_frame(out_dir, cfg, gammas[0], scheme))
+            outputs.append(_dump_frame(out_dir, cfg, gammas[0]))
     path = out_dir / "ser.csv"
     _write_csv(path, ["gamma_db", "scheme", "simulated", "stderr",
                       "rcn_aware", "rcn_unaware"], rows)
@@ -145,30 +148,24 @@ def cmd_ser(args):
     return 0
 
 
-def _dump_frame(out_dir: Path, cfg: ExperimentConfig, gamma: float, scheme: str) -> Path:
+def _dump_frame(out_dir: Path, cfg: ExperimentConfig, gamma: float) -> Path:
     """Debug dump of a single frame: time index, transmitted and received
-    signals, and the per-layer reconstructed frames."""
+    signals, and the per-layer frames remodulated from the decisions."""
     scheme_cfg = cfg.scheme_config(gamma)
     rng = np.random.default_rng(cfg.seed)
-    tx = transmit(scheme_cfg, rng, 1, instrument=True)
+    tx = transmit(scheme_cfg, rng, 1)
     y = tx.x + post_eq_noise(cfg.profile(), rng, 1)
-    rx = receive(y, scheme_cfg, truth=tx, keep_signals=True)
-    header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(scheme_cfg.layers))]
-    rows = []
-    for i in range(scheme_cfg.n):
-        rows.append([i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in rx.s_hat])
-    path = out_dir / f"frame_{scheme}.csv"
+    s_hat = modulate(scheme_cfg, receive(y, scheme_cfg, truth=tx).det_idx, instrument=True).s
+    header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
+    rows = [[i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
+    path = out_dir / f"frame_{cfg.scheme}.csv"
     _write_csv(path, header, rows)
     return path
 
 
 def cmd_rcn_stats(args):
     out_dir = _out_dir(args)
-    channel = _channel(args, args.n)
-    cfg = ExperimentConfig(scheme="laco", n=args.n, M=args.m,
-                           gammas=tuple(_parse_grid(args.gammas_eff)),
-                           gamma_effective=True, frames=args.runs,
-                           seed=args.seed, channel=channel)
+    cfg = _experiment(args, "laco", _parse_grid(args.gammas_eff), effective=True)
     cov_rows, cdf_rows = [], []
     for res in rcn_statistics(cfg, args.bin):
         t_count = res["rho"].shape[0]
@@ -192,7 +189,7 @@ def cmd_rcn_stats(args):
 
 def cmd_allocate(args):
     out_dir = _out_dir(args)
-    channel = _channel(args, args.n)
+    channel = _channel(args)
     p_v = channel.bin_noise_power()
     outputs = []
     summary = []
@@ -225,16 +222,21 @@ def cmd_allocate(args):
     return 0
 
 
-def _add_common(p, runs_default=10_000):
+def _add_common(p, *groups):
+    """--seed, --n and --config, plus the named groups: "runs", "rims", and
+    "channel" (--channel, --selective and --out)."""
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=runs_default, help="Monte Carlo frames")
-    p.add_argument("--rims", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--channel", help="channel profile CSV (k,|H|) or (k,ReH,ImH)")
-    p.add_argument("--selective", action="store_true",
-                   help="use the built-in exponential low-pass profile")
-    p.add_argument("--out", help="output directory (default $OOFDM_OUT or .)")
     p.add_argument("--n", type=int, default=1024, help="frame length")
     p.add_argument("--config", help="JSON file with defaults for any flag")
+    if "runs" in groups:
+        p.add_argument("--runs", type=int, default=10_000, help="Monte Carlo frames")
+    if "rims" in groups:
+        p.add_argument("--rims", type=int, default=3, choices=(1, 2, 3))
+    if "channel" in groups:
+        p.add_argument("--channel", help="channel profile CSV (k,|H|) or (k,ReH,ImH)")
+        p.add_argument("--selective", action="store_true",
+                       help="use the built-in exponential low-pass profile")
+        p.add_argument("--out", help="output directory (default $OOFDM_OUT or .)")
 
 
 def build_parser():
@@ -255,7 +257,7 @@ def build_parser():
     p = sub.add_parser("rcn-power", help="measured vs estimated clipping-noise power")
     p.add_argument("--gammas-eff", default="0,10,20")
     p.add_argument("--m", type=int, default=64)
-    _add_common(p)
+    _add_common(p, "runs", "channel")
     p.set_defaults(func=cmd_rcn_power)
 
     p = sub.add_parser("ser", help="simulated and theoretical SER curves")
@@ -264,14 +266,14 @@ def build_parser():
     p.add_argument("--m", type=int, default=16)
     p.add_argument("--dump-frames", action="store_true",
                    help="also dump one debug frame per scheme")
-    _add_common(p)
+    _add_common(p, "runs", "rims", "channel")
     p.set_defaults(func=cmd_ser)
 
     p = sub.add_parser("rcn-stats", help="clipping-noise CDF and covariance")
     p.add_argument("--bin", type=int, default=256, help="probe subcarrier")
     p.add_argument("--gammas-eff", default="0,20")
     p.add_argument("--m", type=int, default=64)
-    _add_common(p)
+    _add_common(p, "runs", "channel")
     p.set_defaults(func=cmd_rcn_stats)
 
     p = sub.add_parser("allocate", help="SER-controlled bit/power allocation")
@@ -279,7 +281,7 @@ def build_parser():
     p.add_argument("--pe", type=float, default=1e-2, help="target symbol error rate")
     p.add_argument("--validate-runs", type=int, default=0,
                    help="closed-loop Monte Carlo frames per point")
-    _add_common(p)
+    _add_common(p, "rims", "channel")
     p.set_defaults(func=cmd_allocate)
     return ap
 

@@ -30,14 +30,13 @@ def _axis_levels(m: int):
 
 @dataclass(frozen=True)
 class Constellation:
-    """Immutable symbol alphabet scaled to average power `power`.
+    """Immutable symbol alphabet scaled to the average power it was built with.
 
     QAM uses a rectangular grid (square when log2(M) is even); PAM loads are
     purely imaginary. Point index order is row-major over (I level, Q level).
     """
     kind: str
     M: int
-    power: float
     points: np.ndarray
     d_min: float
     m_i: int
@@ -45,9 +44,9 @@ class Constellation:
 
     @classmethod
     def qam(cls, M: int, power: float) -> "Constellation":
-        b = int(round(np.log2(M)))
-        if 2 ** b != M or M < 2:
+        if M < 2 or (M & (M - 1)) != 0:
             raise ValueError(f"QAM order must be a power of two >= 2, got {M}")
+        b = int(round(np.log2(M)))
         m_i = 2 ** ((b + 1) // 2)
         m_q = 2 ** (b // 2)
         li = _axis_levels(m_i)
@@ -55,7 +54,7 @@ class Constellation:
         grid = (li[:, None] + 1j * lq[None, :]).ravel()
         unit_power = (m_i ** 2 - 1 + m_q ** 2 - 1) / 3.0
         scale = np.sqrt(power / unit_power)
-        return cls("qam", M, power, grid * scale, 2.0 * scale, m_i, m_q)
+        return cls("qam", M, grid * scale, 2.0 * scale, m_i, m_q)
 
     @classmethod
     def pam(cls, M: int, power: float) -> "Constellation":
@@ -63,7 +62,7 @@ class Constellation:
             raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
         levels = _axis_levels(M)
         scale = np.sqrt(3.0 * power / (M ** 2 - 1))
-        return cls("pam", M, power, 1j * levels * scale, 2.0 * scale, 1, M)
+        return cls("pam", M, 1j * levels * scale, 2.0 * scale, 1, M)
 
     def detect(self, obs):
         """ML detection via per-axis quantization (exact for rectangular grids).
@@ -126,16 +125,17 @@ def rim_probabilities(d_min, sigma2, rims: int = 3):
     p_a = qfunc(d_min / (2.0 * sigma_axis))
     p_b = qfunc(3.0 * d_min / (2.0 * sigma_axis)) if rims >= 2 else np.zeros_like(p_a)
     p_c = qfunc(5.0 * d_min / (2.0 * sigma_axis)) if rims >= 3 else np.zeros_like(p_a)
+    # np.square: ** 2 on a float64 scalar calls pow(), one ulp off the array path
     p = {
         1: (p_a - p_b) * (1.0 - 2.0 * p_a),
-        2: (p_a - p_b) ** 2,
+        2: np.square(p_a - p_b),
         10: (p_b - p_c) * (1.0 - 2.0 * p_a),
         11: (p_b - p_c) * (p_a - p_b),
-        12: (p_b - p_c) ** 2,
+        12: np.square(p_b - p_c),
         100: p_c * (1.0 - 2.0 * p_a),
         101: p_c * (p_a - p_b),
         102: p_c * (p_b - p_c),
-        103: p_c ** 2,
+        103: np.square(p_c),
     }
     return {"p_a": p_a, "p_b": p_b, "p_c": p_c, "positions": p}
 

@@ -6,54 +6,66 @@ ACO/DCO/PAM-DMT included, is transmitted by `multilayer.transmit`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .numerics import _check_length
 
-SINGLE_LAYER_SCHEMES = ("aco", "dco", "pam")
+# clipping behavior per layer of each fixed-depth scheme (LACO: "aco" per layer)
+LAYER_KINDS = {"ado": ("aco", "dco"), "haco": ("aco", "pam"),
+               "aco": ("aco",), "dco": ("dco",), "pam": ("pam",)}
 
 
-def _validate_layer(scheme: str, j: int, n: int):
+def laco_layers(n: int) -> int:
+    """Layer count of full layered ACO: every layer a length-N frame holds."""
     _check_length(n)
+    return int(np.log2(n // 2))
+
+
+def layer_kinds(scheme: str, n: int, layers: int | None = None) -> tuple:
+    """Clipping behavior of each layer of a scheme; LACO has `layers` layers,
+    by default every layer a length-N frame holds."""
+    scheme = scheme.lower()
     if scheme == "laco":
-        j_max = int(np.log2(n // 2))
-        if not 1 <= j <= j_max:
-            raise ValueError(f"laco layer {j} out of range 1..{j_max} for N={n}")
-    elif scheme in ("ado", "haco"):
-        if j not in (1, 2):
-            raise ValueError(f"{scheme} has layers 1 and 2, got {j}")
-    elif scheme in SINGLE_LAYER_SCHEMES:
-        if j != 1:
-            raise ValueError(f"{scheme} is single-layer, got layer {j}")
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        return ("aco",) * (laco_layers(n) if layers is None else layers)
+    if scheme in LAYER_KINDS:
+        return LAYER_KINDS[scheme]
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+@lru_cache(maxsize=None)
+def _loadable(n: int):
+    """Read-only loadable bins 1..N-1 without N/2, and the layer index of each;
+    cached, as the allocator asks for every layer's index sets per iteration."""
+    _check_length(n)
+    k = np.arange(1, n)
+    k = k[k != n // 2]
+    t = layer_index(k, n)
+    k.flags.writeable = t.flags.writeable = False
+    return k, t
 
 
 def effective_subcarriers(scheme: str, j: int, n: int) -> np.ndarray:
-    """Data-bearing subcarrier indices of layer j; never contains 0 or N/2."""
-    scheme = scheme.lower()
-    _validate_layer(scheme, j, n)
-    k = np.arange(1, n)
-    if scheme in ("aco",) or (scheme in ("ado", "haco", "laco") and j == 1):
-        return k[k % 2 == 1]
-    if scheme in ("dco", "pam"):
-        return k[k != n // 2]
-    if scheme in ("ado", "haco"):  # j == 2: even subcarriers
-        return k[(k % 2 == 0) & (k != n // 2)]
-    # laco, j >= 2: k = 2^(j-1) * odd
-    step = 2 ** (j - 1)
-    return step * np.arange(1, n // step, 2)
+    """Data-bearing subcarrier indices of layer j; never contains 0 or N/2.
+
+    A zero-clipped (ACO) layer j holds the bins of layer index j; a DCO or
+    PAM layer, last in its scheme, holds every bin of layer index j or more.
+    """
+    k, t = _loadable(n)
+    kinds = layer_kinds(scheme, n)
+    if not 1 <= j <= len(kinds):
+        raise ValueError(f"{scheme} layer {j} out of range 1..{len(kinds)} for N={n}")
+    return k[t == j] if kinds[j - 1] == "aco" else k[t >= j]
 
 
 def affected_subcarriers(t: int, n: int) -> np.ndarray:
     """Subcarriers receiving residual clipping noise from layer t: nonzero
     multiples of 2^t below N, excluding N/2."""
-    _check_length(n)
-    if t < 1 or 2 ** t >= n:
+    k, layer = _loadable(n)
+    if not 1 <= t <= laco_layers(n):
         raise ValueError(f"layer {t} out of range for N={n}")
-    k = np.arange(2 ** t, n, 2 ** t)
-    return k[k != n // 2]
+    return k[layer > t]
 
 
 def layer_index(k, n: int):

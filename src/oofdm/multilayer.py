@@ -20,12 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .constellation import Constellation
-from .modems import clip, effective_subcarriers
-from .numerics import make_rng
+from .modems import clip, effective_subcarriers, laco_layers, layer_kinds
 
-# clipping behavior per layer of each fixed-depth scheme (LACO: "aco" per layer)
-_LAYER_KINDS = {"ado": ("aco", "dco"), "haco": ("aco", "pam"),
-                "aco": ("aco",), "dco": ("dco",), "pam": ("pam",)}
+DCO_BIAS = 3.0  # in frame standard deviations, as the closed-form DCO relations assume
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class SchemeConfig:
     scheme: str
     n: int
     layers: list
-    bias_multiplier: float = 3.0
 
     def __post_init__(self):
         folds = [_fold_factor(sp.bins, self.n) for sp in self.layers]
@@ -63,8 +59,8 @@ class SchemeConfig:
         return int(sum(2 * len(sp.bins) for sp in self.layers))
 
     @classmethod
-    def uniform(cls, scheme: str, n: int, M, p_eff: float, layers: int | None = None,
-                bias_multiplier: float = 3.0) -> "SchemeConfig":
+    def uniform(cls, scheme: str, n: int, M, p_eff: float,
+                layers: int | None = None) -> "SchemeConfig":
         """Equal per-subcarrier effective power over all effective subcarriers.
 
         A single-layer scheme (aco, dco, pam) gives a one-layer config; the
@@ -74,12 +70,7 @@ class SchemeConfig:
         layer carries eps.
         """
         scheme = scheme.lower()
-        if scheme == "laco":
-            kinds = ("aco",) * (int(np.log2(n // 2)) if layers is None else layers)
-        elif scheme in _LAYER_KINDS:
-            kinds = _LAYER_KINDS[scheme]
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        kinds = layer_kinds(scheme, n, layers)
         j_count = len(kinds)
         orders = [M] * j_count if np.isscalar(M) else list(M)
         if len(orders) != j_count:
@@ -94,7 +85,7 @@ class SchemeConfig:
             specs.append(LayerSpec(kind, indep,
                                    np.full(indep.shape, order, dtype=np.int64),
                                    np.full(indep.shape, power)))
-        return cls(scheme, n, specs, bias_multiplier)
+        return cls(scheme, n, specs)
 
     @classmethod
     def from_allocation(cls, n: int, bits, powers) -> "SchemeConfig":
@@ -102,9 +93,8 @@ class SchemeConfig:
         power P_s(k) (full-length arrays); unloaded bins are skipped."""
         bits = np.asarray(bits)
         powers = np.asarray(powers)
-        j_count = int(np.log2(n // 2))
         specs = []
-        for j in range(1, j_count + 1):
+        for j in range(1, laco_layers(n) + 1):
             ks = effective_subcarriers("laco", j, n)
             indep = ks[(ks < n // 2) & (bits[ks] > 0)]
             if len(indep) == 0:
@@ -117,7 +107,6 @@ class SchemeConfig:
 @dataclass
 class TxBatch:
     """One batch of transmitted frames plus ground truth."""
-    config: SchemeConfig
     x: np.ndarray                 # (F, N) nonnegative signal
     sym_idx: list                 # per layer (F, n_j) symbol indices
     sym_val: list                 # per layer (F, n_j) complex loads
@@ -156,8 +145,7 @@ def _synthesize(vals, bins, n: int, L: int):
 
 
 def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
-    """Random symbol indices, per layer (frames, n_j), drawn in layer order."""
-    rng = make_rng(rng)
+    """Random symbol indices per layer (frames, n_j), drawn in layer order from `rng`."""
     return [_draw_indices(rng, spec.M, frames) for spec in config.layers]
 
 
@@ -174,7 +162,7 @@ def modulate(config: SchemeConfig, sym_idx, instrument: bool = False) -> TxBatch
         vals = _map_symbols(spec, idx)
         s = _synthesize(vals, spec.bins, n, L)
         if spec.kind == "dco":
-            bias = config.bias_multiplier * np.std(s, axis=-1)
+            bias = DCO_BIAS * np.std(s, axis=-1)
             x_j = clip(s + bias[:, None])
         else:
             x_j = clip(s)
@@ -187,7 +175,7 @@ def modulate(config: SchemeConfig, sym_idx, instrument: bool = False) -> TxBatch
     for x_j in parts[1:]:
         periods = x.reshape(len(x), -1, x_j.shape[-1])
         periods += x_j[:, None]
-    return TxBatch(config, x, sym_idx, sym_val, bias,
+    return TxBatch(x, sym_idx, sym_val, bias,
                    s_list if instrument else None,
                    x_list if instrument else None)
 
@@ -204,21 +192,16 @@ class RxResult:
     delta_power: np.ndarray | None = None   # (J, F) per-frame mean delta^2
     err_power: np.ndarray | None = None     # (J, F) per-frame mean e^2
     probe: np.ndarray | None = None         # (J, F) complex FFT(delta)[probe_bin]
-    s_hat: list | None = None
-    x_hat: list | None = None
-    delta: list | None = None
-    e: list | None = None
-    y_resid: list | None = None             # residual after subtracting layers 1..j
 
 
-def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
-            instrument: bool = False, probe_bin: int | None = None,
-            keep_signals: bool = False) -> RxResult:
+def receive(y, config: SchemeConfig, truth: TxBatch | None = None,
+            instrument: bool = False, probe_bin: int | None = None) -> RxResult:
     """Iterative layer-by-layer detection of an equalized frame batch.
 
-    With `truth` supplied, detection errors are scored; with `instrument`,
-    the per-layer residual clipping noise delta_t and detection error e_t are
-    measured (requires a truth batch transmitted with instrument=True).
+    With `truth` supplied, detection errors are scored; a DCO layer needs it
+    for the bias side information. With `instrument`, the per-layer residual
+    clipping noise delta_t and detection error e_t are measured (requires a
+    truth batch transmitted with instrument=True).
     """
     resid = np.atleast_2d(np.asarray(y, dtype=float)).copy()  # folded as layers go
     n = config.n
@@ -234,9 +217,8 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
         res.err_power = np.zeros((n_layers, frames))
         if probe_bin is not None:
             res.probe = np.zeros((n_layers, frames), dtype=complex)
-    if keep_signals:
-        res.s_hat, res.x_hat, res.delta, res.e, res.y_resid = [], [], [], [], []
-        y_cur = resid.copy()
+    if truth is None and any(spec.kind == "dco" for spec in config.layers):
+        raise ValueError("a DCO layer needs the bias side information of a truth batch")
 
     for j, spec in enumerate(config.layers):
         L = _fold_factor(spec.bins, n)
@@ -251,41 +233,24 @@ def receive(y, config: SchemeConfig, bias=None, truth: TxBatch | None = None,
         res.det_idx.append(idx)
 
         s_hat = _synthesize(_map_symbols(spec, idx), spec.bins, n, L)
-        if spec.kind == "dco":
-            b = bias if bias is not None else (truth.bias if truth is not None else None)
-            if b is None:
-                raise ValueError("DCO layer needs the bias side information")
-            x_hat = clip(s_hat + np.asarray(b)[:, None])
-        else:
-            x_hat = clip(s_hat)
+        x_hat = clip(s_hat + truth.bias[:, None] if spec.kind == "dco" else s_hat)
         resid -= L * x_hat  # resid holds the sum of L periods
 
         if truth is not None:
             res.errors.append(idx != truth.sym_idx[j])
-        if not (instrument or keep_signals):
+        if not instrument:
             continue
-        s_hat, x_hat = np.tile(s_hat, L), np.tile(x_hat, L)
-        delta = e = None
-        if truth is not None and truth.s is not None:
-            s = truth.s[j]
-            e = s_hat - s
-            if spec.kind == "dco":
-                # bias-clipped layer: residual after subtraction, shifted
-                # so that the three-term decomposition stays exact
-                delta = truth.x_layers[j] - x_hat + 0.5 * e
-            else:
-                delta = 0.5 * (np.abs(s) - np.abs(s + e))
-        if instrument:
-            res.delta_power[j] = np.mean(delta ** 2, axis=-1)
-            res.err_power[j] = np.mean(e ** 2, axis=-1)
-            if probe_bin is not None:
-                ph = np.exp(-2j * np.pi * probe_bin * np.arange(n) / n)
-                res.probe[j] = delta @ ph
-        if keep_signals:
-            res.s_hat.append(s_hat)
-            res.x_hat.append(x_hat)
-            res.delta.append(delta)
-            res.e.append(e)
-            y_cur -= x_hat
-            res.y_resid.append(y_cur.copy())
+        s, s_hat, x_hat = truth.s[j], np.tile(s_hat, L), np.tile(x_hat, L)
+        e = s_hat - s
+        if spec.kind == "dco":
+            # bias-clipped layer: residual after subtraction, shifted
+            # so that the three-term decomposition stays exact
+            delta = truth.x_layers[j] - x_hat + 0.5 * e
+        else:
+            delta = 0.5 * (np.abs(s) - np.abs(s + e))
+        res.delta_power[j] = np.mean(delta ** 2, axis=-1)
+        res.err_power[j] = np.mean(e ** 2, axis=-1)
+        if probe_bin is not None:
+            ph = np.exp(-2j * np.pi * probe_bin * np.arange(n) / n)
+            res.probe[j] = delta @ ph
     return res

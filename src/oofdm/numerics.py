@@ -34,13 +34,6 @@ def qfunc_inv(p):
     return float(out) if out.ndim == 0 else out
 
 
-def make_rng(seed):
-    """Named RNG constructor; accepts an int seed, SeedSequence, or Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def spawn_seeds(seed, count: int):
     """Derive `count` independent child seeds from a master seed.
 

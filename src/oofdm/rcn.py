@@ -38,7 +38,6 @@ class NoiseProfile:
     p_z: np.ndarray              # (N,) total noise power per bin
     bin_powers: np.ndarray       # (J,) per-layer frequency-domain RCN bound
     delta_powers: np.ndarray     # (J,) per-layer time-domain RCN bound
-    p_v: np.ndarray              # (N,) channel-noise power per bin
 
 
 def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
@@ -70,4 +69,4 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
         delta_powers[i] = bin_powers[i] * k_t / n ** 2
         if bin_powers[i] > 0.0:
             p_z[affected_subcarriers(L.bit_length(), n)] += bin_powers[i]
-    return NoiseProfile(p_z, bin_powers, delta_powers, p_v)
+    return NoiseProfile(p_z, bin_powers, delta_powers)

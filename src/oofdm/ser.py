@@ -6,7 +6,7 @@ noise plus accumulated residual-clipping-noise bounds from earlier layers);
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,6 @@ MODES = ("rcn_aware", "rcn_unaware")
 
 @dataclass
 class SerReport:
-    scheme: str
-    mode: str
-    rims: int
     layer_ser: list            # per layer, per independent bin
     overall: float
     approximate_orders: tuple  # non-square QAM orders evaluated with the square formula
@@ -53,5 +50,4 @@ def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int =
         layer_ser.append(p)
         total += 2.0 * float(np.sum(p))
     n_prime = config.n_loaded
-    return SerReport(config.scheme, mode, rims, layer_ser,
-                     total / n_prime if n_prime else 0.0, tuple(sorted(approx)))
+    return SerReport(layer_ser, total / n_prime if n_prime else 0.0, tuple(sorted(approx)))

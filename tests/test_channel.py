@@ -197,7 +197,7 @@ def test_measure_rcn_power_shapes():
     rows = measure_rcn_power(cfg)
     assert len(rows) == 1
     assert rows[0]["delta_power"].shape == (9,)
-    assert rows[0]["delta_power_frames"].shape == (9, 200)
+    assert rows[0]["err_power"].shape == (9,)
     # coarse agreement with the reference value 0.427 at small frame count
     assert rows[0]["delta_power"][0] == pytest.approx(0.427, rel=0.10)
 
@@ -210,7 +210,7 @@ def test_probed_layers_match_affected_set_membership():
             if probe not in affected_subcarriers(t, N):
                 break
             count = t
-        assert _probed_layers(cfg, probe) == count, probe
+        assert min(_probed_layers(N, probe), len(cfg.layers)) == count, probe
 
 
 @pytest.mark.parametrize("probe", [0, N // 2, N, -4])

@@ -31,6 +31,18 @@ def test_readme_invocations_parse():
         assert callable(args.func), line
 
 
+def test_readme_flag_table_matches_parser():
+    section = README.read_text().split("## Command line", 1)[1]
+    rows = dict(re.findall(r"^\| (`[\w-]+`|every one) \| (.*) \|$", section, re.M))
+    common = set(re.findall(r"--[\w-]+", rows.pop("every one")))
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert {name.strip("`") for name in rows} == set(subparsers)
+    for name, flags in rows.items():
+        parser = subparsers[name.strip("`")]
+        options = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        assert common | set(re.findall(r"--[\w-]+", flags)) == options, name
+
+
 def test_parse_grid():
     assert _parse_grid("0,10,20") == [0.0, 10.0, 20.0]
     assert _parse_grid("5:15:5") == [5.0, 10.0, 15.0]
@@ -77,10 +89,48 @@ def test_power_relations_command(capsys):
     assert "monte carlo" in out
 
 
-def test_power_relations_requires_layers(capsys):
-    rc = main(["power-relations", "--scheme", "laco"])
+def test_power_relations_defaults_laco_layers(capsys):
+    # laco without --layers uses every layer of the frame: 9 at N = 1024
+    assert main(["power-relations", "--scheme", "laco", "--validate", "50"]) == 0
+    default = capsys.readouterr().out
+    assert main(["power-relations", "--scheme", "laco", "--validate", "50",
+                 "--layers", "9"]) == 0
+    assert capsys.readouterr().out == default
+    assert "P_elec=4.75" in default
+
+
+def test_ser_with_zero_order_is_an_error(tmp_path, capsys):
+    rc = main(["ser", "--m", "0", "--schemes", "laco", "--gammas", "20", "--runs", "10",
+               "--n", "64", "--out", str(tmp_path)])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "ser.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["ser", "--schemes", "laco", "--gammas", "20"],
+                                     ["rcn-power", "--gammas-eff", "20"]])
+def test_laco_with_zero_frame_length_is_an_error(tmp_path, capsys, command):
+    rc = main(command + ["--n", "0", "--runs", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "frame length" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rcn-power", "--gammas-eff", "nan"],
+    ["ser", "--schemes", "laco", "--gammas", "inf"],
+    ["ser", "--schemes", "laco", "--gammas", "0:inf:5"],
+    ["ser", "--schemes", "laco", "--gammas", "5:4:1"],   # empty grid
+])
+def test_nonfinite_or_empty_grid_is_an_error(tmp_path, capsys, argv):
+    rc = main(argv + ["--n", "64", "--runs", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "grid" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_rcn_power_command(tmp_path):

@@ -3,6 +3,7 @@ transmitter, and power relations."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oofdm.modems import (affected_subcarriers, clip, effective_subcarriers,
                           layer_index, laco_ratios, power_relations)
@@ -67,6 +68,46 @@ def test_affected_subcarriers():
         # it contains every later layer's subcarriers
         later = effective_subcarriers("laco", t + 1, N)
         assert np.all(np.isin(later, bt))
+
+
+def _effective_reference(scheme, j, n):
+    """Explicit per-scheme formula for the data bins of layer j."""
+    k = np.arange(1, n)
+    if scheme == "aco" or (scheme in ("ado", "haco", "laco") and j == 1):
+        return k[k % 2 == 1]
+    if scheme in ("dco", "pam"):
+        return k[k != n // 2]
+    if scheme in ("ado", "haco"):  # j == 2: even subcarriers
+        return k[(k % 2 == 0) & (k != n // 2)]
+    step = 2 ** (j - 1)  # laco, j >= 2: k = 2^(j-1) * odd
+    return step * np.arange(1, n // step, 2)
+
+
+def _affected_reference(t, n):
+    """Explicit formula: nonzero multiples of 2^t below N, without N/2."""
+    k = np.arange(2 ** t, n, 2 ** t)
+    return k[k != n // 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("aco", "dco", "pam", "ado", "haco", "laco")), st.integers(3, 12))
+def test_index_sets_match_explicit_formulas(scheme, log_n):
+    n = 2 ** log_n
+    layers = {"laco": log_n - 1, "ado": 2, "haco": 2}.get(scheme, 1)
+    for j in range(1, layers + 1):
+        got, want = effective_subcarriers(scheme, j, n), _effective_reference(scheme, j, n)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for j in (0, layers + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            effective_subcarriers(scheme, j, n)
+    for t in range(1, log_n):
+        got, want = affected_subcarriers(t, n), _affected_reference(t, n)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for t in (0, log_n):
+        with pytest.raises(ValueError, match="out of range"):
+            affected_subcarriers(t, n)
 
 
 def test_layer_index():

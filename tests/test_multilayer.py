@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermitian import hermitian_embed
+from layer_signals import layer_signals
 from oofdm.modems import effective_subcarriers
 from oofdm.multilayer import (LayerSpec, SchemeConfig, draw_symbols, modulate,
                                receive, transmit)
@@ -102,8 +103,9 @@ def test_noiseless_roundtrip(scheme, M, layers):
 def test_noiseless_residual_vanishes():
     cfg = SchemeConfig.uniform("laco", N, 16, 5.0, layers=9)
     tx = transmit(cfg, np.random.default_rng(2), 4, instrument=True)
-    rx = receive(tx.x, cfg, truth=tx, keep_signals=True, instrument=True)
-    assert np.max(np.abs(rx.y_resid[-1])) < 1e-8 * np.max(tx.x)
+    rx = receive(tx.x, cfg, truth=tx, instrument=True)
+    _, _, y_resid = layer_signals(tx.x, cfg, tx, rx)
+    assert np.max(np.abs(y_resid[-1])) < 1e-8 * np.max(tx.x)
     assert np.max(rx.delta_power) < 1e-18
 
 
@@ -113,14 +115,15 @@ def test_delta_bounded_by_half_error():
     rng = np.random.default_rng(3)
     tx = transmit(cfg, rng, 20, instrument=True)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True, keep_signals=True)
+    rx = receive(y, cfg, truth=tx, instrument=True)
+    e, delta, _ = layer_signals(y, cfg, tx, rx)
     for j, spec in enumerate(cfg.layers):
         if spec.kind != "aco":
             continue
-        assert np.all(np.abs(rx.delta[j]) <= 0.5 * np.abs(rx.e[j]) + 1e-12)
+        assert np.all(np.abs(delta[j]) <= 0.5 * np.abs(e[j]) + 1e-12)
 
 
-def decompose_residual(y, truth, rx, j):
+def decompose_residual(y, truth, e, delta, j):
     """Split the residual after removing layers 1..j into its three parts.
 
     Returns (noise, err, rcn) with noise = y - x the channel noise,
@@ -128,8 +131,8 @@ def decompose_residual(y, truth, rx, j):
     y_j - sum_{t>j} x_t = noise + err + rcn exactly.
     """
     noise = np.atleast_2d(y) - truth.x
-    err = -0.5 * sum(rx.e[: j])
-    rcn = sum(rx.delta[: j])
+    err = -0.5 * sum(e[: j])
+    rcn = sum(delta[: j])
     return noise, err, rcn
 
 
@@ -139,11 +142,12 @@ def test_residual_decomposition_is_exact():
     rng = np.random.default_rng(4)
     tx = transmit(cfg, rng, 6, instrument=True)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True, keep_signals=True)
+    rx = receive(y, cfg, truth=tx, instrument=True)
+    e, delta, y_resid = layer_signals(y, cfg, tx, rx)
     for j in (1, 3, 9):
-        noise, err, rcn = decompose_residual(y, tx, rx, j)
+        noise, err, rcn = decompose_residual(y, tx, e, delta, j)
         remaining = sum(tx.x_layers[j:]) if j < 9 else 0.0
-        np.testing.assert_allclose(rx.y_resid[j - 1] - remaining,
+        np.testing.assert_allclose(y_resid[j - 1] - remaining,
                                    noise + err + rcn, atol=1e-9)
 
 
@@ -152,17 +156,18 @@ def test_residual_decomposition_exact_for_dco_layer():
     rng = np.random.default_rng(5)
     tx = transmit(cfg, rng, 6, instrument=True)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True, keep_signals=True)
-    noise, err, rcn = decompose_residual(y, tx, rx, 2)
-    np.testing.assert_allclose(rx.y_resid[1], noise + err + rcn, atol=1e-9)
+    rx = receive(y, cfg, truth=tx, instrument=True)
+    e, delta, y_resid = layer_signals(y, cfg, tx, rx)
+    noise, err, rcn = decompose_residual(y, tx, e, delta, 2)
+    np.testing.assert_allclose(y_resid[1], noise + err + rcn, atol=1e-9)
 
 
 def test_dco_layer_requires_bias():
     cfg = SchemeConfig.uniform("ado", N, 16, 5.0)
     tx = transmit(cfg, np.random.default_rng(6), 2)
     with pytest.raises(ValueError):
-        receive(tx.x, cfg)  # no bias, no truth
-    rx = receive(tx.x, cfg, bias=tx.bias, truth=tx)
+        receive(tx.x, cfg)  # no truth batch, so no bias
+    rx = receive(tx.x, cfg, truth=tx)
     assert not any(np.any(e) for e in rx.errors)
 
 
@@ -187,9 +192,9 @@ def test_probe_matches_fft_of_delta():
     rng = np.random.default_rng(8)
     tx = transmit(cfg, rng, 3, instrument=True)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True, probe_bin=256,
-                 keep_signals=True)
-    ref = np.fft.fft(rx.delta[0])[:, 256]
+    rx = receive(y, cfg, truth=tx, instrument=True, probe_bin=256)
+    _, delta, _ = layer_signals(y, cfg, tx, rx)
+    ref = np.fft.fft(delta[0])[:, 256]
     np.testing.assert_allclose(rx.probe[0], ref, atol=1e-8)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, avg_neighbor_counts,
@@ -128,6 +128,7 @@ def _scalar_error_power(M, sym_power, noise_power, rims):
 @given(st.lists(st.tuples(st.integers(1, 8), st.floats(1e-3, 1e4), st.floats(0.0, 1e4)),
                 min_size=1, max_size=24),
        st.integers(1, 3))
+@example([(3, 8410.710036957444, 2519.462286844841)], 2)  # scalar ** 2 was one ulp off
 def test_layer_error_power_is_elementwise(triples, rims):
     bits, sym_power, noise = (np.array(col) for col in zip(*triples))
     M = 2 ** bits
