@@ -4,10 +4,10 @@ clipping-noise power measurement, statistics).
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
 otherwise; a received frame is never inverted. Each seeded batch draws its
-symbols and noise whole, then is modulated and received in row blocks of
-about 512 KiB of frame samples, so that a block's signals stay in cache.
-Every step is row-independent: results depend on (seed, batch size) only,
-never on the block.
+symbols whole, then modulates, draws the noise of and receives one row block
+of about 512 KiB of frame samples at a time, so that a block's signals stay
+in cache. The generator fills in order and every step is row-independent:
+results depend on (seed, batch size) only, never on the block.
 """
 from __future__ import annotations
 
@@ -138,6 +138,8 @@ class ExperimentConfig:
 
 
 def _batches(frames: int, batch: int):
+    if frames < 1 or batch < 1:
+        raise ValueError(f"frames and batch must be at least 1, got {frames} and {batch}")
     return [min(batch, frames - lo) for lo in range(0, frames, batch)]
 
 
@@ -151,20 +153,17 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     nan for one frame), and (when instrumented) per-frame delta/error powers
     and probe-bin clipping-noise samples per layer.
     """
-    if frames < 1 or batch < 1:
-        raise ValueError(f"frames and batch must be at least 1, got {frames} and {batch}")
     sizes = _batches(frames, batch)
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
     frame_err, delta_p, err_p, probes = [], [], [], []
     for size, ss in zip(sizes, spawn_seeds(seed, len(sizes))):
         rng = np.random.default_rng(ss)
         sym_idx = draw_symbols(scheme_cfg, rng, size)
-        v = post_eq_noise(profile, rng, size)
         for lo in range(0, size, rows):
-            blk = slice(lo, lo + rows)
-            tx = modulate(scheme_cfg, [idx[blk] for idx in sym_idx], instrument)
-            rx = receive(tx.x + v[blk], scheme_cfg, truth=tx, instrument=instrument,
-                         probe_bin=probe_bin)
+            tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx], instrument)
+            y = post_eq_noise(profile, rng, len(tx.x))
+            y += tx.x
+            rx = receive(y, scheme_cfg, truth=tx, instrument=instrument, probe_bin=probe_bin)
             frame_err.append([np.count_nonzero(e, axis=1) for e in rx.errors])
             if instrument:
                 delta_p.append(rx.delta_power)
@@ -226,6 +225,8 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
     standard deviation of their combined sample set, and reports the
     normalized covariance matrix and Kolmogorov-Smirnov distances to N(0,1).
     """
+    if cfg.frames < 2:
+        raise ValueError(f"rcn statistics need at least 2 frames, got {cfg.frames}")
     t_max = _probed_layers(cfg.n, probe_bin)
     if t_max == 0:
         raise ValueError(f"probe bin {probe_bin} is not affected by any layer")

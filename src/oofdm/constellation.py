@@ -69,14 +69,23 @@ class Constellation:
 
         Returns integer indices into `points`.
         """
-        obs = np.asarray(obs, dtype=complex)
-        half = self.d_min / 2.0
-        if self.kind == "pam":
-            q = np.clip(np.round((obs.imag / half + (self.M - 1)) / 2.0), 0, self.M - 1)
-            return q.astype(np.int64)
-        qi = np.clip(np.round((obs.real / half + (self.m_i - 1)) / 2.0), 0, self.m_i - 1)
-        qq = np.clip(np.round((obs.imag / half + (self.m_q - 1)) / 2.0), 0, self.m_q - 1)
-        return (qi * self.m_q + qq).astype(np.int64)
+        pairs = np.array(obs, dtype=complex)[..., None].view(float)
+        return quantize(pairs, self.d_min, (self.m_i - 1, self.m_q - 1), self.m_q)
+
+
+def quantize(pairs, d_min, top, m_q):
+    """Per-axis ML decisions on float (re, im) pairs (..., 2), overwriting them:
+    level x / d_min + top / 2 (bit for bit (x / (d_min/2) + top) / 2), rounded
+    into [0, top], top = (m_i - 1, m_q - 1); returns the index i * m_q + q.
+    The parameters broadcast against `pairs`, so one call detects bins of
+    different orders; a PAM alphabet is the m_i = 1 grid.
+    """
+    pairs /= d_min
+    pairs += np.multiply(top, 0.5)
+    np.rint(pairs, out=pairs)
+    np.maximum(pairs, 0.0, out=pairs)  # np.clip with array bounds is twice as slow
+    np.minimum(pairs, top, out=pairs)
+    return (pairs[..., 0] * m_q + pairs[..., 1]).astype(np.int64)
 
 
 def min_distance(M, power):

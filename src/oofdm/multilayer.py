@@ -4,13 +4,15 @@ unified iterative receiver with residual-clipping-noise instrumentation.
 
 A layer whose bins are all multiples of L has a frame of period N/L; a
 config's layers have nested periods (L never decreases from layer to layer).
-Each layer is synthesized, clipped and remodulated on one period. The
-receiver keeps the residual folded onto the current layer's period: when the
-next period is shorter it adds up the periods of the residual, takes the real
-FFT of that period, selects the layer's subcarriers, scales them by 2 to undo
-the clipping attenuation (except for a bias-clipped DCO layer, which is
-detected unscaled), performs ML detection, remodulates the detected layer and
-subtracts L times it from the folded residual.
+Each layer is synthesized, clipped and remodulated on one period, mapped by
+one gather from its per-bin tables (built once per layer, whatever the mix of
+orders). The receiver keeps the residual folded onto the current layer's
+period: when the next period is shorter it adds up the periods of the
+residual, takes the real FFT of that period, selects the layer's subcarriers,
+scales them by 2 to undo the clipping attenuation (except for a bias-clipped
+DCO layer, which is detected unscaled), detects all of them in one per-axis
+quantizer call, remodulates the detected layer and subtracts L times it from
+the folded residual (the last layer is remodulated only when instrumented).
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .constellation import Constellation
-from .modems import clip, effective_subcarriers, laco_layers, layer_kinds
+from .constellation import Constellation, quantize
+from .modems import effective_subcarriers, laco_layers, layer_kinds
 
 DCO_BIAS = 3.0  # in frame standard deviations, as the closed-form DCO relations assume
 
@@ -35,11 +37,39 @@ class LayerSpec:
     sym_power: np.ndarray   # E|S_j(k)|^2 per bin
 
     @cached_property
-    def constellations(self):
-        """Unit-power alphabets grouped by order, with the bin columns using each."""
+    def fold(self) -> int:
+        """Largest power of two L dividing every bin: the layer frame has period N/L."""
+        acc = int(np.bitwise_or.reduce(self.bins))
+        return acc & -acc
+
+    @cached_property
+    def tables(self) -> "LayerTables":
+        """Per-bin mapping and detection tables, built on first use."""
         make = Constellation.pam if self.kind == "pam" else Constellation.qam
-        return [(make(int(order), 1.0), np.flatnonzero(self.M == order))
-                for order in np.unique(self.M)]
+        orders, pos = np.unique(self.M, return_inverse=True)
+        alphabets = [make(int(order), 1.0) for order in orders]
+        start = np.cumsum([0] + [c.M for c in alphabets])[:-1]
+        d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
+                           for a in ("d_min", "m_i", "m_q"))
+        root = np.sqrt(self.sym_power)
+        gain = (1.0 if self.kind == "dco" else 2.0) / root
+        return LayerTables(self.bins // self.fold, np.concatenate([c.points for c in alphabets]),
+                           start[pos], root / self.fold, np.column_stack((gain, gain)),
+                           np.column_stack((d_min, d_min)), np.column_stack((m_i - 1, m_q - 1)), m_q)
+
+
+@dataclass(frozen=True)
+class LayerTables:
+    """One layer's per-bin tables, in bin order; (n_j, 2) ones hold a value per
+    axis, contiguous so that they run over (F, n_j, 2) (re, im) pairs in one pass."""
+    cols: np.ndarray       # bins // L: columns in the half spectrum of one period
+    alphabet: np.ndarray   # unit-power alphabets of the layer's orders, concatenated
+    offset: np.ndarray     # start of each bin's alphabet in `alphabet`
+    amp: np.ndarray        # load scale sqrt(P_s)/L
+    gain: np.ndarray       # (n_j, 2) observation scale 2/sqrt(P_s), 1/sqrt(P_s) for DCO
+    d_min: np.ndarray      # (n_j, 2) minimum distance of the unit alphabet
+    top: np.ndarray        # (n_j, 2) highest level index per axis, (m_i - 1, m_q - 1)
+    m_q: np.ndarray        # levels on the Q axis
 
 
 @dataclass(frozen=True)
@@ -49,7 +79,10 @@ class SchemeConfig:
     layers: list
 
     def __post_init__(self):
-        folds = [_fold_factor(sp.bins, self.n) for sp in self.layers]
+        for sp in self.layers:
+            if not (sp.bins.size and sp.bins.min() >= 1 and sp.bins.max() < self.n // 2):
+                raise ValueError("a layer needs independent bins in [1, n/2)")
+        folds = [sp.fold for sp in self.layers]
         if folds != sorted(folds):
             raise ValueError(f"layer periods must be nested: fold factors {folds} decrease")
 
@@ -109,7 +142,6 @@ class TxBatch:
     """One batch of transmitted frames plus ground truth."""
     x: np.ndarray                 # (F, N) nonnegative signal
     sym_idx: list                 # per layer (F, n_j) symbol indices
-    sym_val: list                 # per layer (F, n_j) complex loads
     bias: np.ndarray | None       # (F,) DCO bias, if any
     s: list | None = None         # per layer (F, N) pre-clipping frames
     x_layers: list | None = None  # per layer (F, N) transmitted components
@@ -122,26 +154,30 @@ def _draw_indices(rng, M, frames):
     return np.minimum((u * M).astype(np.int64), M - 1)
 
 
-def _map_symbols(spec: LayerSpec, idx):
-    vals = np.empty(idx.shape, dtype=complex)
-    for const, cols in spec.constellations:
-        vals[:, cols] = const.points[idx[:, cols]]
-    return vals * np.sqrt(spec.sym_power)
-
-
-def _fold_factor(bins, n: int) -> int:
-    """Largest power of two L dividing every bin: the layer frame has period n/L."""
-    if not (bins.size and bins.min() >= 1 and bins.max() < n // 2):
-        raise ValueError("a layer needs independent bins in [1, n/2)")
-    acc = int(np.bitwise_or.reduce(bins))
-    return acc & -acc
-
-
-def _synthesize(vals, bins, n: int, L: int):
-    """One period (length n/L) of the real frame loading `vals` on `bins`."""
-    half = np.zeros(vals.shape[:-1] + (n // (2 * L) + 1,), dtype=complex)
-    half[..., bins // L] = vals / L
+def _synthesize(spec: LayerSpec, idx, n: int):
+    """One period (length n/L) of the real frames loading symbols `idx`; the
+    scale sqrt(P_s)/L is exact as L is a power of two."""
+    tab, L = spec.tables, spec.fold
+    half = np.zeros((len(idx), n // (2 * L) + 1), dtype=complex)
+    half[:, tab.cols] = tab.alphabet[idx + tab.offset] * tab.amp
     return np.fft.irfft(half, n // L)
+
+
+def _clip(s, bias, keep: bool):
+    """(s + bias)+ with a per-frame DCO bias, else (s)+ in place unless `keep`."""
+    if bias is not None:
+        s = s + bias[:, None]
+    elif keep:
+        s = s.copy()
+    return np.maximum(s, 0.0, out=s)
+
+
+def _observations(spectrum, tables: LayerTables):
+    """The layer's bins as float (re, im) pairs (F, n_j, 2) scaled by `gain`:
+    numpy divides complex by real through the reciprocal, so this is 2*Y/sqrt(P_s)."""
+    obs = np.take(spectrum, tables.cols, axis=1).view(float).reshape(len(spectrum), -1, 2)
+    obs *= tables.gain
+    return obs
 
 
 def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
@@ -155,27 +191,22 @@ def modulate(config: SchemeConfig, sym_idx, instrument: bool = False) -> TxBatch
     if not config.layers:
         raise ValueError("the config loads no subcarrier: nothing to transmit")
     n = config.n
-    sym_val, parts, s_list, x_list = [], [], [], []
+    parts, s_list, x_list = [], [], []
     bias = None
     for spec, idx in zip(config.layers, sym_idx):
-        L = _fold_factor(spec.bins, n)
-        vals = _map_symbols(spec, idx)
-        s = _synthesize(vals, spec.bins, n, L)
+        s = _synthesize(spec, idx, n)
         if spec.kind == "dco":
             bias = DCO_BIAS * np.std(s, axis=-1)
-            x_j = clip(s + bias[:, None])
-        else:
-            x_j = clip(s)
-        sym_val.append(vals)
+        x_j = _clip(s, bias if spec.kind == "dco" else None, instrument)
         parts.append(x_j)
         if instrument:
-            s_list.append(np.tile(s, L))
-            x_list.append(np.tile(x_j, L))
+            s_list.append(np.tile(s, spec.fold))
+            x_list.append(np.tile(x_j, spec.fold))
     x = np.tile(parts[0], n // parts[0].shape[-1])
     for x_j in parts[1:]:
         periods = x.reshape(len(x), -1, x_j.shape[-1])
         periods += x_j[:, None]
-    return TxBatch(x, sym_idx, sym_val, bias,
+    return TxBatch(x, sym_idx, bias,
                    s_list if instrument else None,
                    x_list if instrument else None)
 
@@ -221,23 +252,19 @@ def receive(y, config: SchemeConfig, truth: TxBatch | None = None,
         raise ValueError("a DCO layer needs the bias side information of a truth batch")
 
     for j, spec in enumerate(config.layers):
-        L = _fold_factor(spec.bins, n)
+        tab, L = spec.tables, spec.fold
         if resid.shape[-1] > n // L:
             resid = resid.reshape(frames, -1, n // L).sum(axis=1)
-        Y = np.fft.rfft(resid)
-        scale = 1.0 if spec.kind == "dco" else 2.0
-        obs = scale * Y[:, spec.bins // L] / np.sqrt(spec.sym_power)
-        idx = np.empty(obs.shape, dtype=np.int64)
-        for const, cols in spec.constellations:
-            idx[:, cols] = const.detect(obs[:, cols])
+        idx = quantize(_observations(np.fft.rfft(resid), tab), tab.d_min, tab.top, tab.m_q)
         res.det_idx.append(idx)
-
-        s_hat = _synthesize(_map_symbols(spec, idx), spec.bins, n, L)
-        x_hat = clip(s_hat + truth.bias[:, None] if spec.kind == "dco" else s_hat)
-        resid -= L * x_hat  # resid holds the sum of L periods
-
         if truth is not None:
             res.errors.append(idx != truth.sym_idx[j])
+        if j == n_layers - 1 and not instrument:
+            break  # nothing reads the last layer's residual
+
+        s_hat = _synthesize(spec, idx, n)
+        x_hat = _clip(s_hat, truth.bias if spec.kind == "dco" else None, instrument)
+        resid -= x_hat if L == 1 else L * x_hat  # resid holds the sum of L periods
         if not instrument:
             continue
         s, s_hat, x_hat = truth.s[j], np.tile(s_hat, L), np.tile(x_hat, L)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constellation import detection_error_power, min_distance
 from .modems import affected_subcarriers
-from .multilayer import SchemeConfig, _fold_factor
+from .multilayer import SchemeConfig
 
 
 def layer_error_power(M, sym_power, noise_power, rims: int = 3) -> np.ndarray:
@@ -62,7 +62,7 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
             # the rim model covers QAM-loaded zero-clipped layers; a DCO or
             # PAM layer is last in its scheme so its residue feeds nothing
             continue
-        L = _fold_factor(spec.bins, n)  # 2^(t-1)
+        L = spec.fold  # 2^(t-1)
         k_t = n // (2 * L)
         f = layer_error_power(spec.M, spec.sym_power, p_z[spec.bins], rims)
         bin_powers[i] = 2.0 * float(np.sum(f)) / (4.0 * k_t)  # both Hermitian mirrors

@@ -1,10 +1,20 @@
-"""Test oracle: the per-layer signals of an instrumented receive, rebuilt from
-its decisions, with the receiver's per-frame powers checked against them."""
+"""Test oracles: the complex loads of symbol indices, and the per-layer
+signals of an instrumented receive, rebuilt from its decisions, with the
+receiver's per-frame powers checked against them."""
 
 import numpy as np
 
+from oofdm.constellation import Constellation
 from oofdm.modems import clip
 from oofdm.multilayer import modulate
+
+
+def layer_loads(spec, idx):
+    """Complex loads (F, n_j) of symbol indices `idx` on a layer, bin by bin:
+    the point of the bin's unit-power alphabet scaled by sqrt(P_s)."""
+    make = Constellation.pam if spec.kind == "pam" else Constellation.qam
+    points = [make(int(m), 1.0).points[i] for m, i in zip(spec.M, idx.T)]
+    return np.stack(points, axis=-1) * np.sqrt(spec.sym_power)
 
 
 def layer_signals(y, config, truth, rx):

@@ -1,6 +1,7 @@
 """Tests for channel profiles and the Monte Carlo engine."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +170,29 @@ def test_run_point_layer_errors_match_recorded(scheme, layers):
     cfg = SchemeConfig.uniform(scheme, N, 16, gamma_to_p_eff(scheme, 18.0, 1.0, layers), layers)
     out = run_point(cfg, ChannelProfile.flat(N), frames=500, seed=0)
     assert out["layer_errors"].tolist() == RECORDED_LAYER_ERRORS[scheme, layers]
+
+
+# Instrumented run_point(cfg, exponential, frames=600, seed=11, batch=250,
+# probe_bin=4) arrays, recorded before the engine mapped and detected each
+# layer in one call; the file also holds the RCN-aware allocation (18 dB,
+# p_e = 1e-2) that "alloc" loads. The same random stream must give the same
+# arrays bit for bit, on the same numpy build and CPU family.
+RECORDED_ARRAYS = Path(__file__).parent / "data" / "run_point_exponential.npz"
+
+
+@pytest.mark.parametrize("name", ["laco", "ado", "haco", "alloc"])
+def test_run_point_instrumented_arrays_match_recorded(name):
+    with np.load(RECORDED_ARRAYS) as rec:
+        recorded = dict(rec)
+    if name == "alloc":
+        cfg = SchemeConfig.from_allocation(N, recorded["alloc/bits"], recorded["alloc/powers"])
+    else:
+        layers = 9 if name == "laco" else None
+        cfg = SchemeConfig.uniform(name, N, 16, gamma_to_p_eff(name, 20.0, 1.0, layers), layers)
+    out = run_point(cfg, ChannelProfile.exponential(N), frames=600, seed=11, batch=250,
+                    instrument=True, probe_bin=4)
+    for key in ("delta_power", "err_power", "probe"):
+        assert np.array_equal(out[key], recorded[f"{name}/{key}"]), key
 
 
 @pytest.mark.parametrize("frames,batch", [(0, 500), (-3, 500), (100, 0)])

@@ -99,6 +99,28 @@ def test_power_relations_defaults_laco_layers(capsys):
     assert "P_elec=4.75" in default
 
 
+@pytest.mark.parametrize("peff", ["0", "-1", "nan"])
+def test_power_relations_with_nonpositive_peff_is_an_error(capsys, peff):
+    # 0 ended in a ZeroDivisionError traceback, -1 printed P_opt=nan and exited 0
+    rc = main(["power-relations", "--scheme", "aco", "--peff", peff, "--validate", "10",
+               "--n", "64"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "effective power must be positive" in captured.err
+    assert captured.out == ""
+
+
+def test_power_relations_with_negative_validate_is_an_error(capsys):
+    # printed "monte carlo (-5 frames): P_elec=-0 (100.00%)" and exited 0
+    rc = main(["power-relations", "--scheme", "aco", "--validate", "-5", "--n", "64"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "frames and batch must be at least 1" in captured.err
+    assert "monte carlo" not in captured.out
+
+
 def test_ser_with_zero_order_is_an_error(tmp_path, capsys):
     rc = main(["ser", "--m", "0", "--schemes", "laco", "--gammas", "20", "--runs", "10",
                "--n", "64", "--out", str(tmp_path)])
@@ -171,6 +193,17 @@ def test_rcn_stats_command(tmp_path):
     diag = [r for r in rows if r["t1"] == r["t2"]]
     assert all(abs(float(r["abs_rho"]) - 1.0) < 1e-6 for r in diag)
     assert (tmp_path / "rcn_cdf.csv").exists()
+
+
+def test_rcn_stats_with_one_frame_is_an_error(tmp_path, capsys):
+    # one frame has no spread: the covariance was written as abs_rho = nan
+    rc = main(["rcn-stats", "--n", "64", "--runs", "1", "--bin", "16", "--gammas-eff", "10",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at least 2 frames" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_allocate_command(tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, Constellation,
                                  avg_neighbor_counts, detection_error_power,
-                                 min_distance, rim_probabilities, ser_pam,
-                                 ser_qam)
+                                 min_distance, quantize, rim_probabilities,
+                                 ser_pam, ser_qam)
+from oofdm.multilayer import LayerSpec
 
 # frozen Monte Carlo oracles (ML detection, 10^6 trials, seed 20240817):
 # 16-QAM at eps/sigma2 = 100: empirical SER and its standard error
@@ -93,6 +94,29 @@ def test_detect_is_brute_force_ml(maker, M, power, coords):
     np.testing.assert_array_less(d2[np.arange(len(obs)), det], best + tol)
     unique = np.sum(d2 <= best[:, None] + tol, axis=1) == 1
     np.testing.assert_array_equal(det[unique], idx_bf[unique])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["aco", "pam"]), st.data())
+def test_layer_detector_is_brute_force_ml_per_bin(kind, data):
+    # one layer mixing every order of its kind (QAM 2..256, PAM 2..16) in
+    # random bin order; observations up to twice the unit-power extent
+    orders = [2 ** b for b in range(1, 9 if kind == "aco" else 5)]
+    M = np.array(data.draw(st.permutations(orders + data.draw(
+        st.lists(st.sampled_from(orders), max_size=8)))))
+    spec = LayerSpec(kind, 2 * np.arange(len(M)) + 1, M, np.ones(len(M)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    obs = rng.uniform(-2.0, 2.0, (50, len(M))) + 1j * rng.uniform(-2.0, 2.0, (50, len(M)))
+    tables = spec.tables
+    det = quantize(obs.copy()[..., None].view(float), tables.d_min, tables.top, tables.m_q)
+    make = Constellation.pam if kind == "pam" else Constellation.qam
+    for b, order in enumerate(M):
+        c = make(int(order), 1.0)
+        np.testing.assert_array_equal(det[:, b], c.detect(obs[:, b]))
+        idx_bf, _ = ml_detect(obs[:, b], c)
+        d2 = np.abs(obs[:, b, None] - c.points) ** 2
+        unique = np.sum(d2 <= d2.min(axis=1, keepdims=True) + 1e-9, axis=1) == 1
+        np.testing.assert_array_equal(det[unique, b], idx_bf[unique])
 
 
 def test_detect_roundtrip_noiseless():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermitian import hermitian_embed
-from layer_signals import layer_signals
+from layer_signals import layer_loads, layer_signals
+from oofdm.constellation import Constellation
 from oofdm.modems import effective_subcarriers
-from oofdm.multilayer import (LayerSpec, SchemeConfig, draw_symbols, modulate,
-                               receive, transmit)
+from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
+                               modulate, receive, transmit)
 
 N = 1024
 
@@ -64,12 +65,39 @@ def test_config_rejects_decreasing_fold_factors():
         SchemeConfig("ado", N, ado.layers[::-1])
 
 
-def test_layer_alphabets_are_built_once():
+def test_layer_alphabets_are_built_once(monkeypatch):
     bits = np.full(N, 2)
     bits[3::4] = 3  # layer 1 mixes 4-QAM and 8-QAM
-    spec = SchemeConfig.from_allocation(N, bits, np.ones(N)).layers[0]
-    assert spec.constellations is spec.constellations
-    assert [c.M for c, _ in spec.constellations] == [4, 8]
+    cfg = SchemeConfig.from_allocation(N, bits, np.ones(N))
+    spec = cfg.layers[0]
+    tables = spec.tables
+    assert spec.tables is tables
+    unit = [Constellation.qam(m, 1.0).points for m in (4, 8)]
+    np.testing.assert_array_equal(tables.alphabet, np.concatenate(unit))
+    np.testing.assert_array_equal(tables.offset, np.where(spec.M == 8, 4, 0))
+    # a second transmit and receive builds no alphabet
+    built = []
+    qam = Constellation.qam
+    monkeypatch.setattr(Constellation, "qam", lambda M, power: built.append(M) or qam(M, power))
+    for _ in range(2):
+        tx = transmit(cfg, np.random.default_rng(0), 2)
+        receive(tx.x, cfg, truth=tx)
+        assert built == [4] * (len(cfg.layers) - 1)  # layers 2..9 on first use only
+
+
+@pytest.mark.parametrize("scheme", ["laco", "ado", "haco"])
+def test_observations_equal_scaled_spectrum_exactly(scheme):
+    # one real multiply of the (re, im) pairs by 2/sqrt(P_s) (1/sqrt(P_s) for
+    # a DCO layer) is exactly the complex scaling 2 * Y / sqrt(P_s)
+    rng = np.random.default_rng(12)
+    cfg = SchemeConfig.uniform(scheme, N, 16, 3.0, 9 if scheme == "laco" else None)
+    for spec in cfg.layers:
+        power = spec.sym_power * rng.uniform(0.1, 10.0, spec.sym_power.shape)
+        spec = LayerSpec(spec.kind, spec.bins, spec.M, power)
+        Y = np.fft.rfft(rng.standard_normal((5, N // spec.fold)))
+        ref = (1.0 if spec.kind == "dco" else 2.0) * Y[:, spec.bins // spec.fold] / np.sqrt(power)
+        obs = _observations(Y, spec.tables)
+        assert np.array_equal(obs[..., 0], ref.real) and np.array_equal(obs[..., 1], ref.imag)
 
 
 def test_config_without_layers_has_nothing_to_transmit():
@@ -217,8 +245,8 @@ def _pruned_layer(data, kind, candidates):
 
 def _check_folded_frames_and_noiseless_detection(cfg):
     tx = transmit(cfg, np.random.default_rng(0), 4, instrument=True)
-    for spec, vals, s in zip(cfg.layers, tx.sym_val, tx.s):
-        ref = np.fft.ifft(hermitian_embed(vals, spec.bins, cfg.n))
+    for spec, idx, s in zip(cfg.layers, tx.sym_idx, tx.s):
+        ref = np.fft.ifft(hermitian_embed(layer_loads(spec, idx), spec.bins, cfg.n))
         np.testing.assert_allclose(s, ref.real, rtol=0, atol=1e-12)
     rx = receive(tx.x, cfg, truth=tx)
     for spec, err in zip(cfg.layers, rx.errors):
@@ -266,7 +294,7 @@ def test_modulate_over_row_splits_equals_transmit(scheme_layers, frames, data):
              for lo, hi in zip([0] + cuts, cuts + [frames])]
     np.testing.assert_array_equal(np.concatenate([p.x for p in parts]), whole.x)
     for j in range(len(cfg.layers)):
-        for field in ("sym_idx", "sym_val", "s", "x_layers"):
+        for field in ("sym_idx", "s", "x_layers"):
             got = np.concatenate([getattr(p, field)[j] for p in parts])
             np.testing.assert_array_equal(got, getattr(whole, field)[j])
     if whole.bias is not None:

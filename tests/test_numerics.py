@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from layer_signals import layer_loads
 from oofdm.modems import affected_subcarriers, effective_subcarriers
 from oofdm.multilayer import SchemeConfig, transmit
 from oofdm.numerics import qfunc, qfunc_inv, spawn_seeds
@@ -46,8 +47,9 @@ def test_fft_parseval():
     s = tx.s[0][0]
     X = np.fft.fft(s)
     bins = cfg.layers[0].bins
-    np.testing.assert_allclose(X[bins], tx.sym_val[0][0], atol=1e-9)
-    np.testing.assert_allclose(X[256 - bins], np.conj(tx.sym_val[0][0]), atol=1e-9)
+    loads = layer_loads(cfg.layers[0], tx.sym_idx[0])[0]
+    np.testing.assert_allclose(X[bins], loads, atol=1e-9)
+    np.testing.assert_allclose(X[256 - bins], np.conj(loads), atol=1e-9)
     assert np.sum(s ** 2) == pytest.approx(np.sum(np.abs(X) ** 2) / 256)
 
 
