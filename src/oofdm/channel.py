@@ -4,10 +4,12 @@ clipping-noise power measurement, statistics).
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
 otherwise; a received frame is never inverted. Each seeded batch draws its
-symbols whole, then modulates, draws the noise of and receives one row block
+symbols whole, then modulates, draws the noise of and detects one row block
 of about 512 KiB of frame samples at a time, so that a block's signals stay
-in cache. The generator fills in order and every step is row-independent:
-results depend on (seed, batch size) only, never on the block.
+in cache; `multilayer.layer_noise` measures an instrumented block's RCN from
+its sent and detected indices. The generator fills in order and every step
+is row-independent: results depend on (seed, batch size) only, never on the
+block.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .modems import layer_index, layer_kinds, power_relations
-from .multilayer import SchemeConfig, draw_symbols, modulate, receive, transmit
+from .multilayer import SchemeConfig, draw_symbols, layer_noise, modulate, receive, transmit
 from .numerics import spawn_seeds
 
 DEFAULT_FRAMES = 10_000
@@ -31,8 +33,8 @@ _BLOCK_ELEMS = 1 << 16
 class ChannelProfile:
     """Per-subcarrier gain H(k) plus the pre-equalization white-noise power.
 
-    A real frame sees |H(k)| = |H(N-k)|, and equalization needs H(k) != 0;
-    a profile that breaks either is rejected when it is built.
+    A real frame sees |H(k)| = |H(N-k)|, and equalization needs a finite,
+    nonzero H(k); a profile that breaks either is rejected when it is built.
     """
     n: int
     noise_power: float = 1.0
@@ -40,8 +42,8 @@ class ChannelProfile:
 
     def __post_init__(self):
         g = self.gain
-        if np.any(g == 0.0):
-            raise ValueError("channel gain must be nonzero on all bins")
+        if not np.all(np.isfinite(g) & (g != 0.0)):
+            raise ValueError("channel gain must be finite and nonzero on all bins")
         if not np.allclose(g, np.roll(g[::-1], 1)):
             raise ValueError("channel magnitude must satisfy |H(k)| = |H(N-k)|")
 
@@ -155,21 +157,18 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     """
     sizes = _batches(frames, batch)
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
-    frame_err, delta_p, err_p, probes = [], [], [], []
+    frame_err, noise = [], []
     for size, ss in zip(sizes, spawn_seeds(seed, len(sizes))):
         rng = np.random.default_rng(ss)
         sym_idx = draw_symbols(scheme_cfg, rng, size)
         for lo in range(0, size, rows):
-            tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx], instrument)
+            tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx])
             y = post_eq_noise(profile, rng, len(tx.x))
             y += tx.x
-            rx = receive(y, scheme_cfg, truth=tx, instrument=instrument, probe_bin=probe_bin)
-            frame_err.append([np.count_nonzero(e, axis=1) for e in rx.errors])
+            det_idx = receive(y, scheme_cfg)
+            frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, tx.sym_idx)])
             if instrument:
-                delta_p.append(rx.delta_power)
-                err_p.append(rx.err_power)
-                if probe_bin is not None:
-                    probes.append(rx.probe)
+                noise.append(layer_noise(scheme_cfg, tx, det_idx, probe_bin))
     frame_err = np.concatenate(frame_err, axis=1)          # (J, frames)
     err_counts = frame_err.sum(axis=1)
     n_bins = np.array([len(sp.bins) for sp in scheme_cfg.layers])
@@ -186,11 +185,9 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
         "layer_stderr": se[1:].tolist(),
         "frames": frames,
     }
-    if instrument:
-        out["delta_power"] = np.concatenate(delta_p, axis=1)   # (J, frames)
-        out["err_power"] = np.concatenate(err_p, axis=1)
-        if probe_bin is not None:
-            out["probe"] = np.concatenate(probes, axis=1)      # (J, frames) complex
+    for key, parts in zip(("delta_power", "err_power", "probe"), zip(*noise)):
+        if parts[0] is not None:  # no probe without a probe bin
+            out[key] = np.concatenate(parts, axis=1)   # (J, frames)
     return out
 
 
@@ -225,8 +222,6 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
     standard deviation of their combined sample set, and reports the
     normalized covariance matrix and Kolmogorov-Smirnov distances to N(0,1).
     """
-    if cfg.frames < 2:
-        raise ValueError(f"rcn statistics need at least 2 frames, got {cfg.frames}")
     t_max = _probed_layers(cfg.n, probe_bin)
     if t_max == 0:
         raise ValueError(f"probe bin {probe_bin} is not affected by any layer")
@@ -235,6 +230,9 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
         samples = point["probe"][:t_max]            # (T, frames)
         centered = samples - samples.mean(axis=1, keepdims=True)
         var = np.mean(np.abs(centered) ** 2, axis=1)
+        if not np.all(var > 0):  # one frame, or no detection error on a layer
+            raise ValueError(f"layer {np.argmin(var > 0) + 1} has no clipping-noise spread at {gamma:g}"
+                             f" dB in {cfg.frames} frame(s): use a lower SNR or more --runs")
         rho = (centered @ centered.conj().T) / samples.shape[1]
         rho /= np.sqrt(np.outer(var, var))
         sd = np.std(np.concatenate([samples.real, samples.imag], axis=1), axis=1, keepdims=True)

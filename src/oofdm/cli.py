@@ -26,7 +26,7 @@ from .channel import (ChannelProfile, ExperimentConfig, measure_power_relations,
                       measure_rcn_power, post_eq_noise, rcn_statistics,
                       run_point, run_ser_experiment)
 from .modems import layer_index, layer_kinds, power_relations
-from .multilayer import SchemeConfig, modulate, receive, transmit
+from .multilayer import SchemeConfig, layer_frames, receive, transmit
 from .rcn import worst_case_noise
 from .ser import evaluate_ser
 
@@ -155,7 +155,7 @@ def _dump_frame(out_dir: Path, cfg: ExperimentConfig, gamma: float) -> Path:
     rng = np.random.default_rng(cfg.seed)
     tx = transmit(scheme_cfg, rng, 1)
     y = tx.x + post_eq_noise(cfg.profile(), rng, 1)
-    s_hat = modulate(scheme_cfg, receive(y, scheme_cfg, truth=tx).det_idx, instrument=True).s
+    s_hat, _ = layer_frames(scheme_cfg, receive(y, scheme_cfg), tx.bias)
     header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
     rows = [[i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
     path = out_dir / f"frame_{cfg.scheme}.csv"
@@ -286,22 +286,39 @@ def build_parser():
     return ap
 
 
-def _apply_config(args, argv):
-    """Fill options from the --config JSON file; flags given on the command
-    line win. A key that names no option of the subcommand is an error."""
+def _apply_config(ap, args, argv):
+    """Fill options from the --config JSON file, each value parsed as its flag
+    would be; given flags win, and a key that names no option is an error."""
     with open(args.config) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise ValueError(f"{args.config}: expected a JSON object of option defaults")
-    options = set(vars(args)) - {"command", "func"}
-    unknown = [key for key in defaults if key.replace("-", "_") not in options]
+    sub = next(a for a in ap._actions if a.dest == "command").choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
+    unknown = [key for key in defaults if key not in actions]
     if unknown:
         raise ValueError(f"{args.config}: unknown {args.command} option(s): {', '.join(unknown)}")
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in defaults.items():
-        key = key.replace("-", "_")
-        if key not in given:
-            setattr(args, key, value)
+    values = {key: _config_value(f"{args.config}: {key}", actions[key], v) for key, v in defaults.items()}
+    for action in actions.values():
+        action.default = argparse.SUPPRESS  # a second parse then holds the given flags only
+    given = vars(ap.parse_args(argv))
+    vars(args).update({dest: v for dest, v in values.items() if dest not in given})
+
+
+def _config_value(where: str, action, value):
+    """A --config value as its option would parse it from the command line."""
+    switch = action.nargs == 0
+    if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+        kind = "true or false" if switch else "a string or number"
+        raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
+    try:
+        value = value if switch else (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(f"{where}: invalid {action.type.__name__} value {str(value)!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{where}: {value} is not one of {', '.join(map(str, action.choices))}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -309,7 +326,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, argv if argv is not None else sys.argv[1:])
+            _apply_config(ap, args, argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,11 @@ def laco_layers(n: int) -> int:
 
 def layer_kinds(scheme: str, n: int, layers: int | None = None) -> tuple:
     """Clipping behavior of each layer of a scheme; LACO has `layers` layers,
-    by default every layer a length-N frame holds."""
+    at most and by default every layer a length-N frame holds."""
     scheme = scheme.lower()
     if scheme == "laco":
+        if layers is not None and not 1 <= layers <= laco_layers(n):
+            raise ValueError(f"laco needs 1 to {laco_layers(n)} layers for N={n}, got {layers}")
         return ("aco",) * (laco_layers(n) if layers is None else layers)
     if scheme in LAYER_KINDS:
         return LAYER_KINDS[scheme]

@@ -1,18 +1,15 @@
-"""Multi-layer optical OFDM: the one superposition transmitter for every
-scheme (single-layer ACO/DCO/PAM-DMT and layered ADO/HACO/LACO) and the
-unified iterative receiver with residual-clipping-noise instrumentation.
+"""Multi-layer optical OFDM: one superposition transmitter for every scheme, a
+detect-only iterative receiver, and the residual clipping noise (RCN) of its decisions.
 
 A layer whose bins are all multiples of L has a frame of period N/L; a
-config's layers have nested periods (L never decreases from layer to layer).
-Each layer is synthesized, clipped and remodulated on one period, mapped by
-one gather from its per-bin tables (built once per layer, whatever the mix of
-orders). The receiver keeps the residual folded onto the current layer's
-period: when the next period is shorter it adds up the periods of the
-residual, takes the real FFT of that period, selects the layer's subcarriers,
-scales them by 2 to undo the clipping attenuation (except for a bias-clipped
-DCO layer, which is detected unscaled), detects all of them in one per-axis
-quantizer call, remodulates the detected layer and subtracts L times it from
-the folded residual (the last layer is remodulated only when instrumented).
+config's layers have nested periods (L never decreases from layer to layer),
+and only the last may be DCO or PAM. Each layer is synthesized, clipped and
+remodulated on one period, mapped by one gather from its per-bin tables. The
+receiver only detects: it keeps the residual folded onto the current layer's
+period, takes its real FFT, scales the layer's bins by 2 to undo the clipping
+attenuation (a bias-clipped DCO layer is detected unscaled), detects them in
+one quantizer call and, but for the last layer, subtracts L times the layer
+remodulated. `layer_noise` measures the RCN from the sent and detected indices.
 """
 from __future__ import annotations
 
@@ -85,6 +82,8 @@ class SchemeConfig:
         folds = [sp.fold for sp in self.layers]
         if folds != sorted(folds):
             raise ValueError(f"layer periods must be nested: fold factors {folds} decrease")
+        if any(sp.kind != "aco" for sp in self.layers[:-1]):
+            raise ValueError("only the last layer may be a DCO or PAM layer")
 
     @property
     def n_loaded(self) -> int:
@@ -143,15 +142,6 @@ class TxBatch:
     x: np.ndarray                 # (F, N) nonnegative signal
     sym_idx: list                 # per layer (F, n_j) symbol indices
     bias: np.ndarray | None       # (F,) DCO bias, if any
-    s: list | None = None         # per layer (F, N) pre-clipping frames
-    x_layers: list | None = None  # per layer (F, N) transmitted components
-
-
-def _draw_indices(rng, M, frames):
-    # one uniform draw per bin keeps the stream layout independent of how
-    # bins group by constellation order
-    u = rng.random((frames, len(M)))
-    return np.minimum((u * M).astype(np.int64), M - 1)
 
 
 def _synthesize(spec: LayerSpec, idx, n: int):
@@ -163,15 +153,6 @@ def _synthesize(spec: LayerSpec, idx, n: int):
     return np.fft.irfft(half, n // L)
 
 
-def _clip(s, bias, keep: bool):
-    """(s + bias)+ with a per-frame DCO bias, else (s)+ in place unless `keep`."""
-    if bias is not None:
-        s = s + bias[:, None]
-    elif keep:
-        s = s.copy()
-    return np.maximum(s, 0.0, out=s)
-
-
 def _observations(spectrum, tables: LayerTables):
     """The layer's bins as float (re, im) pairs (F, n_j, 2) scaled by `gain`:
     numpy divides complex by real through the reciprocal, so this is 2*Y/sqrt(P_s)."""
@@ -181,103 +162,83 @@ def _observations(spectrum, tables: LayerTables):
 
 
 def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
-    """Random symbol indices per layer (frames, n_j), drawn in layer order from `rng`."""
-    return [_draw_indices(rng, spec.M, frames) for spec in config.layers]
+    """Random symbol indices per layer (frames, n_j), one uniform draw per bin in layer order
+    from `rng`, so the stream layout does not depend on how bins group by order."""
+    return [np.minimum((rng.random((frames, len(spec.M))) * spec.M).astype(np.int64), spec.M - 1)
+            for spec in config.layers]
 
 
-def modulate(config: SchemeConfig, sym_idx, instrument: bool = False) -> TxBatch:
+def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
     """Map, synthesize and clip each layer on one period, then add the layers
     in layer order onto the first layer's frame tiled to full length."""
     if not config.layers:
         raise ValueError("the config loads no subcarrier: nothing to transmit")
-    n = config.n
-    parts, s_list, x_list = [], [], []
-    bias = None
+    n, parts, bias = config.n, [], None
     for spec, idx in zip(config.layers, sym_idx):
         s = _synthesize(spec, idx, n)
-        if spec.kind == "dco":
+        if spec.kind == "dco":  # the last layer, clipped at a per-frame bias
             bias = DCO_BIAS * np.std(s, axis=-1)
-        x_j = _clip(s, bias if spec.kind == "dco" else None, instrument)
-        parts.append(x_j)
-        if instrument:
-            s_list.append(np.tile(s, spec.fold))
-            x_list.append(np.tile(x_j, spec.fold))
+            s += bias[:, None]
+        parts.append(np.maximum(s, 0.0, out=s))
     x = np.tile(parts[0], n // parts[0].shape[-1])
     for x_j in parts[1:]:
         periods = x.reshape(len(x), -1, x_j.shape[-1])
         periods += x_j[:, None]
-    return TxBatch(x, sym_idx, bias,
-                   s_list if instrument else None,
-                   x_list if instrument else None)
+    return TxBatch(x, sym_idx, bias)
 
 
-def transmit(config: SchemeConfig, rng, frames: int, instrument: bool = False) -> TxBatch:
+def transmit(config: SchemeConfig, rng, frames: int) -> TxBatch:
     """Draw random symbols for every layer and superpose the layer signals."""
-    return modulate(config, draw_symbols(config, rng, frames), instrument)
+    return modulate(config, draw_symbols(config, rng, frames))
 
 
-@dataclass
-class RxResult:
-    det_idx: list                       # per layer (F, n_j) detected indices
-    errors: list | None = None          # per layer (F, n_j) bool, needs truth
-    delta_power: np.ndarray | None = None   # (J, F) per-frame mean delta^2
-    err_power: np.ndarray | None = None     # (J, F) per-frame mean e^2
-    probe: np.ndarray | None = None         # (J, F) complex FFT(delta)[probe_bin]
-
-
-def receive(y, config: SchemeConfig, truth: TxBatch | None = None,
-            instrument: bool = False, probe_bin: int | None = None) -> RxResult:
-    """Iterative layer-by-layer detection of an equalized frame batch.
-
-    With `truth` supplied, detection errors are scored; a DCO layer needs it
-    for the bias side information. With `instrument`, the per-layer residual
-    clipping noise delta_t and detection error e_t are measured (requires a
-    truth batch transmitted with instrument=True).
-    """
+def receive(y, config: SchemeConfig) -> list:
+    """Iterative layer-by-layer detection of an equalized frame batch: the
+    detected symbol indices (F, n_j) of each layer."""
     resid = np.atleast_2d(np.asarray(y, dtype=float)).copy()  # folded as layers go
-    n = config.n
-    frames = resid.shape[0]
-    n_layers = len(config.layers)
-    res = RxResult(det_idx=[])
-    if truth is not None:
-        res.errors = []
-    if instrument:
-        if truth is None or truth.s is None:
-            raise ValueError("instrumented receive needs an instrumented truth batch")
-        res.delta_power = np.zeros((n_layers, frames))
-        res.err_power = np.zeros((n_layers, frames))
-        if probe_bin is not None:
-            res.probe = np.zeros((n_layers, frames), dtype=complex)
-    if truth is None and any(spec.kind == "dco" for spec in config.layers):
-        raise ValueError("a DCO layer needs the bias side information of a truth batch")
-
-    for j, spec in enumerate(config.layers):
+    n, frames, det_idx = config.n, resid.shape[0], []
+    for spec in config.layers:
         tab, L = spec.tables, spec.fold
         if resid.shape[-1] > n // L:
             resid = resid.reshape(frames, -1, n // L).sum(axis=1)
-        idx = quantize(_observations(np.fft.rfft(resid), tab), tab.d_min, tab.top, tab.m_q)
-        res.det_idx.append(idx)
-        if truth is not None:
-            res.errors.append(idx != truth.sym_idx[j])
-        if j == n_layers - 1 and not instrument:
+        det_idx.append(quantize(_observations(np.fft.rfft(resid), tab), tab.d_min, tab.top, tab.m_q))
+        if len(det_idx) == len(config.layers):
             break  # nothing reads the last layer's residual
-
-        s_hat = _synthesize(spec, idx, n)
-        x_hat = _clip(s_hat, truth.bias if spec.kind == "dco" else None, instrument)
+        x_hat = _synthesize(spec, det_idx[-1], n)
+        np.maximum(x_hat, 0.0, out=x_hat)  # zero-clipped: only the last layer may be DCO
         resid -= x_hat if L == 1 else L * x_hat  # resid holds the sum of L periods
-        if not instrument:
-            continue
-        s, s_hat, x_hat = truth.s[j], np.tile(s_hat, L), np.tile(x_hat, L)
+    return det_idx
+
+
+def _full_frames(spec: LayerSpec, idx, n: int, bias):
+    """One layer's full-length pre-clipping and clipped frames (F, N)."""
+    s = _synthesize(spec, idx, n)
+    x = np.maximum(s + bias[:, None] if spec.kind == "dco" else s, 0.0)
+    return np.tile(s, spec.fold), np.tile(x, spec.fold)
+
+
+def layer_frames(config: SchemeConfig, sym_idx, bias=None):
+    """Full-length pre-clipping and clipped frames s, x (per layer (F, N)) loading `sym_idx`;
+    a DCO layer is clipped at the per-frame `bias` it then needs."""
+    frames = [_full_frames(spec, idx, config.n, bias) for spec, idx in zip(config.layers, sym_idx)]
+    return [s for s, _ in frames], [x for _, x in frames]
+
+
+def layer_noise(config: SchemeConfig, truth: TxBatch, det_idx, probe_bin: int | None = None):
+    """Per-frame RCN power mean(delta_t^2), error power mean(e_t^2) and RCN sample FFT(delta_t)
+    at `probe_bin` (or None) of each layer, as (J, F) arrays, from sent and detected indices."""
+    ph = None if probe_bin is None else np.exp(-2j * np.pi * probe_bin * np.arange(config.n) / config.n)
+    delta_power, err_power, probe = [], [], []
+    for spec, sent, det in zip(config.layers, truth.sym_idx, det_idx):  # one layer's frames at a time
+        (s, x), (s_hat, x_hat) = (_full_frames(spec, idx, config.n, truth.bias) for idx in (sent, det))
         e = s_hat - s
         if spec.kind == "dco":
             # bias-clipped layer: residual after subtraction, shifted
             # so that the three-term decomposition stays exact
-            delta = truth.x_layers[j] - x_hat + 0.5 * e
+            delta = x - x_hat + 0.5 * e
         else:
             delta = 0.5 * (np.abs(s) - np.abs(s + e))
-        res.delta_power[j] = np.mean(delta ** 2, axis=-1)
-        res.err_power[j] = np.mean(e ** 2, axis=-1)
-        if probe_bin is not None:
-            ph = np.exp(-2j * np.pi * probe_bin * np.arange(n) / n)
-            res.probe[j] = delta @ ph
-    return res
+        delta_power.append(np.mean(delta ** 2, axis=-1))
+        err_power.append(np.mean(e ** 2, axis=-1))
+        probe.append(None if ph is None else delta @ ph)
+    return np.array(delta_power), np.array(err_power), None if ph is None else np.array(probe)

@@ -5,7 +5,7 @@ transmitter structural invariants, worst-case clipping-noise power, clipping
 noise statistics, SER curves, the allocation closed loop, and oracle
 equivalence of the analytic building blocks. Each test prints a single
 PASS/FAIL line. Frame counts follow the reference experiments (10^4 frames,
-N = 1024, unit noise power), so the full suite takes a few minutes.
+N = 1024, unit noise power), so these tests take most of the suite's time.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from oofdm.channel import (ChannelProfile, ExperimentConfig,
                            rcn_statistics, run_point)
 from oofdm.constellation import Constellation, detection_error_power
 from oofdm.modems import power_relations
-from oofdm.multilayer import SchemeConfig, receive, transmit
+from oofdm.multilayer import SchemeConfig, layer_frames, receive, transmit
 from oofdm.rcn import worst_case_noise
 from oofdm.ser import evaluate_ser
 
@@ -78,34 +78,35 @@ def test_criterion_2_structural_invariants():
 
     # clipping a layered frame keeps its noise off the odd bins
     cfg = SchemeConfig.uniform("laco", N, 16, 10.0, layers=9)
-    tx = transmit(cfg, rng, 50, instrument=True)
-    D1 = np.fft.fft(tx.x_layers[0] - tx.s[0] / 2.0)
+    tx = transmit(cfg, rng, 50)
+    s_layers, x_layers = layer_frames(cfg, tx.sym_idx)
+    D1 = np.fft.fft(x_layers[0] - s_layers[0] / 2.0)
     odd = np.arange(1, N, 2)
     leak = np.max(np.abs(D1[:, odd])) / np.max(np.abs(D1))
     checks.append(("aco clip noise on even bins", leak < 1e-12))
 
     # pre-clipping half-frame antisymmetry of layer 1
-    s = tx.s[0]
+    s = s_layers[0]
     asym = np.max(np.abs(s[:, : N // 2] + s[:, N // 2:])) / np.max(np.abs(s))
     checks.append(("aco antisymmetry", asym < 1e-9))
 
     # PAM-DMT clipping noise purely real in frequency
     haco = SchemeConfig.uniform("haco", N, 16, 10.0)
-    txh = transmit(haco, rng, 50, instrument=True)
-    D2 = np.fft.fft(txh.x_layers[1] - txh.s[1] / 2.0)
+    txh = transmit(haco, rng, 50)
+    s_layers, x_layers = layer_frames(haco, txh.sym_idx)
+    D2 = np.fft.fft(x_layers[1] - s_layers[1] / 2.0)
     pam_resid = np.max(np.abs(D2.imag)) / np.max(np.abs(D2))
     checks.append(("pam clip noise real", pam_resid < 1e-9))
 
     # DCO residual clip rate below 0.2% with the 3-sigma bias
     ado = SchemeConfig.uniform("ado", N, 16, 10.0)
-    txa = transmit(ado, rng, 50, instrument=True)
-    clip_rate = np.mean(txa.s[1] + txa.bias[:, None] < 0.0)
+    txa = transmit(ado, rng, 50)
+    clip_rate = np.mean(layer_frames(ado, txa.sym_idx, txa.bias)[0][1] + txa.bias[:, None] < 0.0)
     checks.append(("dco clip rate < 0.2%", clip_rate < 0.002))
 
     # |delta_t| <= |e_t|/2 on every simulated frame of a noisy run
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True)
-    e, delta, _ = layer_signals(y, cfg, tx, rx)
+    e, delta, _ = layer_signals(y, cfg, tx, receive(y, cfg))
     bound_ok = all(np.all(np.abs(delta[j]) <= 0.5 * np.abs(e[j]) + 1e-12)
                    for j in range(9))
     checks.append(("|delta| <= |e|/2", bound_ok))

@@ -69,11 +69,13 @@ def test_post_eq_noise_rejects_asymmetric_gain():
         post_eq_noise(ChannelProfile(N, 1.0, h), np.random.default_rng(0), 1)
 
 
-@pytest.mark.parametrize("k,gain", [(3, 0.5), (3, 0.0), (0, 0.0), (N // 2, 0.0)])
+@pytest.mark.parametrize("k,gain", [(3, 0.5), (3, 0.0), (0, 0.0), (N // 2, 0.0),
+                                    pytest.param([3, N - 3], np.inf, id="mirrored-inf"),
+                                    pytest.param([3, N - 3], np.nan, id="mirrored-nan")])
 def test_profile_rejects_bad_gains_when_built(k, gain):
     h = np.ones(N)
-    h[k] = gain
-    with pytest.raises(ValueError):
+    h[k] = gain  # a non-finite gain on both mirrors breaks nothing else
+    with pytest.raises(ValueError, match=None if np.isfinite(gain) else "must be finite"):
         ChannelProfile(N, 1.0, h)
 
 
@@ -113,8 +115,8 @@ def test_run_point_stderr_definition():
     for ss in spawn_seeds(0, 2):
         rng = np.random.default_rng(ss)
         tx = transmit(cfg, rng, 150)
-        rx = receive(tx.x + post_eq_noise(prof, rng, 150), cfg, truth=tx)
-        counts.append([np.count_nonzero(e, axis=1) for e in rx.errors])
+        det_idx = receive(tx.x + post_eq_noise(prof, rng, 150), cfg)
+        counts.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, tx.sym_idx)])
     counts = np.concatenate(counts, axis=1)  # (J, frames)
     frame_ser = 2.0 * counts.sum(axis=0) / cfg.n_loaded
     assert out["ser"] == pytest.approx(frame_ser.mean(), rel=1e-12)

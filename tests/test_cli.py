@@ -202,7 +202,7 @@ def test_rcn_stats_with_one_frame_is_an_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "at least 2 frames" in err
+    assert "no clipping-noise spread" in err and "1 frame(s)" in err and "--runs" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -310,3 +310,81 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     rc = main(["power-relations", "--scheme", "aco", "--config", str(cfg)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _ser_rows(path):
+    with open(path / "ser.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_abbreviated_flag_wins_over_the_config_file(tmp_path):
+    # argparse reads --gamma as --gammas, so the config must not overwrite it
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"gammas": "30"}))
+    rc = main(["ser", "--schemes", "aco", "--gamma", "10", "--n", "64", "--runs", "20",
+               "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    assert [float(r["gamma_db"]) for r in _ser_rows(tmp_path)] == [10.0]
+
+
+def test_config_values_go_through_the_option_types(tmp_path):
+    # JSON "20" and 10 mean what --runs 20 and --gammas 10 mean
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"runs": "20", "gammas": 10, "rims": 2, "selective": True}))
+    rc = main(["ser", "--schemes", "aco", "--n", "64", "--config", str(cfg),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert [float(r["gamma_db"]) for r in _ser_rows(tmp_path)] == [10.0]
+    manifest = json.loads((tmp_path / "ser_manifest.json").read_text())["config"]
+    assert (manifest["runs"], manifest["gammas"], manifest["rims"]) == (20, "10", 2)
+    assert manifest["selective"] is True
+
+
+@pytest.mark.parametrize("config,key", [({"runs": "many"}, "runs"), ({"runs": 2.5}, "runs"),
+                                        ({"runs": True}, "runs"), ({"rims": 4}, "rims"),
+                                        ({"selective": "yes"}, "selective"),
+                                        ({"gammas": [10, 20]}, "gammas")])
+def test_config_value_of_the_wrong_type_is_an_error(tmp_path, capsys, config, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["ser", "--schemes", "aco", "--n", "64", "--runs", "20",
+               "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "ser.csv").exists()
+
+
+@pytest.mark.parametrize("gain", ["inf", "nan"])
+def test_channel_file_with_nonfinite_gain_is_an_error(tmp_path, capsys, gain):
+    # an infinite gain on both mirrors left those bins noiseless
+    path = tmp_path / "h.csv"
+    path.write_text(f"k,h\n3,{gain}\n61,{gain}\n")
+    rc = main(["ser", "--n", "64", "--schemes", "haco", "--gammas", "20", "--runs", "10",
+               "--channel", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not (tmp_path / "ser.csv").exists()
+
+
+@pytest.mark.parametrize("layers,n", [("0", "1024"), ("-1", "1024"), ("12", "1024"), ("4", "16")])
+def test_power_relations_with_impossible_laco_layers_is_an_error(capsys, layers, n):
+    rc = main(["power-relations", "--scheme", "laco", "--layers", layers, "--n", n])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"got {layers}" in err and "P_opt" not in out
+
+
+def test_rcn_stats_without_clipping_noise_on_a_layer_is_an_error(tmp_path, capsys):
+    # at 60 dB no symbol is misdetected, so layer 1 leaves no residual clipping noise
+    rc = main(["rcn-stats", "--gammas-eff", "60", "--runs", "50", "--n", "64", "--bin", "4",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "layer 1" in err and "60 dB" in err and "--runs" in err
+    assert not list(tmp_path.glob("*.csv"))

@@ -7,16 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from oofdm.modems import (affected_subcarriers, clip, effective_subcarriers,
                           layer_index, laco_ratios, power_relations)
-from oofdm.multilayer import SchemeConfig, transmit
+from oofdm.multilayer import SchemeConfig, layer_frames, transmit
 
 N = 1024
 
 
 def _single_layer(scheme):
-    """20 instrumented frames of a one-layer scheme, as `transmit` sends them."""
+    """20 frames of a one-layer scheme as `transmit` sends them, with their
+    pre-clipping and clipped layer frames."""
     cfg = SchemeConfig.uniform(scheme, N, 16, 10.0)
     seed = {"aco": 1, "pam": 3, "dco": 4}[scheme]
-    return transmit(cfg, np.random.default_rng(seed), 20, instrument=True)
+    tx = transmit(cfg, np.random.default_rng(seed), 20)
+    (s,), (x,) = layer_frames(cfg, tx.sym_idx, tx.bias)
+    return tx, s, x
 
 
 def test_effective_subcarriers_layer_one_is_odd():
@@ -132,11 +135,10 @@ def test_clip():
 def test_single_layer_transmit(scheme):
     # the sent frame is the clipped pre-clip frame, which loads only the
     # scheme's effective subcarriers
-    tx = _single_layer(scheme)
-    s = tx.s[0]
+    tx, s, x = _single_layer(scheme)
     shift = 0.0 if tx.bias is None else tx.bias[:, None]
     np.testing.assert_array_equal(tx.x, clip(s + shift))
-    np.testing.assert_array_equal(tx.x, tx.x_layers[0])
+    np.testing.assert_array_equal(tx.x, x)
     assert np.all(tx.x >= 0.0)
     S = np.fft.fft(s)
     off = np.setdiff1d(np.arange(N), effective_subcarriers(scheme, 1, N))
@@ -144,31 +146,29 @@ def test_single_layer_transmit(scheme):
 
 
 def test_aco_clipping_noise_on_even_bins():
-    tx = _single_layer("aco")
+    _, s, x = _single_layer("aco")
     # clipping halves the odd-bin content and moves the rest to even bins
-    D = np.fft.fft(tx.x_layers[0] - tx.s[0] / 2.0)
+    D = np.fft.fft(x - s / 2.0)
     odd = np.arange(1, N, 2)
     assert np.max(np.abs(D[:, odd])) < 1e-12 * np.max(np.abs(D))
 
 
 def test_aco_antisymmetry_before_clipping():
-    s = _single_layer("aco").s[0]
+    s = _single_layer("aco")[1]
     np.testing.assert_allclose(s[:, : N // 2], -s[:, N // 2:], atol=1e-12 * np.max(np.abs(s)))
 
 
 def test_pam_clipping_noise_is_real_in_frequency():
-    tx = _single_layer("pam")
-    s = tx.s[0]
+    _, s, x = _single_layer("pam")
     # purely imaginary loads give an odd frame: s(n) = -s((N - n) mod N)
     np.testing.assert_allclose(s, -np.roll(s[:, ::-1], 1, axis=-1),
                                atol=1e-12 * np.max(np.abs(s)))
-    D = np.fft.fft(tx.x_layers[0] - s / 2.0)
+    D = np.fft.fft(x - s / 2.0)
     assert np.max(np.abs(D.imag)) < 1e-12 * np.max(np.abs(D))
 
 
 def test_dco_bias_and_clip_rate():
-    tx = _single_layer("dco")
-    s = tx.s[0]
+    tx, s, _ = _single_layer("dco")
     np.testing.assert_allclose(tx.bias, 3.0 * np.std(s, axis=-1), rtol=1e-12)
     clip_rate = np.mean(s + tx.bias[:, None] < 0.0)
     assert clip_rate < 0.002  # 3-sigma bias leaves a small residual clip rate

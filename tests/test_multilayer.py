@@ -9,7 +9,7 @@ from layer_signals import layer_loads, layer_signals
 from oofdm.constellation import Constellation
 from oofdm.modems import effective_subcarriers
 from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
-                               modulate, receive, transmit)
+                               layer_frames, layer_noise, modulate, receive, transmit)
 
 N = 1024
 
@@ -81,7 +81,7 @@ def test_layer_alphabets_are_built_once(monkeypatch):
     monkeypatch.setattr(Constellation, "qam", lambda M, power: built.append(M) or qam(M, power))
     for _ in range(2):
         tx = transmit(cfg, np.random.default_rng(0), 2)
-        receive(tx.x, cfg, truth=tx)
+        receive(tx.x, cfg)
         assert built == [4] * (len(cfg.layers) - 1)  # layers 2..9 on first use only
 
 
@@ -120,31 +120,32 @@ def test_transmit_signal_is_nonnegative_with_expected_power():
 @pytest.mark.parametrize("scheme,M,layers", [("laco", 16, 9), ("ado", 16, None),
                                              ("haco", [16, 4], None)])
 def test_noiseless_roundtrip(scheme, M, layers):
+    # receive(y, cfg) alone: the DCO or PAM layer is last and never
+    # remodulated, so the DCO layer of ADO is detected without its bias
     cfg = SchemeConfig.uniform(scheme, N, M, 5.0, layers=layers)
     tx = transmit(cfg, np.random.default_rng(1), 8)
-    rx = receive(tx.x, cfg, truth=tx)
-    for j in range(len(cfg.layers)):
-        np.testing.assert_array_equal(rx.det_idx[j], tx.sym_idx[j])
-        assert not np.any(rx.errors[j])
+    det_idx = receive(tx.x, cfg)
+    assert len(det_idx) == len(cfg.layers)
+    for det, sent in zip(det_idx, tx.sym_idx):
+        np.testing.assert_array_equal(det, sent)
 
 
 def test_noiseless_residual_vanishes():
     cfg = SchemeConfig.uniform("laco", N, 16, 5.0, layers=9)
-    tx = transmit(cfg, np.random.default_rng(2), 4, instrument=True)
-    rx = receive(tx.x, cfg, truth=tx, instrument=True)
-    _, _, y_resid = layer_signals(tx.x, cfg, tx, rx)
+    tx = transmit(cfg, np.random.default_rng(2), 4)
+    det_idx = receive(tx.x, cfg)
+    _, _, y_resid = layer_signals(tx.x, cfg, tx, det_idx)
     assert np.max(np.abs(y_resid[-1])) < 1e-8 * np.max(tx.x)
-    assert np.max(rx.delta_power) < 1e-18
+    assert np.max(layer_noise(cfg, tx, det_idx)[0]) < 1e-18
 
 
 def test_delta_bounded_by_half_error():
     # |delta_t(n)| <= |e_t(n)|/2 on every frame of a noisy run
     cfg = SchemeConfig.uniform("laco", N, 64, 10.0, layers=9)
     rng = np.random.default_rng(3)
-    tx = transmit(cfg, rng, 20, instrument=True)
+    tx = transmit(cfg, rng, 20)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True)
-    e, delta, _ = layer_signals(y, cfg, tx, rx)
+    e, delta, _ = layer_signals(y, cfg, tx, receive(y, cfg))
     for j, spec in enumerate(cfg.layers):
         if spec.kind != "aco":
             continue
@@ -168,13 +169,13 @@ def test_residual_decomposition_is_exact():
     # after removing layers 1..j: y - sum_{t>j} x_t = noise - e/2 + delta
     cfg = SchemeConfig.uniform("laco", N, 16, 8.0, layers=9)
     rng = np.random.default_rng(4)
-    tx = transmit(cfg, rng, 6, instrument=True)
+    tx = transmit(cfg, rng, 6)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True)
-    e, delta, y_resid = layer_signals(y, cfg, tx, rx)
+    e, delta, y_resid = layer_signals(y, cfg, tx, receive(y, cfg))
+    _, x_layers = layer_frames(cfg, tx.sym_idx)
     for j in (1, 3, 9):
         noise, err, rcn = decompose_residual(y, tx, e, delta, j)
-        remaining = sum(tx.x_layers[j:]) if j < 9 else 0.0
+        remaining = sum(x_layers[j:]) if j < 9 else 0.0
         np.testing.assert_allclose(y_resid[j - 1] - remaining,
                                    noise + err + rcn, atol=1e-9)
 
@@ -182,21 +183,22 @@ def test_residual_decomposition_is_exact():
 def test_residual_decomposition_exact_for_dco_layer():
     cfg = SchemeConfig.uniform("ado", N, 16, 8.0)
     rng = np.random.default_rng(5)
-    tx = transmit(cfg, rng, 6, instrument=True)
+    tx = transmit(cfg, rng, 6)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True)
-    e, delta, y_resid = layer_signals(y, cfg, tx, rx)
+    e, delta, y_resid = layer_signals(y, cfg, tx, receive(y, cfg))
     noise, err, rcn = decompose_residual(y, tx, e, delta, 2)
     np.testing.assert_allclose(y_resid[1], noise + err + rcn, atol=1e-9)
 
 
-def test_dco_layer_requires_bias():
-    cfg = SchemeConfig.uniform("ado", N, 16, 5.0)
-    tx = transmit(cfg, np.random.default_rng(6), 2)
-    with pytest.raises(ValueError):
-        receive(tx.x, cfg)  # no truth batch, so no bias
-    rx = receive(tx.x, cfg, truth=tx)
-    assert not any(np.any(e) for e in rx.errors)
+@pytest.mark.parametrize("kind", ["dco", "pam"])
+def test_dco_or_pam_layer_before_an_aco_layer_is_rejected(kind):
+    # the periods nest (odd bins, then twice odd ones), but the DCO or PAM layer is first
+    def layer(kind, bins):
+        return LayerSpec(kind, bins, np.full(bins.shape, 16), np.ones(bins.shape))
+    odd, twice_odd = np.arange(1, N // 2, 2), np.arange(2, N // 2, 4)
+    SchemeConfig("laco", N, [layer("aco", odd), layer("aco", twice_odd)])
+    with pytest.raises(ValueError, match="only the last layer"):
+        SchemeConfig("ado", N, [layer(kind, odd), layer("aco", twice_odd)])
 
 
 def test_from_allocation_roundtrip():
@@ -211,19 +213,19 @@ def test_from_allocation_roundtrip():
     np.testing.assert_allclose(cfg.layers[0].sym_power, [40.0, 80.0])
     np.testing.assert_array_equal(cfg.layers[2].bins, [4])
     tx = transmit(cfg, np.random.default_rng(7), 3)
-    rx = receive(tx.x, cfg, truth=tx)
-    assert not any(np.any(e) for e in rx.errors)
+    for det, sent in zip(receive(tx.x, cfg), tx.sym_idx):
+        np.testing.assert_array_equal(det, sent)
 
 
 def test_probe_matches_fft_of_delta():
     cfg = SchemeConfig.uniform("laco", N, 64, 10.0, layers=4)
     rng = np.random.default_rng(8)
-    tx = transmit(cfg, rng, 3, instrument=True)
+    tx = transmit(cfg, rng, 3)
     y = tx.x + rng.standard_normal(tx.x.shape)
-    rx = receive(y, cfg, truth=tx, instrument=True, probe_bin=256)
-    _, delta, _ = layer_signals(y, cfg, tx, rx)
-    ref = np.fft.fft(delta[0])[:, 256]
-    np.testing.assert_allclose(rx.probe[0], ref, atol=1e-8)
+    det_idx = receive(y, cfg)
+    _, delta, _ = layer_signals(y, cfg, tx, det_idx)
+    probe = layer_noise(cfg, tx, det_idx, probe_bin=256)[2]
+    np.testing.assert_allclose(probe, np.fft.fft(delta)[..., 256], atol=1e-8)
 
 
 # Property tests of the folded layer transforms run at a short frame length.
@@ -244,13 +246,12 @@ def _pruned_layer(data, kind, candidates):
 
 
 def _check_folded_frames_and_noiseless_detection(cfg):
-    tx = transmit(cfg, np.random.default_rng(0), 4, instrument=True)
-    for spec, idx, s in zip(cfg.layers, tx.sym_idx, tx.s):
+    tx = transmit(cfg, np.random.default_rng(0), 4)
+    for spec, idx, s in zip(cfg.layers, tx.sym_idx, layer_frames(cfg, tx.sym_idx, tx.bias)[0]):
         ref = np.fft.ifft(hermitian_embed(layer_loads(spec, idx), spec.bins, cfg.n))
         np.testing.assert_allclose(s, ref.real, rtol=0, atol=1e-12)
-    rx = receive(tx.x, cfg, truth=tx)
-    for spec, err in zip(cfg.layers, rx.errors):
-        assert not np.any(err), f"{spec.kind} layer on bins {spec.bins}"
+    for spec, det, sent in zip(cfg.layers, receive(tx.x, cfg), tx.sym_idx):
+        assert np.array_equal(det, sent), f"{spec.kind} layer on bins {spec.bins}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,15 +288,14 @@ def test_modulate_over_row_splits_equals_transmit(scheme_layers, frames, data):
     # frames are modulated row by row, so any split of one draw sends the
     # same bits as transmitting the whole batch
     cfg = SchemeConfig.uniform(scheme_layers[0], N_PROP, 16, 10.0, scheme_layers[1])
-    whole = transmit(cfg, np.random.default_rng(frames), frames, instrument=True)
+    whole = transmit(cfg, np.random.default_rng(frames), frames)
     sym_idx = draw_symbols(cfg, np.random.default_rng(frames), frames)
     cuts = sorted(data.draw(st.sets(st.integers(1, frames - 1))))
-    parts = [modulate(cfg, [idx[lo:hi] for idx in sym_idx], instrument=True)
+    parts = [modulate(cfg, [idx[lo:hi] for idx in sym_idx])
              for lo, hi in zip([0] + cuts, cuts + [frames])]
     np.testing.assert_array_equal(np.concatenate([p.x for p in parts]), whole.x)
     for j in range(len(cfg.layers)):
-        for field in ("sym_idx", "s", "x_layers"):
-            got = np.concatenate([getattr(p, field)[j] for p in parts])
-            np.testing.assert_array_equal(got, getattr(whole, field)[j])
+        got = np.concatenate([p.sym_idx[j] for p in parts])
+        np.testing.assert_array_equal(got, whole.sym_idx[j])
     if whole.bias is not None:
         np.testing.assert_array_equal(np.concatenate([p.bias for p in parts]), whole.bias)

@@ -5,7 +5,7 @@ import pytest
 
 from layer_signals import layer_loads
 from oofdm.modems import affected_subcarriers, effective_subcarriers
-from oofdm.multilayer import SchemeConfig, transmit
+from oofdm.multilayer import SchemeConfig, layer_frames, transmit
 from oofdm.numerics import qfunc, qfunc_inv, spawn_seeds
 
 # frozen oracle: numeric integration of the standard normal tail to 1e-6
@@ -43,8 +43,8 @@ def test_fft_parseval():
     # forward unnormalized, inverse 1/N: a transmitted frame's DFT carries
     # its loads unscaled, and sum x^2 = (1/N) sum |X|^2
     cfg = SchemeConfig.uniform("aco", 256, 16, 1.0)
-    tx = transmit(cfg, np.random.default_rng(7), 1, instrument=True)
-    s = tx.s[0][0]
+    tx = transmit(cfg, np.random.default_rng(7), 1)
+    s = layer_frames(cfg, tx.sym_idx)[0][0][0]
     X = np.fft.fft(s)
     bins = cfg.layers[0].bins
     loads = layer_loads(cfg.layers[0], tx.sym_idx[0])[0]
