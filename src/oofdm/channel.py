@@ -9,7 +9,7 @@ of about 512 KiB of frame samples at a time, so that a block's signals stay
 in cache; `multilayer.layer_noise` measures an instrumented block's RCN from
 its sent and detected indices. The generator fills in order and every step
 is row-independent: results depend on (seed, batch size) only, never on the
-block.
+block. `rcn_statistics` alone needs `scipy.stats` and imports it when called.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .modems import layer_index, layer_kinds, power_relations
 from .multilayer import SchemeConfig, draw_symbols, layer_noise, modulate, receive, transmit
@@ -99,11 +98,16 @@ def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
     is shaped by 1/|H(k)| on the half spectrum of a real FFT (only the
     magnitude affects the post-equalization statistics). `rng` is a Generator.
     """
-    v0 = rng.normal(0.0, np.sqrt(profile.noise_power), size=(frames, profile.n))
+    v0 = rng.standard_normal((frames, profile.n))
+    v0 *= np.sqrt(profile.noise_power)  # bit for bit rng.normal(0, sqrt(Pv))
     if profile.h is None:
         return v0
-    g = profile.gain[: profile.n // 2 + 1]
-    return np.fft.irfft(np.fft.rfft(v0) / g, profile.n)
+    # numpy divides complex by real through the reciprocal: one multiply of
+    # the (re, im) floats by the interleaved 1/|H(k)| is the same division
+    spectrum = np.fft.rfft(v0)
+    pairs = spectrum.view(float)
+    pairs *= np.repeat(1.0 / profile.gain[: profile.n // 2 + 1], 2)
+    return np.fft.irfft(spectrum, profile.n)
 
 
 def gamma_to_p_eff(scheme: str, gamma_db: float, noise_power: float = 1.0,
@@ -222,6 +226,9 @@ def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
     standard deviation of their combined sample set, and reports the
     normalized covariance matrix and Kolmogorov-Smirnov distances to N(0,1).
     """
+    # scipy.stats alone more than doubles the package's import time and memory
+    from scipy import stats
+
     t_max = _probed_layers(cfg.n, probe_bin)
     if t_max == 0:
         raise ValueError(f"probe bin {probe_bin} is not affected by any layer")

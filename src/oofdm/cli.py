@@ -74,16 +74,17 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs):
+def _write_manifest(out_dir: Path, subcommand: str, args, outputs):
+    """The resolved options (all but the handler), version and output paths."""
     manifest = {
         "subcommand": subcommand,
-        "config": config,
+        "config": {key: value for key, value in vars(args).items() if key != "func"},
         "version": __version__,
         "outputs": [str(p) for p in outputs],
     }
     path = out_dir / f"{subcommand}_manifest.json"
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+        json.dump(manifest, fh, indent=2)
     return path
 
 
@@ -119,7 +120,7 @@ def cmd_rcn_power(args):
     _write_csv(path, ["gamma_eff_db", "layer", "measured_delta_power",
                       "estimated_1rim", "estimated_2rims", "estimated_3rims",
                       "err_power"], rows)
-    manifest = _write_manifest(out_dir, "rcn-power", vars(args), [path])
+    manifest = _write_manifest(out_dir, "rcn-power", args, [path])
     print(f"wrote {path} and {manifest}")
     return 0
 
@@ -143,7 +144,7 @@ def cmd_ser(args):
     _write_csv(path, ["gamma_db", "scheme", "simulated", "stderr",
                       "rcn_aware", "rcn_unaware"], rows)
     outputs.append(path)
-    manifest = _write_manifest(out_dir, "ser", vars(args), outputs)
+    manifest = _write_manifest(out_dir, "ser", args, outputs)
     print(f"wrote {path} and {manifest}")
     return 0
 
@@ -182,7 +183,7 @@ def cmd_rcn_stats(args):
     cdf_path = out_dir / "rcn_cdf.csv"
     _write_csv(cdf_path, ["gamma_eff_db", "layer", "part", "ks_distance"]
                + [f"q{p:02d}" for p in range(1, 100)], cdf_rows)
-    manifest = _write_manifest(out_dir, "rcn-stats", vars(args), [cov_path, cdf_path])
+    manifest = _write_manifest(out_dir, "rcn-stats", args, [cov_path, cdf_path])
     print(f"wrote {cov_path}, {cdf_path} and {manifest}")
     return 0
 
@@ -217,7 +218,7 @@ def cmd_allocate(args):
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
     outputs.append(summary_path)
-    manifest = _write_manifest(out_dir, "allocate", vars(args), outputs)
+    manifest = _write_manifest(out_dir, "allocate", args, outputs)
     print(f"wrote {summary_path} and {manifest}")
     return 0
 

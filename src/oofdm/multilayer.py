@@ -14,7 +14,7 @@ remodulated. `layer_noise` measures the RCN from the sent and detected indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +22,17 @@ from .constellation import Constellation, quantize
 from .modems import effective_subcarriers, laco_layers, layer_kinds
 
 DCO_BIAS = 3.0  # in frame standard deviations, as the closed-form DCO relations assume
+# Longest layer period added tiled to full length: adding through a periods view
+# loops over the period innermost, which is slower for a period of a few samples.
+_SHORT_PERIOD = 16
+
+
+@lru_cache(maxsize=None)
+def _unit_alphabet(kind: str, order: int) -> Constellation:
+    """The unit-power alphabet of one order, built once per process and read-only."""
+    alphabet = (Constellation.pam if kind == "pam" else Constellation.qam)(order, 1.0)
+    alphabet.points.flags.writeable = False
+    return alphabet
 
 
 @dataclass(frozen=True)
@@ -42,9 +53,8 @@ class LayerSpec:
     @cached_property
     def tables(self) -> "LayerTables":
         """Per-bin mapping and detection tables, built on first use."""
-        make = Constellation.pam if self.kind == "pam" else Constellation.qam
         orders, pos = np.unique(self.M, return_inverse=True)
-        alphabets = [make(int(order), 1.0) for order in orders]
+        alphabets = [_unit_alphabet(self.kind, int(order)) for order in orders]
         start = np.cumsum([0] + [c.M for c in alphabets])[:-1]
         d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
                            for a in ("d_min", "m_i", "m_q"))
@@ -182,8 +192,12 @@ def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
         parts.append(np.maximum(s, 0.0, out=s))
     x = np.tile(parts[0], n // parts[0].shape[-1])
     for x_j in parts[1:]:
-        periods = x.reshape(len(x), -1, x_j.shape[-1])
-        periods += x_j[:, None]
+        period = x_j.shape[-1]
+        if period <= _SHORT_PERIOD:
+            x += np.tile(x_j, n // period)
+        else:
+            periods = x.reshape(len(x), -1, period)
+            periods += x_j[:, None]
     return TxBatch(x, sym_idx, bias)
 
 

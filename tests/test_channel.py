@@ -1,5 +1,8 @@
 """Tests for channel profiles and the Monte Carlo engine."""
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -255,3 +258,21 @@ def test_measure_power_relations_single_layer():
 def test_measure_power_relations_multi_layer():
     mc = measure_power_relations("haco", 1.0, n=N, M=16, frames=400, seed=4)
     assert mc["p_elec"] == pytest.approx(2.0 + 2.0 / np.pi, rel=0.05)
+
+
+def test_package_use_leaves_scipy_stats_unloaded():
+    # scipy.stats more than doubles the start-up of every process; only
+    # rcn_statistics may load it
+    code = """if True:
+        import sys
+        import oofdm, oofdm.cli
+        from oofdm import ChannelProfile, SchemeConfig, allocate
+        from oofdm.channel import run_point
+        allocate(ChannelProfile.exponential(64), 100.0, 1e-2)
+        run_point(SchemeConfig.uniform("laco", 64, 4, 1.0), ChannelProfile.flat(64), 10, 0)
+        assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+    """
+    src = str(Path(channel_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -169,6 +169,22 @@ def test_rcn_power_command(tmp_path):
     assert manifest["outputs"]
 
 
+def test_manifests_of_identical_runs_are_equal(tmp_path):
+    # the manifest holds the resolved options only: no handler repr, whose
+    # address changes from process to process
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        rc = main(["ser", "--schemes", "aco", "--gammas", "10", "--runs", "20",
+                   "--n", "64", "--out", str(out)])
+        assert rc == 0
+        texts.append((out / "ser_manifest.json").read_text())
+    assert not any("<function" in text for text in texts)
+    a, b = (json.loads(text) for text in texts)
+    for m in (a, b):
+        del m["config"]["out"], m["outputs"]
+    assert a == b
+
 def test_ser_command_with_frame_dump(tmp_path):
     rc = main(["ser", "--schemes", "haco", "--gammas", "20", "--runs", "100",
                "--n", "256", "--out", str(tmp_path), "--dump-frames"])

@@ -8,8 +8,8 @@ from hermitian import hermitian_embed
 from layer_signals import layer_loads, layer_signals
 from oofdm.constellation import Constellation
 from oofdm.modems import effective_subcarriers
-from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
-                               layer_frames, layer_noise, modulate, receive, transmit)
+from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, _unit_alphabet,
+                               draw_symbols, layer_frames, layer_noise, modulate, receive, transmit)
 
 N = 1024
 
@@ -68,21 +68,28 @@ def test_config_rejects_decreasing_fold_factors():
 def test_layer_alphabets_are_built_once(monkeypatch):
     bits = np.full(N, 2)
     bits[3::4] = 3  # layer 1 mixes 4-QAM and 8-QAM
+    built = []
+    qam = Constellation.qam
+    monkeypatch.setattr(Constellation, "qam", lambda M, power: built.append(M) or qam(M, power))
+    _unit_alphabet.cache_clear()
     cfg = SchemeConfig.from_allocation(N, bits, np.ones(N))
     spec = cfg.layers[0]
     tables = spec.tables
     assert spec.tables is tables
-    unit = [Constellation.qam(m, 1.0).points for m in (4, 8)]
+    unit = [qam(m, 1.0).points for m in (4, 8)]
     np.testing.assert_array_equal(tables.alphabet, np.concatenate(unit))
     np.testing.assert_array_equal(tables.offset, np.where(spec.M == 8, 4, 0))
-    # a second transmit and receive builds no alphabet
-    built = []
-    qam = Constellation.qam
-    monkeypatch.setattr(Constellation, "qam", lambda M, power: built.append(M) or qam(M, power))
+    assert not _unit_alphabet(spec.kind, 4).points.flags.writeable
+    # layers 2..9 reuse layer 1's 4-QAM, and a second transmit and receive builds no alphabet
     for _ in range(2):
         tx = transmit(cfg, np.random.default_rng(0), 2)
         receive(tx.x, cfg)
-        assert built == [4] * (len(cfg.layers) - 1)  # layers 2..9 on first use only
+        assert built == [4, 8]
+    # nor does a second config with the same orders
+    other = SchemeConfig.from_allocation(N, bits, np.full(N, 2.0))
+    for sp in other.layers:
+        sp.tables
+    assert built == [4, 8]
 
 
 @pytest.mark.parametrize("scheme", ["laco", "ado", "haco"])
