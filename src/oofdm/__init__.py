@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .allocate import AllocationResult, allocate, snr_gap, waterfill
-from .channel import (ChannelProfile, ExperimentConfig, gamma_to_p_eff,
-                      measure_power_relations, measure_rcn_power,
-                      rcn_statistics, run_ser_experiment)
+from .channel import (ChannelProfile, gamma_to_p_eff, measure_power_relations,
+                      rcn_statistics)
 from .constellation import (Constellation, avg_neighbor_counts,
                             detection_error_power, min_distance,
                             rim_probabilities, ser_pam, ser_qam)

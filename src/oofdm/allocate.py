@@ -75,8 +75,8 @@ class AllocationResult:
 
 
 def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
-             mode: str = "rcn_aware", rims: int = 3, eps_conv: float | None = None,
-             max_iters: int = 50, max_bits: int = 8) -> AllocationResult:
+             mode: str = "rcn_aware", rims: int = 3, max_iters: int = 50,
+             max_bits: int = 8) -> AllocationResult:
     """Iterative bit and power allocation at effective-power budget N^2*p_eff.
 
     Noise bookkeeping is post-equalization throughout: the per-bin channel
@@ -117,11 +117,11 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
             break
         loading = SchemeConfig.from_allocation(n, bits, powers)
         p_z_new = worst_case_noise(loading, p_v, rims).p_z
-        eps = eps_conv if eps_conv is not None else 1e-3 * float(np.sum(p_z ** 2)) / n
-        delta = float(np.sum((p_z_new - p_z) ** 2))
+        # converged once the squared change of the noise map sums to at most
+        # 1e-3 times its mean square
+        converged = float(np.sum((p_z_new - p_z) ** 2)) <= 1e-3 * float(np.sum(p_z ** 2)) / n
         p_z = p_z_new
-        if delta <= eps:
-            converged = True
+        if converged:
             break
     return AllocationResult(bits, powers, p_z, iterations, converged, history, mode)
 

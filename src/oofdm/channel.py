@@ -1,5 +1,6 @@
-"""Channel profiles and the Monte Carlo experiment engine (SER runs,
-clipping-noise power measurement, statistics).
+"""Channel profiles and the Monte Carlo engine: one seeded operating point
+per `run_point` call, the clipping-noise statistics of its probe samples, and
+the measured power relations. The command line runs the SNR grid.
 
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
@@ -18,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modems import layer_index, layer_kinds, power_relations
+from .modems import layer_index, power_relations
 from .multilayer import SchemeConfig, draw_symbols, layer_noise, modulate, receive, transmit
 from .numerics import spawn_seeds
 
-DEFAULT_FRAMES = 10_000
 DEFAULT_BATCH = 500
 # Frame samples per row block of run_point: a (rows, N) float64 block of 512 KiB.
 _BLOCK_ELEMS = 1 << 16
@@ -120,29 +120,6 @@ def gamma_to_p_eff(scheme: str, gamma_db: float, noise_power: float = 1.0,
     return p / power_relations(scheme, 1.0, layers).p_elec
 
 
-@dataclass
-class ExperimentConfig:
-    scheme: str
-    n: int = 1024
-    M: object = 16                  # scalar or per-layer sequence
-    layers: int | None = None
-    gammas: tuple = (20.0,)
-    gamma_effective: bool = False   # interpret gammas as effective SNR
-    frames: int = DEFAULT_FRAMES
-    seed: int = 0
-    channel: ChannelProfile | None = None
-    batch: int = DEFAULT_BATCH
-
-    def profile(self) -> ChannelProfile:
-        return self.channel if self.channel is not None else ChannelProfile.flat(self.n)
-
-    def scheme_config(self, gamma_db: float) -> SchemeConfig:
-        layers = len(layer_kinds(self.scheme, self.n, self.layers))
-        p_eff = gamma_to_p_eff(self.scheme, gamma_db, self.profile().noise_power,
-                               layers, self.gamma_effective)
-        return SchemeConfig.uniform(self.scheme, self.n, self.M, p_eff, layers)
-
-
 def _batches(frames: int, batch: int):
     if frames < 1 or batch < 1:
         raise ValueError(f"frames and batch must be at least 1, got {frames} and {batch}")
@@ -195,61 +172,31 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     return out
 
 
-def _grid_points(cfg: ExperimentConfig, **run_kw):
-    """(gamma, run_point result) per grid point; point i is seeded (cfg.seed, i)."""
-    profile = cfg.profile()
-    for i, gamma in enumerate(cfg.gammas):
-        yield gamma, run_point(cfg.scheme_config(gamma), profile, cfg.frames,
-                               (cfg.seed, i), batch=cfg.batch, **run_kw)
+def rcn_statistics(probe: np.ndarray, gamma_db: float):
+    """Frequency-domain clipping-noise statistics of one operating point.
 
-
-def run_ser_experiment(cfg: ExperimentConfig):
-    """Simulated SER over the configured SNR grid. Returns a list of rows
-    {gamma, ser, stderr, layer_ser}."""
-    return [{"gamma": gamma, "ser": point["ser"], "stderr": point["stderr"],
-             "layer_ser": point["layer_ser"]} for gamma, point in _grid_points(cfg)]
-
-
-def measure_rcn_power(cfg: ExperimentConfig):
-    """Measured per-layer residual-clipping-noise and detection-error powers,
-    averaged over frames: rows {gamma, delta_power, err_power} of (J,) arrays."""
-    return [{"gamma": gamma, "delta_power": point["delta_power"].mean(axis=1),
-             "err_power": point["err_power"].mean(axis=1)}
-            for gamma, point in _grid_points(cfg, instrument=True)]
-
-
-def rcn_statistics(cfg: ExperimentConfig, probe_bin: int):
-    """Frequency-domain clipping-noise statistics at one probe subcarrier.
-
-    For each layer t with probe_bin in its affected set, collects the complex
-    samples Delta_t(probe_bin), normalizes real/imaginary parts by the
-    standard deviation of their combined sample set, and reports the
-    normalized covariance matrix and Kolmogorov-Smirnov distances to N(0,1).
+    `probe` holds the complex samples Delta_t(k) of layers 1..T at one probe
+    subcarrier, (T, frames), as an instrumented `run_point` returns them for
+    the layers whose affected sets hold the bin. Normalizes real/imaginary
+    parts by the standard deviation of their combined sample set and returns
+    the normalized covariance matrix `rho` and Kolmogorov-Smirnov distances
+    `ks` to N(0,1), with the normalized samples.
     """
     # scipy.stats alone more than doubles the package's import time and memory
     from scipy import stats
 
-    t_max = _probed_layers(cfg.n, probe_bin)
-    if t_max == 0:
-        raise ValueError(f"probe bin {probe_bin} is not affected by any layer")
-    rows = []
-    for gamma, point in _grid_points(cfg, instrument=True, probe_bin=probe_bin):
-        samples = point["probe"][:t_max]            # (T, frames)
-        centered = samples - samples.mean(axis=1, keepdims=True)
-        var = np.mean(np.abs(centered) ** 2, axis=1)
-        if not np.all(var > 0):  # one frame, or no detection error on a layer
-            raise ValueError(f"layer {np.argmin(var > 0) + 1} has no clipping-noise spread at {gamma:g}"
-                             f" dB in {cfg.frames} frame(s): use a lower SNR or more --runs")
-        rho = (centered @ centered.conj().T) / samples.shape[1]
-        rho /= np.sqrt(np.outer(var, var))
-        sd = np.std(np.concatenate([samples.real, samples.imag], axis=1), axis=1, keepdims=True)
-        norm_re, norm_im = samples.real / sd, samples.imag / sd
-        ks = [(stats.kstest(re, "norm").statistic, stats.kstest(im, "norm").statistic)
-              for re, im in zip(norm_re, norm_im)]
-        rows.append({"gamma": gamma, "rho": rho, "ks": ks,
-                     "normalized_re": norm_re, "normalized_im": norm_im,
-                     "delta_power": point["delta_power"].mean(axis=1)})
-    return rows
+    centered = probe - probe.mean(axis=1, keepdims=True)
+    var = np.mean(np.abs(centered) ** 2, axis=1)
+    if not np.all(var > 0):  # one frame, or no detection error on a layer
+        raise ValueError(f"layer {np.argmin(var > 0) + 1} has no clipping-noise spread at {gamma_db:g}"
+                         f" dB in {probe.shape[1]} frame(s): use a lower SNR or more --runs")
+    rho = (centered @ centered.conj().T) / probe.shape[1]
+    rho /= np.sqrt(np.outer(var, var))
+    sd = np.std(np.concatenate([probe.real, probe.imag], axis=1), axis=1, keepdims=True)
+    norm_re, norm_im = probe.real / sd, probe.imag / sd
+    ks = [(stats.kstest(re, "norm").statistic, stats.kstest(im, "norm").statistic)
+          for re, im in zip(norm_re, norm_im)]
+    return {"rho": rho, "ks": ks, "normalized_re": norm_re, "normalized_im": norm_im}
 
 
 def _probed_layers(n: int, probe_bin: int) -> int:
@@ -261,12 +208,11 @@ def _probed_layers(n: int, probe_bin: int) -> int:
 
 
 def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 64,
-                            frames: int = 1000, seed: int = 0,
-                            layers: int | None = None, batch: int = DEFAULT_BATCH):
+                            frames: int = 1000, seed: int = 0, layers: int | None = None):
     """Monte Carlo estimate of (P_elec, P_opt) of a transmitter at the given
     effective power, for comparison against the closed forms."""
     cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
-    sizes = _batches(frames, batch)
+    sizes = _batches(frames, DEFAULT_BATCH)
     sq_sum = mean_sum = 0.0
     for size, ss in zip(sizes, spawn_seeds(seed, len(sizes))):
         x = transmit(cfg, np.random.default_rng(ss), size).x

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from .allocate import allocate
-from .channel import (ChannelProfile, ExperimentConfig, measure_power_relations,
-                      measure_rcn_power, post_eq_noise, rcn_statistics,
-                      run_point, run_ser_experiment)
+from .channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
+                      measure_power_relations, post_eq_noise, rcn_statistics, run_point)
 from .modems import layer_index, layer_kinds, power_relations
 from .multilayer import SchemeConfig, layer_frames, receive, transmit
 from .rcn import worst_case_noise
@@ -61,10 +60,14 @@ def _channel(args) -> ChannelProfile:
     return ChannelProfile.flat(args.n)
 
 
-def _experiment(args, scheme: str, gammas, effective: bool) -> ExperimentConfig:
-    return ExperimentConfig(scheme=scheme, n=args.n, M=args.m, gammas=tuple(gammas),
-                            gamma_effective=effective, frames=args.runs,
-                            seed=args.seed, channel=_channel(args))
+def _points(args, channel: ChannelProfile, scheme: str, gammas, effective: bool, **run_kw):
+    """(gamma, config, run_point result) per grid point of a uniform --m
+    loading over every layer of the scheme; point i is seeded (--seed, i)."""
+    layers = len(layer_kinds(scheme, args.n))
+    for i, gamma in enumerate(gammas):
+        p_eff = gamma_to_p_eff(scheme, gamma, channel.noise_power, layers, effective)
+        scheme_cfg = SchemeConfig.uniform(scheme, args.n, args.m, p_eff, layers)
+        yield gamma, scheme_cfg, run_point(scheme_cfg, channel, args.runs, (args.seed, i), **run_kw)
 
 
 def _write_csv(path: Path, header, rows):
@@ -106,16 +109,17 @@ def cmd_power_relations(args):
 
 def cmd_rcn_power(args):
     out_dir = _out_dir(args)
-    cfg = _experiment(args, "laco", _parse_grid(args.gammas_eff), effective=True)
-    p_v = cfg.channel.bin_noise_power()
+    gammas = _parse_grid(args.gammas_eff)
+    channel = _channel(args)
+    p_v = channel.bin_noise_power()
     rows = []
-    for meas in measure_rcn_power(cfg):
-        scheme_cfg = cfg.scheme_config(meas["gamma"])
+    for gamma, scheme_cfg, point in _points(args, channel, "laco", gammas, effective=True,
+                                            instrument=True):
+        delta, err = point["delta_power"].mean(axis=1), point["err_power"].mean(axis=1)
         estimates = {r: worst_case_noise(scheme_cfg, p_v, r).delta_powers for r in (1, 2, 3)}
-        for t in range(len(meas["delta_power"])):
-            rows.append([meas["gamma"], t + 1, meas["delta_power"][t],
-                         estimates[1][t], estimates[2][t], estimates[3][t],
-                         meas["err_power"][t]])
+        for t in range(len(delta)):
+            rows.append([gamma, t + 1, delta[t], estimates[1][t], estimates[2][t],
+                         estimates[3][t], err[t]])
     path = out_dir / "rcn_power.csv"
     _write_csv(path, ["gamma_eff_db", "layer", "measured_delta_power",
                       "estimated_1rim", "estimated_2rims", "estimated_3rims",
@@ -128,18 +132,19 @@ def cmd_rcn_power(args):
 def cmd_ser(args):
     out_dir = _out_dir(args)
     gammas = _parse_grid(args.gammas)
+    channel = _channel(args)
+    p_v = channel.bin_noise_power()
     rows = []
     outputs = []
     for scheme in args.schemes.split(","):
-        cfg = _experiment(args, scheme.strip().lower(), gammas, effective=False)
-        p_v = cfg.channel.bin_noise_power()
-        for gamma, point in zip(gammas, run_ser_experiment(cfg)):
-            scheme_cfg = cfg.scheme_config(gamma)
+        scheme = scheme.strip().lower()
+        points = _points(args, channel, scheme, gammas, effective=False)
+        for i, (gamma, scheme_cfg, point) in enumerate(points):
             aware = evaluate_ser(scheme_cfg, p_v, "rcn_aware", args.rims).overall
             unaware = evaluate_ser(scheme_cfg, p_v, "rcn_unaware", args.rims).overall
-            rows.append([gamma, cfg.scheme, point["ser"], point["stderr"], aware, unaware])
-        if args.dump_frames:
-            outputs.append(_dump_frame(out_dir, cfg, gammas[0]))
+            rows.append([gamma, scheme, point["ser"], point["stderr"], aware, unaware])
+            if args.dump_frames and i == 0:
+                outputs.append(_dump_frame(out_dir, scheme_cfg, channel, args.seed))
     path = out_dir / "ser.csv"
     _write_csv(path, ["gamma_db", "scheme", "simulated", "stderr",
                       "rcn_aware", "rcn_unaware"], rows)
@@ -149,35 +154,40 @@ def cmd_ser(args):
     return 0
 
 
-def _dump_frame(out_dir: Path, cfg: ExperimentConfig, gamma: float) -> Path:
+def _dump_frame(out_dir: Path, scheme_cfg: SchemeConfig, channel: ChannelProfile, seed: int) -> Path:
     """Debug dump of a single frame: time index, transmitted and received
     signals, and the per-layer frames remodulated from the decisions."""
-    scheme_cfg = cfg.scheme_config(gamma)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     tx = transmit(scheme_cfg, rng, 1)
-    y = tx.x + post_eq_noise(cfg.profile(), rng, 1)
+    y = tx.x + post_eq_noise(channel, rng, 1)
     s_hat, _ = layer_frames(scheme_cfg, receive(y, scheme_cfg), tx.bias)
     header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
     rows = [[i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
-    path = out_dir / f"frame_{cfg.scheme}.csv"
+    path = out_dir / f"frame_{scheme_cfg.scheme}.csv"
     _write_csv(path, header, rows)
     return path
 
 
 def cmd_rcn_stats(args):
     out_dir = _out_dir(args)
-    cfg = _experiment(args, "laco", _parse_grid(args.gammas_eff), effective=True)
+    gammas = _parse_grid(args.gammas_eff)
+    channel = _channel(args)
+    t_max = _probed_layers(args.n, args.bin)
+    if t_max == 0:
+        raise ValueError(f"probe bin {args.bin} is not affected by any layer")
     cov_rows, cdf_rows = [], []
-    for res in rcn_statistics(cfg, args.bin):
+    for gamma, _, point in _points(args, channel, "laco", gammas, effective=True,
+                                   instrument=True, probe_bin=args.bin):
+        res = rcn_statistics(point["probe"][:t_max], gamma)
         t_count = res["rho"].shape[0]
         for t1 in range(t_count):
             for t2 in range(t_count):
-                cov_rows.append([res["gamma"], t1 + 1, t2 + 1, abs(res["rho"][t1, t2])])
+                cov_rows.append([gamma, t1 + 1, t2 + 1, abs(res["rho"][t1, t2])])
             ks_re, ks_im = res["ks"][t1]
             for part, samples, ks in (("re", res["normalized_re"][t1], ks_re),
                                       ("im", res["normalized_im"][t1], ks_im)):
                 qs = np.quantile(samples, np.linspace(0.01, 0.99, 99))
-                cdf_rows.append([res["gamma"], t1 + 1, part, ks] + list(qs))
+                cdf_rows.append([gamma, t1 + 1, part, ks] + list(qs))
     cov_path = out_dir / "rcn_covariance.csv"
     _write_csv(cov_path, ["gamma_eff_db", "t1", "t2", "abs_rho"], cov_rows)
     cdf_path = out_dir / "rcn_cdf.csv"
@@ -207,7 +217,7 @@ def cmd_allocate(args):
                      "iterations": res.iterations, "converged": res.converged,
                      "total_bits": res.total_bits,
                      "loaded_subcarriers": int(len(res.loaded))}
-            if args.validate_runs:
+            if args.validate_runs and res.total_bits:  # an empty loading sends nothing
                 scheme_cfg = SchemeConfig.from_allocation(args.n, res.bits, res.powers)
                 point = run_point(scheme_cfg, channel, args.validate_runs, args.seed)
                 entry["simulated_ser"] = point["ser"]

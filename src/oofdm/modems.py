@@ -104,8 +104,8 @@ def laco_ratios(layers: int):
 def power_relations(scheme: str, p_eff: float, layers: int | None = None) -> PowerTriple:
     """Closed-form power relations assuming equal per-subcarrier effective
     power (asymptotic in N)."""
-    if not p_eff > 0:
-        raise ValueError(f"effective power must be positive, got {p_eff:g}")
+    if not 0 < p_eff < np.inf:
+        raise ValueError(f"effective power must be positive and finite, got {p_eff:g}")
     scheme = scheme.lower()
     if scheme in ("aco", "pam"):
         return PowerTriple(2.0 * p_eff, np.sqrt(2.0 * p_eff / np.pi), p_eff)

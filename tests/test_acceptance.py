@@ -13,8 +13,7 @@ import pytest
 from layer_signals import layer_signals
 
 from oofdm.allocate import allocate, waterfill
-from oofdm.channel import (ChannelProfile, ExperimentConfig,
-                           gamma_to_p_eff, measure_power_relations,
+from oofdm.channel import (ChannelProfile, gamma_to_p_eff, measure_power_relations,
                            rcn_statistics, run_point)
 from oofdm.constellation import Constellation, detection_error_power
 from oofdm.modems import power_relations
@@ -146,10 +145,10 @@ def test_criterion_3_rcn_power(rcn_runs):
 def test_criterion_4_rcn_statistics():
     worst_rho = worst_ks = 0.0
     for gamma in (0.0, 20.0):
-        cfg = ExperimentConfig(scheme="laco", n=N, M=64, layers=9,
-                               gammas=(gamma,), gamma_effective=True,
-                               frames=FRAMES, seed=int(gamma) + 500)
-        row = rcn_statistics(cfg, probe_bin=256)[0]
+        cfg = SchemeConfig.uniform("laco", N, 64, gamma_to_p_eff("laco", gamma, 1.0, 9, True), 9)
+        point = run_point(cfg, FLAT, FRAMES, (int(gamma) + 500, 0), instrument=True, probe_bin=256)
+        # bin 256 = 2^8 lies in the affected sets of layers 1..8
+        row = rcn_statistics(point["probe"][:8], gamma)
         rho = np.abs(row["rho"] - np.diag(np.diag(row["rho"])))
         worst_rho = max(worst_rho, float(rho.max()))
         # Gaussianity is claimed for layers with at least 32 subcarriers

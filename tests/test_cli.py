@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from oofdm.channel import ChannelProfile, gamma_to_p_eff, run_point
 from oofdm.cli import _parse_grid, build_parser, main
+from oofdm.multilayer import SchemeConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,6 +31,19 @@ def test_readme_invocations_parse():
     for line in invocations:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_readme_quick_start_runs(capsys):
+    # the Quick start block uses the package's public names only
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_negative_grid_start_parses_in_the_equals_form():
+    # "--gammas-eff -10,0,10" reads -10,0,10 as an unknown option
+    args = build_parser().parse_args(["allocate", "--gammas-eff=-10,0,10"])
+    assert _parse_grid(args.gammas_eff) == [-10.0, 0.0, 10.0]
 
 
 def test_readme_flag_table_matches_parser():
@@ -99,9 +114,10 @@ def test_power_relations_defaults_laco_layers(capsys):
     assert "P_elec=4.75" in default
 
 
-@pytest.mark.parametrize("peff", ["0", "-1", "nan"])
+@pytest.mark.parametrize("peff", ["0", "-1", "nan", "inf"])
 def test_power_relations_with_nonpositive_peff_is_an_error(capsys, peff):
-    # 0 ended in a ZeroDivisionError traceback, -1 printed P_opt=nan and exited 0
+    # 0 ended in a ZeroDivisionError traceback, -1 printed P_opt=nan and exited
+    # 0, and inf printed P_elec=inf and exited 0
     rc = main(["power-relations", "--scheme", "aco", "--peff", peff, "--validate", "10",
                "--n", "64"])
     assert rc == 1
@@ -185,6 +201,20 @@ def test_manifests_of_identical_runs_are_equal(tmp_path):
         del m["config"]["out"], m["outputs"]
     assert a == b
 
+def test_ser_rows_are_seeded_per_grid_point(tmp_path):
+    # point i of the grid is run_point of its own config, seeded (--seed, i)
+    rc = main(["ser", "--schemes", "haco", "--gammas", "18,26", "--runs", "300", "--seed", "1",
+               "--n", "256", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = _ser_rows(tmp_path)
+    assert [float(r["gamma_db"]) for r in rows] == [18.0, 26.0]
+    for i, row in enumerate(rows):
+        gamma = float(row["gamma_db"])
+        cfg = SchemeConfig.uniform("haco", 256, 16, gamma_to_p_eff("haco", gamma, 1.0, 2), 2)
+        assert float(row["simulated"]) == run_point(cfg, ChannelProfile.flat(256), 300, (1, i))["ser"]
+    assert float(rows[0]["simulated"]) > float(rows[1]["simulated"])
+
+
 def test_ser_command_with_frame_dump(tmp_path):
     rc = main(["ser", "--schemes", "haco", "--gammas", "20", "--runs", "100",
                "--n", "256", "--out", str(tmp_path), "--dump-frames"])
@@ -209,6 +239,18 @@ def test_rcn_stats_command(tmp_path):
     diag = [r for r in rows if r["t1"] == r["t2"]]
     assert all(abs(float(r["abs_rho"]) - 1.0) < 1e-6 for r in diag)
     assert (tmp_path / "rcn_cdf.csv").exists()
+
+
+@pytest.mark.parametrize("probe", ["0", "512", "1024", "-4"])
+def test_rcn_stats_with_unaffected_probe_is_an_error(tmp_path, capsys, probe):
+    # the bin is checked before any grid point runs
+    rc = main(["rcn-stats", "--n", "1024", "--runs", "10", f"--bin={probe}",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"probe bin {probe} is not affected by any layer" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_rcn_stats_with_one_frame_is_an_error(tmp_path, capsys):
@@ -288,14 +330,20 @@ def test_channel_file_row_without_gain_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "ser.csv").exists()
 
 
-def test_validating_an_empty_allocation_is_an_error(tmp_path, capsys):
-    # at -20 dB nothing is loaded, so there is no SER to simulate
-    rc = main(["allocate", "--n", "64", "--gammas-eff", "-20", "--validate-runs", "10",
-               "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not (tmp_path / "allocation_summary.json").exists()
+def test_validating_an_empty_allocation_skips_its_simulation(tmp_path):
+    # at -10 dB nothing is loaded: the run stopped there with "nothing to
+    # transmit", before the summary and the 10 dB point
+    rc = main(["allocate", "--n", "64", "--gammas-eff=-10,10", "--validate-runs", "10",
+               "--selective", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "allocation_summary.json").read_text())
+    assert [(e["gamma_eff_db"], e["mode"]) for e in summary] == [
+        (-10.0, "rcn_aware"), (-10.0, "rcn_unaware"), (10.0, "rcn_aware"), (10.0, "rcn_unaware")]
+    for entry in summary:
+        loaded = entry["gamma_eff_db"] > 0
+        assert (entry["total_bits"] > 0) == loaded
+        assert ("simulated_ser" in entry) == ("predicted_ser" in entry) == loaded
+    assert (tmp_path / "allocation_rcn_unaware_10dB.csv").exists()
 
 
 def test_allocate_on_asymmetric_channel_is_an_error(tmp_path, capsys):
