@@ -62,7 +62,7 @@ class AllocationResult:
     noise: np.ndarray         # (N,) final worst-case total noise (post-eq)
     iterations: int
     converged: bool
-    history: list             # per-iteration dicts: bits, powers, total_bits, phi_size
+    history: list             # per-iteration dicts: total_bits, phi_size
     mode: str
 
     @property
@@ -110,8 +110,7 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
                 break
             phi = phi[b > 0]
         powers[bits == 0] = 0.0
-        history.append({"bits": bits.copy(), "powers": powers.copy(),
-                        "total_bits": int(bits.sum()), "phi_size": len(phi)})
+        history.append({"total_bits": int(bits.sum()), "phi_size": len(phi)})
         if mode == "rcn_unaware":
             converged = True
             break

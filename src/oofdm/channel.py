@@ -4,13 +4,15 @@ the measured power relations. The command line runs the SNR grid.
 
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
-otherwise; a received frame is never inverted. Each seeded batch draws its
-symbols whole, then modulates, draws the noise of and detects one row block
-of about 512 KiB of frame samples at a time, so that a block's signals stay
-in cache; `multilayer.layer_noise` measures an instrumented block's RCN from
-its sent and detected indices. The generator fills in order and every step
-is row-independent: results depend on (seed, batch size) only, never on the
-block. `rcn_statistics` alone needs `scipy.stats` and imports it when called.
+otherwise; a received frame is never inverted. Batch b is seeded with child
+b of `np.random.SeedSequence(seed)`; it draws its symbols whole, then
+modulates, draws the noise of and detects one row block of about 512 KiB of
+frame samples at a time, so that a block's signals stay in cache;
+`multilayer.layer_noise` measures an instrumented block's RCN from its sent
+and detected indices, on each layer's period. The generator fills in order
+and every step is row-independent: results depend on (seed, batch size)
+only, never on the block. `rcn_statistics` alone needs `scipy.stats` and
+imports it when called.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import numpy as np
 
 from .modems import layer_index, power_relations
 from .multilayer import SchemeConfig, draw_symbols, layer_noise, modulate, receive, transmit
-from .numerics import spawn_seeds
 
 DEFAULT_BATCH = 500
 # Frame samples per row block of run_point: a (rows, N) float64 block of 512 KiB.
@@ -139,7 +140,7 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     sizes = _batches(frames, batch)
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
     frame_err, noise = [], []
-    for size, ss in zip(sizes, spawn_seeds(seed, len(sizes))):
+    for size, ss in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
         rng = np.random.default_rng(ss)
         sym_idx = draw_symbols(scheme_cfg, rng, size)
         for lo in range(0, size, rows):
@@ -214,7 +215,7 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
     cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
     sizes = _batches(frames, DEFAULT_BATCH)
     sq_sum = mean_sum = 0.0
-    for size, ss in zip(sizes, spawn_seeds(seed, len(sizes))):
+    for size, ss in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
         x = transmit(cfg, np.random.default_rng(ss), size).x
         sq_sum += float(np.sum(x ** 2))
         mean_sum += float(np.sum(x))

@@ -1,6 +1,6 @@
 """Optical OFDM primitives: effective/affected subcarrier index sets, the
-layer index of a subcarrier, zero clipping, and closed-form power relations
-between electrical, optical, and effective power. Every scheme, single-layer
+layer index of a subcarrier, and closed-form power relations between
+electrical, optical, and effective power. Every scheme, single-layer
 ACO/DCO/PAM-DMT included, is transmitted by `multilayer.transmit`.
 """
 from __future__ import annotations
@@ -80,11 +80,6 @@ def layer_index(k, n: int):
     return j if j.ndim else int(j)
 
 
-def clip(s):
-    """Zero-clipping (s)+ = (s + |s|)/2."""
-    return np.maximum(np.asarray(s), 0.0)
-
-
 @dataclass(frozen=True)
 class PowerTriple:
     """Electrical, optical, and effective power of a transmitted signal."""
@@ -107,19 +102,23 @@ def power_relations(scheme: str, p_eff: float, layers: int | None = None) -> Pow
     if not 0 < p_eff < np.inf:
         raise ValueError(f"effective power must be positive and finite, got {p_eff:g}")
     scheme = scheme.lower()
-    if scheme in ("aco", "pam"):
-        return PowerTriple(2.0 * p_eff, np.sqrt(2.0 * p_eff / np.pi), p_eff)
-    if scheme == "dco":
-        return PowerTriple(10.0 * p_eff, 3.0 * np.sqrt(p_eff), p_eff)
-    if scheme == "ado":
-        p_elec = (6.0 + 6.0 / np.sqrt(2.0 * np.pi)) * p_eff
-        p_opt = (1.0 / np.sqrt(np.pi) + 3.0 / np.sqrt(2.0)) * np.sqrt(p_eff)
-        return PowerTriple(p_elec, p_opt, p_eff)
-    if scheme == "haco":
-        return PowerTriple((2.0 + 2.0 / np.pi) * p_eff, 2.0 / np.sqrt(np.pi) * np.sqrt(p_eff), p_eff)
-    if scheme == "laco":
-        if layers is None:
-            raise ValueError("laco power relations need the layer count")
-        re, ro = laco_ratios(layers)
-        return PowerTriple(re * p_eff, np.sqrt(ro * p_eff), p_eff)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    with np.errstate(over="ignore"):  # a huge p_eff overflows to inf, rejected below
+        if scheme in ("aco", "pam"):
+            p_elec, p_opt = 2.0 * p_eff, np.sqrt(2.0 * p_eff / np.pi)
+        elif scheme == "dco":
+            p_elec, p_opt = 10.0 * p_eff, 3.0 * np.sqrt(p_eff)
+        elif scheme == "ado":
+            p_elec = (6.0 + 6.0 / np.sqrt(2.0 * np.pi)) * p_eff
+            p_opt = (1.0 / np.sqrt(np.pi) + 3.0 / np.sqrt(2.0)) * np.sqrt(p_eff)
+        elif scheme == "haco":
+            p_elec, p_opt = (2.0 + 2.0 / np.pi) * p_eff, 2.0 / np.sqrt(np.pi) * np.sqrt(p_eff)
+        elif scheme == "laco":
+            if layers is None:
+                raise ValueError("laco power relations need the layer count")
+            re, ro = laco_ratios(layers)
+            p_elec, p_opt = re * p_eff, np.sqrt(ro * p_eff)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+    if not np.isfinite(p_elec) or not np.isfinite(p_opt):
+        raise ValueError(f"effective power {p_eff:g} overflows the {scheme} power relations")
+    return PowerTriple(p_elec, p_opt, p_eff)

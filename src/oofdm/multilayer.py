@@ -9,7 +9,9 @@ receiver only detects: it keeps the residual folded onto the current layer's
 period, takes its real FFT, scales the layer's bins by 2 to undo the clipping
 attenuation (a bias-clipped DCO layer is detected unscaled), detects them in
 one quantizer call and, but for the last layer, subtracts L times the layer
-remodulated. `layer_noise` measures the RCN from the sent and detected indices.
+remodulated. `layer_noise` measures the RCN from the sent and detected indices on
+each layer's period too, tiling only the RCN and the squared detection error to
+full length.
 """
 from __future__ import annotations
 
@@ -224,35 +226,37 @@ def receive(y, config: SchemeConfig) -> list:
     return det_idx
 
 
-def _full_frames(spec: LayerSpec, idx, n: int, bias):
-    """One layer's full-length pre-clipping and clipped frames (F, N)."""
-    s = _synthesize(spec, idx, n)
-    x = np.maximum(s + bias[:, None] if spec.kind == "dco" else s, 0.0)
-    return np.tile(s, spec.fold), np.tile(x, spec.fold)
-
-
 def layer_frames(config: SchemeConfig, sym_idx, bias=None):
     """Full-length pre-clipping and clipped frames s, x (per layer (F, N)) loading `sym_idx`;
     a DCO layer is clipped at the per-frame `bias` it then needs."""
-    frames = [_full_frames(spec, idx, config.n, bias) for spec, idx in zip(config.layers, sym_idx)]
-    return [s for s, _ in frames], [x for _, x in frames]
+    s_all, x_all = [], []
+    for spec, idx in zip(config.layers, sym_idx):
+        s = _synthesize(spec, idx, config.n)
+        x = np.maximum(s + bias[:, None] if spec.kind == "dco" else s, 0.0)
+        s_all.append(np.tile(s, spec.fold))
+        x_all.append(np.tile(x, spec.fold))
+    return s_all, x_all
 
 
 def layer_noise(config: SchemeConfig, truth: TxBatch, det_idx, probe_bin: int | None = None):
     """Per-frame RCN power mean(delta_t^2), error power mean(e_t^2) and RCN sample FFT(delta_t)
-    at `probe_bin` (or None) of each layer, as (J, F) arrays, from sent and detected indices."""
+    at `probe_bin` (or None) of each layer, as (J, F) arrays, from sent and detected indices.
+    delta_t and e_t^2 are formed on one period and then tiled: elementwise steps commute with
+    tiling, so the results equal those of full-length frames bit for bit."""
     ph = None if probe_bin is None else np.exp(-2j * np.pi * probe_bin * np.arange(config.n) / config.n)
     delta_power, err_power, probe = [], [], []
     for spec, sent, det in zip(config.layers, truth.sym_idx, det_idx):  # one layer's frames at a time
-        (s, x), (s_hat, x_hat) = (_full_frames(spec, idx, config.n, truth.bias) for idx in (sent, det))
+        s, s_hat = (_synthesize(spec, idx, config.n) for idx in (sent, det))
         e = s_hat - s
         if spec.kind == "dco":
             # bias-clipped layer: residual after subtraction, shifted
             # so that the three-term decomposition stays exact
+            x, x_hat = (np.maximum(v + truth.bias[:, None], 0.0) for v in (s, s_hat))
             delta = x - x_hat + 0.5 * e
         else:
             delta = 0.5 * (np.abs(s) - np.abs(s + e))
+        delta = np.tile(delta, spec.fold)
         delta_power.append(np.mean(delta ** 2, axis=-1))
-        err_power.append(np.mean(e ** 2, axis=-1))
+        err_power.append(np.mean(np.tile(e ** 2, spec.fold), axis=-1))
         probe.append(None if ph is None else delta @ ph)
     return np.array(delta_power), np.array(err_power), None if ph is None else np.array(probe)

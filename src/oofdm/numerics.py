@@ -1,4 +1,4 @@
-"""Shared numerical primitives: frame-length check, Gaussian tail functions, seeded sampling.
+"""Shared numerical primitives: frame-length check, Gaussian tail functions.
 
 Transform convention used throughout the package (numpy's default, used by
 the engine's rfft/irfft calls): the forward DFT carries no normalization and
@@ -32,12 +32,3 @@ def qfunc_inv(p):
         raise ValueError("qfunc_inv requires 0 < p < 1")
     out = -special.ndtri(p)
     return float(out) if out.ndim == 0 else out
-
-
-def spawn_seeds(seed, count: int):
-    """Derive `count` independent child seeds from a master seed.
-
-    Batch b of a Monte Carlo run always uses child b, so results do not
-    depend on how batches are scheduled across workers.
-    """
-    return np.random.SeedSequence(seed).spawn(count)

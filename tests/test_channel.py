@@ -14,7 +14,6 @@ from oofdm.channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
                            measure_power_relations, post_eq_noise, run_point)
 from oofdm.modems import affected_subcarriers
 from oofdm.multilayer import SchemeConfig, receive, transmit
-from oofdm.numerics import spawn_seeds
 
 N = 1024
 
@@ -113,7 +112,7 @@ def test_run_point_stderr_definition():
     prof = ChannelProfile.flat(N)
     out = run_point(cfg, prof, frames=300, seed=0, batch=150)
     counts = []
-    for ss in spawn_seeds(0, 2):
+    for ss in np.random.SeedSequence(0).spawn(2):
         rng = np.random.default_rng(ss)
         tx = transmit(cfg, rng, 150)
         det_idx = receive(tx.x + post_eq_noise(prof, rng, 150), cfg)

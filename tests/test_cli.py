@@ -127,6 +127,19 @@ def test_power_relations_with_nonpositive_peff_is_an_error(capsys, peff):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", ["dco", "laco"])
+def test_power_relations_with_overflowing_peff_is_an_error(capsys, scheme):
+    # a finite 1e308 printed P_elec=inf and exited 0; laco also printed a
+    # numpy overflow warning
+    rc = main(["power-relations", "--scheme", scheme, "--peff", "1e308", "--n", "64"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "overflows" in captured.err
+    assert captured.out == ""
+
+
 def test_power_relations_with_negative_validate_is_an_error(capsys):
     # printed "monte carlo (-5 frames): P_elec=-0 (100.00%)" and exited 0
     rc = main(["power-relations", "--scheme", "aco", "--validate", "-5", "--n", "64"])

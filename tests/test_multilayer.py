@@ -306,3 +306,28 @@ def test_modulate_over_row_splits_equals_transmit(scheme_layers, frames, data):
         np.testing.assert_array_equal(got, whole.sym_idx[j])
     if whole.bias is not None:
         np.testing.assert_array_equal(np.concatenate([p.bias for p in parts]), whole.bias)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["haco", "aco", "dco", "pam", "allocation"]), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.05, 1.0), st.integers(0, N_PROP - 1))
+def test_layer_noise_on_one_period_equals_full_length_oracle(scheme, seed, sigma, probe_bin):
+    # the per-period delta and error powers and probe equal those of the full-length
+    # frames of the oracle bit for bit, for a PAM layer, the single-layer schemes,
+    # and an allocation whose odd bins are empty, so that its first layer has period N/2
+    rng = np.random.default_rng(seed)
+    if scheme == "allocation":
+        bits = rng.integers(0, 7, N_PROP)
+        bits[1::2] = 0
+        bits[2] = 4
+        cfg = SchemeConfig.from_allocation(N_PROP, bits, N_PROP * rng.uniform(0.5, 2.0, N_PROP))
+        assert cfg.layers[0].fold == 2
+    else:
+        cfg = SchemeConfig.uniform(scheme, N_PROP, 16, 1.0)
+    tx = transmit(cfg, rng, 6)
+    y = tx.x + sigma * rng.standard_normal(tx.x.shape)
+    det_idx = receive(y, cfg)
+    _, delta, _ = layer_signals(y, cfg, tx, det_idx)  # asserts the delta and error powers
+    ph = np.exp(-2j * np.pi * probe_bin * np.arange(N_PROP) / N_PROP)
+    probe = layer_noise(cfg, tx, det_idx, probe_bin)[2]
+    np.testing.assert_array_equal(probe, [d @ ph for d in delta])

@@ -6,7 +6,7 @@ import pytest
 from layer_signals import layer_loads
 from oofdm.modems import affected_subcarriers, effective_subcarriers
 from oofdm.multilayer import SchemeConfig, layer_frames, transmit
-from oofdm.numerics import qfunc, qfunc_inv, spawn_seeds
+from oofdm.numerics import qfunc, qfunc_inv
 
 # frozen oracle: numeric integration of the standard normal tail to 1e-6
 Q_AT_1_2816 = 0.09999150009767514
@@ -61,10 +61,3 @@ def test_fft_rejects_bad_length(n):
         effective_subcarriers("aco", 1, n)
     with pytest.raises(ValueError):
         affected_subcarriers(1, n)
-
-
-def test_spawn_seeds_deterministic_and_independent():
-    a = [np.random.default_rng(s).random() for s in spawn_seeds(42, 4)]
-    b = [np.random.default_rng(s).random() for s in spawn_seeds(42, 4)]
-    assert a == b
-    assert len(set(a)) == 4
