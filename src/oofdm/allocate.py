@@ -26,23 +26,20 @@ def snr_gap(p_e: float) -> float:
     return float(qfunc_inv(p_e / 4.0)) ** 2 / 3.0
 
 
-def waterfill(h, p_z, phi, budget: float) -> np.ndarray:
-    """Maximize sum over phi of log(1 + |H(k)|^2 P_s(k)/P_z(k)) subject to
-    sum P_s <= budget.
+def waterfill(q, phi, budget: float) -> np.ndarray:
+    """Maximize sum over phi of log(1 + P_s(k)/q(k)) subject to
+    sum P_s <= budget, q(k) being the noise-to-gain ratio P_z(k)/|H(k)|^2.
 
-    Exact KKT solution P_s(k) = max(0, mu - P_z(k)/|H(k)|^2) with the water
-    level mu found by sorting. Returns a full-length array, zero off phi.
+    Exact KKT solution P_s(k) = max(0, mu - q(k)) with the water level mu
+    found by sorting. Returns a full-length array, zero off phi.
     """
     if budget <= 0:
         raise ValueError("power budget must be positive")
     phi = np.asarray(phi, dtype=int)
     if phi.size == 0:
         raise ValueError("active subcarrier set is empty")
-    h = np.asarray(h, dtype=float)
-    p_z = np.asarray(p_z, dtype=float)
-    q = p_z[phi] / h[phi] ** 2
-    order = np.argsort(q)
-    qs = q[order]
+    q = np.asarray(q, dtype=float)
+    qs = np.sort(q[phi])
     prefix = np.cumsum(qs)
     # with the m cheapest subcarriers active, mu = (budget + sum q)/m
     m_all = np.arange(1, len(qs) + 1)
@@ -50,8 +47,8 @@ def waterfill(h, p_z, phi, budget: float) -> np.ndarray:
     valid = mu_all > qs  # water above the worst active subcarrier
     m = int(np.max(m_all[valid]))
     mu = mu_all[m - 1]
-    p = np.zeros_like(h)
-    p[phi] = np.maximum(0.0, mu - q)
+    p = np.zeros_like(q)
+    p[phi] = np.maximum(0.0, mu - q[phi])
     return p
 
 
@@ -81,7 +78,7 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
 
     Noise bookkeeping is post-equalization throughout: the per-bin channel
     noise is N*Pv/|H(k)|^2 and the rate uses P_s(k)/P_z(k) directly, so the
-    water-filling is called with unit gains.
+    water-filling runs on P_z itself.
     """
     if mode not in ("rcn_aware", "rcn_unaware"):
         raise ValueError("mode must be rcn_aware or rcn_unaware")
@@ -101,7 +98,7 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
         iterations += 1
         phi = loadable.copy()
         while True:
-            powers = waterfill(np.ones(n), p_z, phi, budget)
+            powers = waterfill(p_z, phi, budget)
             rate = np.log2(1.0 + powers[phi] / (gamma_gap * p_z[phi]))
             b = np.minimum(np.floor(rate).astype(np.int64), max_bits)
             bits = np.zeros(n, dtype=np.int64)

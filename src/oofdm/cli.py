@@ -199,6 +199,8 @@ def cmd_rcn_stats(args):
 
 
 def cmd_allocate(args):
+    if args.validate_runs < 0:
+        raise ValueError(f"--validate-runs must be >= 0, got {args.validate_runs}")
     out_dir = _out_dir(args)
     channel = _channel(args)
     p_v = channel.bin_noise_power()

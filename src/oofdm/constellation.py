@@ -3,7 +3,9 @@ the rim-based detection-error power model.
 
 The rim model approximates E{|x - xhat|^2} for ML detection of M-QAM in
 complex AWGN by summing contributions of neighbors in the first three
-concentric rings around the transmitted point.
+concentric rings around the transmitted point. One offset table, _RIM_OFFSET,
+defines the rim positions; their distances, hit probabilities (products of
+per-axis decision-cell chances) and neighbor counts (from the grid shape) derive from it.
 """
 from __future__ import annotations
 
@@ -14,13 +16,12 @@ import numpy as np
 
 from .numerics import qfunc
 
-# Rim position labels: one digit = rim 1, two digits = rim 2, three = rim 3.
-RIM_POSITIONS = (1, 2, 10, 11, 12, 100, 101, 102, 103)
-# Squared distance of each position in units of d_min^2.
-RIM_DIST2 = {1: 1, 2: 2, 10: 4, 11: 5, 12: 8, 100: 9, 101: 10, 102: 13, 103: 18}
-# Axis offsets (in d_min units) realizing each position in the grid.
+# Axis offsets (a, b), a >= b, in d_min units of each rim position; label
+# digits: one = rim 1, two = rim 2, three = rim 3.
 _RIM_OFFSET = {1: (1, 0), 2: (1, 1), 10: (2, 0), 11: (2, 1), 12: (2, 2),
                100: (3, 0), 101: (3, 1), 102: (3, 2), 103: (3, 3)}
+RIM_POSITIONS = tuple(_RIM_OFFSET)
+RIM_DIST2 = {pos: a * a + b * b for pos, (a, b) in _RIM_OFFSET.items()}  # in d_min^2 units
 
 
 def _axis_levels(m: int):
@@ -35,7 +36,6 @@ class Constellation:
     QAM uses a rectangular grid (square when log2(M) is even); PAM loads are
     purely imaginary. Point index order is row-major over (I level, Q level).
     """
-    kind: str
     M: int
     points: np.ndarray
     d_min: float
@@ -54,7 +54,7 @@ class Constellation:
         grid = (li[:, None] + 1j * lq[None, :]).ravel()
         unit_power = (m_i ** 2 - 1 + m_q ** 2 - 1) / 3.0
         scale = np.sqrt(power / unit_power)
-        return cls("qam", M, grid * scale, 2.0 * scale, m_i, m_q)
+        return cls(M, grid * scale, 2.0 * scale, m_i, m_q)
 
     @classmethod
     def pam(cls, M: int, power: float) -> "Constellation":
@@ -62,7 +62,7 @@ class Constellation:
             raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
         levels = _axis_levels(M)
         scale = np.sqrt(3.0 * power / (M ** 2 - 1))
-        return cls("pam", M, 1j * levels * scale, 2.0 * scale, 1, M)
+        return cls(M, 1j * levels * scale, 2.0 * scale, 1, M)
 
     def detect(self, obs):
         """ML detection via per-axis quantization (exact for rectangular grids).
@@ -122,6 +122,8 @@ def rim_probabilities(d_min, sigma2, rims: int = 3):
     p_a, p_b, p_c are the tail probabilities of one noise axis (variance
     sigma2/2) exceeding d/2, 3d/2, 5d/2. With rims=1, p_b = p_c = 0; with
     rims=2, p_c = 0, which zeroes the corresponding outer-rim positions.
+    Position (a, b) is hit with probability cells[a] * cells[b], cells[w]
+    being the chance that one axis lands w decision cells off to a given side.
     Broadcasts over d_min and sigma2.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
@@ -131,45 +133,28 @@ def rim_probabilities(d_min, sigma2, rims: int = 3):
         raise ValueError("rims must be 1, 2 or 3")
     d_min = np.asarray(d_min, dtype=float)
     sigma_axis = np.sqrt(sigma2 / 2.0)
-    p_a = qfunc(d_min / (2.0 * sigma_axis))
-    p_b = qfunc(3.0 * d_min / (2.0 * sigma_axis)) if rims >= 2 else np.zeros_like(p_a)
-    p_c = qfunc(5.0 * d_min / (2.0 * sigma_axis)) if rims >= 3 else np.zeros_like(p_a)
-    # np.square: ** 2 on a float64 scalar calls pow(), one ulp off the array path
-    p = {
-        1: (p_a - p_b) * (1.0 - 2.0 * p_a),
-        2: np.square(p_a - p_b),
-        10: (p_b - p_c) * (1.0 - 2.0 * p_a),
-        11: (p_b - p_c) * (p_a - p_b),
-        12: np.square(p_b - p_c),
-        100: p_c * (1.0 - 2.0 * p_a),
-        101: p_c * (p_a - p_b),
-        102: p_c * (p_b - p_c),
-        103: np.square(p_c),
-    }
+    p_a, p_b, p_c = (qfunc(w * d_min / (2.0 * sigma_axis)) if w < 2 * rims
+                     else np.zeros(np.broadcast(d_min, sigma_axis).shape) for w in (1.0, 3.0, 5.0))
+    cells = (1.0 - 2.0 * p_a, p_a - p_b, p_b - p_c, p_c)
+    p = {pos: cells[a] * cells[b] for pos, (a, b) in _RIM_OFFSET.items()}
     return {"p_a": p_a, "p_b": p_b, "p_c": p_c, "positions": p}
 
 
 @lru_cache(maxsize=None)
 def _neighbor_counts(M: int) -> tuple:
-    """Average neighbor count of each rim position (RIM_POSITIONS order)."""
-    c = Constellation.qam(M, float(M))  # any power; geometry only
-    li = _axis_levels(c.m_i)
-    lq = _axis_levels(c.m_q)
-    occupied = {(int(a), int(b)) for a in li for b in lq}
+    """Average neighbor count of each rim position (RIM_POSITIONS order): a
+    shift of (x, y) level steps fits max(m_i - |x|, 0) * max(m_q - |y|, 0)
+    times on the grid, summed over the sign and axis arrangements of (a, b)."""
+    c = Constellation.qam(M, 1.0)  # any power; geometry only
     counts = []
-    for pos in RIM_POSITIONS:
-        da, db = _RIM_OFFSET[pos]
-        # all sign/axis arrangements of the offset (da, db) in d_min units
-        offsets = {(sa * 2 * da, sb * 2 * db) for sa in (1, -1) for sb in (1, -1)}
-        offsets |= {(sa * 2 * db, sb * 2 * da) for sa in (1, -1) for sb in (1, -1)}
-        total = sum((a + oa, b + ob) in occupied for a, b in occupied for oa, ob in offsets)
-        counts.append(total / M)
+    for a, b in _RIM_OFFSET.values():
+        shifts = {(sx * u, sy * v) for u, v in ((a, b), (b, a)) for sx in (1, -1) for sy in (1, -1)}
+        counts.append(sum(max(c.m_i - abs(x), 0) * max(c.m_q - abs(y), 0) for x, y in shifts) / M)
     return tuple(counts)
 
 
 def avg_neighbor_counts(M: int) -> dict:
-    """Brute-force enumeration of average neighbor counts on the M-QAM grid,
-    keyed by rim position."""
+    """Average neighbor counts on the M-QAM grid, keyed by rim position."""
     return dict(zip(RIM_POSITIONS, _neighbor_counts(M)))
 
 
@@ -188,6 +173,6 @@ def detection_error_power(d_min, sigma2, M, rims: int = 3):
     table = np.array([_neighbor_counts(2 ** b) for b in range(1, bits.max(initial=1) + 1)])
     counts = table[bits - 1]  # (..., position)
     d2 = np.asarray(d_min, dtype=float) ** 2
-    total = sum(d2 * RIM_DIST2[pos] * probs[pos] * counts[..., i]
-                for i, pos in enumerate(RIM_POSITIONS))
+    total = sum(d2 * (a * a + b * b) * probs[pos] * counts[..., i]
+                for i, (pos, (a, b)) in enumerate(_RIM_OFFSET.items()))
     return np.where(live, total, 0.0)[()]

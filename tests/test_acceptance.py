@@ -287,7 +287,7 @@ def test_criterion_7_oracle_equivalence():
     for _ in range(5):
         q = rng.uniform(0.1, 10.0, 64)
         budget = rng.uniform(1.0, 100.0)
-        p = waterfill(np.ones(64), q, np.arange(64), budget)
+        p = waterfill(q, np.arange(64), budget)
         p_ref = bisect(q, budget)
         worst_obj = max(worst_obj, abs(np.sum(np.log1p(p / q))
                                        - np.sum(np.log1p(p_ref / q))))

@@ -27,14 +27,12 @@ def test_snr_gap_domain():
 
 def test_waterfill_two_carrier_closed_form():
     # q = {1, 3}, budget 4: water level mu = 4 -> powers {3, 1}
-    p = waterfill(np.ones(4), np.array([0.0, 1.0, 3.0, 0.0]),
-                  np.array([1, 2]), 4.0)
+    p = waterfill(np.array([0.0, 1.0, 3.0, 0.0]), np.array([1, 2]), 4.0)
     np.testing.assert_allclose(p, [0.0, 3.0, 1.0, 0.0])
 
 
 def test_waterfill_drops_expensive_carriers():
-    p = waterfill(np.ones(3), np.array([1.0, 100.0, 1.0]),
-                  np.arange(3), 2.0)
+    p = waterfill(np.array([1.0, 100.0, 1.0]), np.arange(3), 2.0)
     assert p[1] == 0.0
     assert np.sum(p) == pytest.approx(2.0)
 
@@ -57,7 +55,7 @@ def test_waterfill_matches_bisection_oracle():
         n = 64
         q = rng.uniform(0.1, 10.0, n)
         budget = rng.uniform(1.0, 100.0)
-        p = waterfill(np.ones(n), q, np.arange(n), budget)
+        p = waterfill(q, np.arange(n), budget)
         p_ref = _waterfill_bisection(q, budget)
         obj = np.sum(np.log1p(p / q))
         obj_ref = np.sum(np.log1p(p_ref / q))
@@ -76,8 +74,8 @@ def test_waterfill_kkt_and_budget(carriers, budget):
     phi = np.flatnonzero(on)
     if phi.size == 0:
         phi = np.arange(len(h))
-    p = waterfill(h, p_z, phi, budget)
     q = p_z / h ** 2
+    p = waterfill(q, phi, budget)
     assert np.all(p[np.setdiff1d(np.arange(len(h)), phi)] == 0.0)
     assert abs(p.sum() - budget) <= 1e-12 * budget
     active = phi[p[phi] > 0.0]
@@ -89,9 +87,9 @@ def test_waterfill_kkt_and_budget(carriers, budget):
 
 def test_waterfill_validation():
     with pytest.raises(ValueError):
-        waterfill(np.ones(4), np.ones(4), np.array([1]), 0.0)
+        waterfill(np.ones(4), np.array([1]), 0.0)
     with pytest.raises(ValueError):
-        waterfill(np.ones(4), np.ones(4), np.array([], dtype=int), 1.0)
+        waterfill(np.ones(4), np.array([], dtype=int), 1.0)
 
 
 def test_flat_unaware_allocation_is_uniform():

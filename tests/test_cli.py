@@ -359,6 +359,26 @@ def test_validating_an_empty_allocation_skips_its_simulation(tmp_path):
     assert (tmp_path / "allocation_rcn_unaware_10dB.csv").exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("gammas", ["10,14", "-100"])
+def test_allocate_with_negative_validate_runs_is_an_error(tmp_path, capsys, gammas, via_config):
+    # wrote allocation_rcn_aware_10dB.csv before failing; with an empty
+    # loading (-100 dB) it exited 0 and recorded -3 in the manifest
+    out = tmp_path / "out"
+    argv = ["allocate", "--n", "64", f"--gammas-eff={gammas}", "--out", str(out)]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"validate_runs": -3}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--validate-runs", "-3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--validate-runs" in err
+    assert not out.exists()
+
+
 def test_allocate_on_asymmetric_channel_is_an_error(tmp_path, capsys):
     # |H(3)| = 0.2 without the mirror at N - 3 would load bin 61 on its own
     path = tmp_path / "h.csv"

@@ -174,7 +174,7 @@ def _brute_force_counts(M):
     return {pos: v / M for pos, v in counts.items()}
 
 
-@pytest.mark.parametrize("M", [4, 16, 64])
+@pytest.mark.parametrize("M", [2 ** b for b in range(1, 9)])
 def test_avg_neighbor_counts_match_enumeration(M):
     counts = avg_neighbor_counts(M)
     oracle = _brute_force_counts(M)
@@ -203,6 +203,34 @@ def test_rim_probabilities_truncation():
         rim_probabilities(2.0, 1.0, rims=4)
     with pytest.raises(ValueError):
         rim_probabilities(2.0, 0.0)
+
+
+def test_rim_distances():
+    assert RIM_POSITIONS == (1, 2, 10, 11, 12, 100, 101, 102, 103)
+    assert RIM_DIST2 == {1: 1, 2: 2, 10: 4, 11: 5, 12: 8, 100: 9, 101: 10, 102: 13, 103: 18}
+
+
+@pytest.mark.parametrize("rims", [1, 2, 3])
+def test_rim_probabilities_are_products_of_axis_cells(rims):
+    # position (a, b) is hit when one axis lands a cells away and the other b
+    d = np.array([0.5, 2.0, 4.0])
+    r = rim_probabilities(d, np.array([1.0, 0.3, 2.0]), rims=rims)
+    p_a, p_b, p_c = r["p_a"], r["p_b"], r["p_c"]
+    expected = {
+        1: (p_a - p_b) * (1.0 - 2.0 * p_a),
+        2: (p_a - p_b) * (p_a - p_b),
+        10: (p_b - p_c) * (1.0 - 2.0 * p_a),
+        11: (p_b - p_c) * (p_a - p_b),
+        12: (p_b - p_c) * (p_b - p_c),
+        100: p_c * (1.0 - 2.0 * p_a),
+        101: p_c * (p_a - p_b),
+        102: p_c * (p_b - p_c),
+        103: p_c * p_c,
+    }
+    assert set(r["positions"]) == set(RIM_POSITIONS) == set(expected)
+    for pos in RIM_POSITIONS:
+        assert np.all(r["positions"][pos] == expected[pos]), pos
+    assert np.all(p_b == 0.0) == (rims < 2) and np.all(p_c == 0.0) == (rims < 3)
 
 
 def test_detection_error_power_against_mc_oracle():
