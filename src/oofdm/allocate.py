@@ -17,6 +17,7 @@ from .modems import _loadable
 from .multilayer import SchemeConfig
 from .numerics import qfunc_inv
 from .rcn import worst_case_noise
+from .ser import MODES
 
 
 def snr_gap(p_e: float) -> float:
@@ -80,8 +81,8 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
     noise is N*Pv/|H(k)|^2 and the rate uses P_s(k)/P_z(k) directly, so the
     water-filling runs on P_z itself.
     """
-    if mode not in ("rcn_aware", "rcn_unaware"):
-        raise ValueError("mode must be rcn_aware or rcn_unaware")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     n = channel.n
     gamma_gap = snr_gap(p_e)
     p_v = channel.bin_noise_power()

@@ -163,7 +163,7 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
         "ser": 2.0 * err_counts.sum() / (frames * n_prime),
         "stderr": float(se[0]),
         "layer_errors": err_counts,
-        "layer_ser": [2.0 * e / (frames * 2 * nb) for e, nb in zip(err_counts, n_bins)],
+        "layer_ser": [e / (frames * nb) for e, nb in zip(err_counts, n_bins)],
         "layer_stderr": se[1:].tolist(),
         "frames": frames,
     }

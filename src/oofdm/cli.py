@@ -27,7 +27,7 @@ from .channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
 from .modems import layer_index, layer_kinds, power_relations
 from .multilayer import SchemeConfig, layer_frames, receive, transmit
 from .rcn import worst_case_noise
-from .ser import evaluate_ser
+from .ser import MODES, evaluate_ser
 
 
 def _parse_grid(text):
@@ -208,7 +208,7 @@ def cmd_allocate(args):
     summary = []
     for gamma_eff in _parse_grid(args.gammas_eff):
         p_eff = 10.0 ** (gamma_eff / 10.0) * channel.noise_power
-        for mode in ("rcn_aware", "rcn_unaware"):
+        for mode in MODES:
             res = allocate(channel, p_eff, args.pe, mode=mode, rims=args.rims)
             rows = [[k, layer_index(int(k), args.n), res.bits[k],
                      res.powers[k], res.noise[k]] for k in res.loaded]

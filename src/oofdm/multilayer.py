@@ -6,8 +6,8 @@ config's layers have nested periods (L never decreases from layer to layer),
 and only the last may be DCO or PAM. Each layer is synthesized, clipped and
 remodulated on one period, mapped by one gather from its per-bin tables. The
 receiver only detects: it keeps the residual folded onto the current layer's
-period, takes its real FFT, scales the layer's bins by 2 to undo the clipping
-attenuation (a bias-clipped DCO layer is detected unscaled), detects them in
+period, takes its real FFT, scales the layer's bins by 1/sqrt(P_s) (a zero-clipped
+layer is loaded at 2*sqrt(P_s), and clipping halves its bins), detects them in
 one quantizer call and, but for the last layer, subtracts L times the layer
 remodulated. `layer_noise` measures the RCN from the sent and detected indices on
 each layer's period too, tiling only the RCN and the squared detection error to
@@ -40,11 +40,11 @@ def _unit_alphabet(kind: str, order: int) -> Constellation:
 @dataclass(frozen=True)
 class LayerSpec:
     """Per-layer loading: independent data bins (k < N/2, mirrors implied),
-    constellation order and frequency-domain symbol power per bin."""
+    constellation order and effective power per bin."""
     kind: str               # "aco" | "dco" | "pam" clipping behavior
     bins: np.ndarray        # independent subcarrier indices, ascending
     M: np.ndarray           # constellation order per bin
-    sym_power: np.ndarray   # E|S_j(k)|^2 per bin
+    power: np.ndarray       # effective power P_s(k) per bin; `tables` adds the clipping gain
 
     @cached_property
     def fold(self) -> int:
@@ -60,10 +60,11 @@ class LayerSpec:
         start = np.cumsum([0] + [c.M for c in alphabets])[:-1]
         d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
                            for a in ("d_min", "m_i", "m_q"))
-        root = np.sqrt(self.sym_power)
-        gain = (1.0 if self.kind == "dco" else 2.0) / root
+        root = np.sqrt(self.power)
+        amp = (1.0 if self.kind == "dco" else 2.0) * root / self.fold
+        gain = 1.0 / root
         return LayerTables(self.bins // self.fold, np.concatenate([c.points for c in alphabets]),
-                           start[pos], root / self.fold, np.column_stack((gain, gain)),
+                           start[pos], amp, np.column_stack((gain, gain)),
                            np.column_stack((d_min, d_min)), np.column_stack((m_i - 1, m_q - 1)), m_q)
 
 
@@ -74,8 +75,8 @@ class LayerTables:
     cols: np.ndarray       # bins // L: columns in the half spectrum of one period
     alphabet: np.ndarray   # unit-power alphabets of the layer's orders, concatenated
     offset: np.ndarray     # start of each bin's alphabet in `alphabet`
-    amp: np.ndarray        # load scale sqrt(P_s)/L
-    gain: np.ndarray       # (n_j, 2) observation scale 2/sqrt(P_s), 1/sqrt(P_s) for DCO
+    amp: np.ndarray        # load scale 2*sqrt(P_s)/L, sqrt(P_s)/L for DCO
+    gain: np.ndarray       # (n_j, 2) observation scale 1/sqrt(P_s)
     d_min: np.ndarray      # (n_j, 2) minimum distance of the unit alphabet
     top: np.ndarray        # (n_j, 2) highest level index per axis, (m_i - 1, m_q - 1)
     m_q: np.ndarray        # levels on the Q axis
@@ -109,9 +110,8 @@ class SchemeConfig:
 
         A single-layer scheme (aco, dco, pam) gives a one-layer config; the
         layer count applies to LACO only. M may be a scalar or a per-layer
-        sequence. The per-subcarrier effective power is eps = N^2 * p_eff / N';
-        clipped layers carry symbol power 4*eps (detection recovers S/2), a DCO
-        layer carries eps.
+        sequence. Every layer carries the per-subcarrier effective power
+        eps = N^2 * p_eff / N'.
         """
         scheme = scheme.lower()
         kinds = layer_kinds(scheme, n, layers)
@@ -125,10 +125,9 @@ class SchemeConfig:
         specs = []
         for kind, order, ks in zip(kinds, orders, bins):
             indep = ks[ks < n // 2]
-            power = eps if kind == "dco" else 4.0 * eps
             specs.append(LayerSpec(kind, indep,
                                    np.full(indep.shape, order, dtype=np.int64),
-                                   np.full(indep.shape, power)))
+                                   np.full(indep.shape, eps)))
         return cls(scheme, n, specs)
 
     @classmethod
@@ -143,8 +142,7 @@ class SchemeConfig:
             indep = ks[(ks < n // 2) & (bits[ks] > 0)]
             if len(indep) == 0:
                 continue
-            specs.append(LayerSpec("aco", indep, 2 ** bits[indep].astype(np.int64),
-                                   4.0 * powers[indep]))
+            specs.append(LayerSpec("aco", indep, 2 ** bits[indep].astype(np.int64), powers[indep]))
         return cls("laco", n, specs)
 
 
@@ -158,7 +156,7 @@ class TxBatch:
 
 def _synthesize(spec: LayerSpec, idx, n: int):
     """One period (length n/L) of the real frames loading symbols `idx`; the
-    scale sqrt(P_s)/L is exact as L is a power of two."""
+    division of the load scale by L is exact as L is a power of two."""
     tab, L = spec.tables, spec.fold
     half = np.zeros((len(idx), n // (2 * L) + 1), dtype=complex)
     half[:, tab.cols] = tab.alphabet[idx + tab.offset] * tab.amp
@@ -167,7 +165,7 @@ def _synthesize(spec: LayerSpec, idx, n: int):
 
 def _observations(spectrum, tables: LayerTables):
     """The layer's bins as float (re, im) pairs (F, n_j, 2) scaled by `gain`:
-    numpy divides complex by real through the reciprocal, so this is 2*Y/sqrt(P_s)."""
+    numpy divides complex by real through the reciprocal, so this is Y/sqrt(P_s)."""
     obs = np.take(spectrum, tables.cols, axis=1).view(float).reshape(len(spectrum), -1, 2)
     obs *= tables.gain
     return obs

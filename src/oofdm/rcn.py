@@ -5,11 +5,11 @@ noise left after subtracting the reconstructed layer. Two equivalent scales
 are used:
 
 * per-bin frequency-domain bound on P{Delta_t(k)} for k in the affected set:
-  P_t = (1/(4|K_t|)) * sum_{k in K_t} f(d_t(k), 4*P{Z_{t-1}(k)}, M_t(k)),
+  P_t = (1/|K_t|) * sum_{k in K_t} f(d_t(k), P{Z_{t-1}(k)}, M_t(k)),
 * time-domain bound on P{delta_t}: |K_t| * P_t / N^2,
 
-where f is the rim-model detection-error power, d_t(k) the constellation
-minimum distance, and the factor 4 reflects the receiver's scale-by-2.
+where f is the rim-model detection-error power and d_t(k) the minimum
+distance of the constellation at the layer's effective power P_s(k).
 """
 from __future__ import annotations
 
@@ -20,16 +20,6 @@ import numpy as np
 from .constellation import detection_error_power, min_distance
 from .modems import affected_subcarriers
 from .multilayer import SchemeConfig
-
-
-def layer_error_power(M, sym_power, noise_power, rims: int = 3) -> np.ndarray:
-    """Per-bin detection-error power f(d(k), 4*P_z(k), M(k)) after scale-by-2.
-
-    d(k) = sqrt(6*sym_power/(M-1)); noise_power is the per-bin total noise
-    power before scaling. Broadcasts over its three array arguments.
-    """
-    return detection_error_power(min_distance(M, sym_power),
-                                 4.0 * np.asarray(noise_power, dtype=float), M, rims)
 
 
 @dataclass
@@ -64,8 +54,8 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
             continue
         L = spec.fold  # 2^(t-1)
         k_t = n // (2 * L)
-        f = layer_error_power(spec.M, spec.sym_power, p_z[spec.bins], rims)
-        bin_powers[i] = 2.0 * float(np.sum(f)) / (4.0 * k_t)  # both Hermitian mirrors
+        f = detection_error_power(min_distance(spec.M, spec.power), p_z[spec.bins], spec.M, rims)
+        bin_powers[i] = 2.0 * float(np.sum(f)) / k_t  # both Hermitian mirrors
         delta_powers[i] = bin_powers[i] * k_t / n ** 2
         if bin_powers[i] > 0.0:
             p_z[affected_subcarriers(L.bit_length(), n)] += bin_powers[i]

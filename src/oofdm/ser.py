@@ -27,10 +27,8 @@ class SerReport:
 def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int = 3) -> SerReport:
     """Average symbol error probability over all loaded subcarriers.
 
-    p_v: per-bin post-equalization noise power (length N). Layer 1 and every
-    zero-clipped layer use effective symbol power sym_power/4 (the receiver's
-    scale-by-2 restores the constellation but quadruples the noise); a DCO
-    layer is detected unscaled and uses sym_power directly.
+    p_v: per-bin post-equalization noise power (length N). Every layer is
+    evaluated at its effective power P_s(k) against the per-bin noise.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -42,10 +40,9 @@ def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int =
     for spec in config.layers:
         sigma2 = noise[spec.bins]
         if spec.kind == "pam":
-            p = ser_pam(spec.M, spec.sym_power / 4.0, sigma2)
+            p = ser_pam(spec.M, spec.power, sigma2)
         else:
-            eps = spec.sym_power if spec.kind == "dco" else spec.sym_power / 4.0
-            p = ser_qam(spec.M, eps, sigma2)
+            p = ser_qam(spec.M, spec.power, sigma2)
             approx |= {int(m) for m in np.unique(spec.M) if int(np.log2(m)) % 2}
         layer_ser.append(p)
         total += 2.0 * float(np.sum(p))

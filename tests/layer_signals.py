@@ -10,10 +10,11 @@ from oofdm.multilayer import layer_frames, layer_noise
 
 def layer_loads(spec, idx):
     """Complex loads (F, n_j) of symbol indices `idx` on a layer, bin by bin:
-    the point of the bin's unit-power alphabet scaled by sqrt(P_s)."""
+    the point of the bin's unit-power alphabet scaled by 2*sqrt(P_s), or by
+    sqrt(P_s) on a DCO layer (zero-clipping halves the data bins)."""
     make = Constellation.pam if spec.kind == "pam" else Constellation.qam
     points = [make(int(m), 1.0).points[i] for m, i in zip(spec.M, idx.T)]
-    return np.stack(points, axis=-1) * np.sqrt(spec.sym_power)
+    return np.stack(points, axis=-1) * ((1.0 if spec.kind == "dco" else 2.0) * np.sqrt(spec.power))
 
 
 def layer_signals(y, config, truth, det_idx):

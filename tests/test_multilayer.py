@@ -18,12 +18,11 @@ def test_uniform_config_laco():
     cfg = SchemeConfig.uniform("laco", N, 64, 10.0, layers=9)
     assert len(cfg.layers) == 9
     assert cfg.n_loaded == 1022
-    # equal per-subcarrier effective power: eps = N^2 p_eff / N', symbol
-    # power 4 eps on every zero-clipped layer
+    # equal per-subcarrier effective power on every layer: eps = N^2 p_eff / N'
     eps = N ** 2 * 10.0 / 1022
     for spec in cfg.layers:
         assert spec.kind == "aco"
-        np.testing.assert_allclose(spec.sym_power, 4.0 * eps)
+        np.testing.assert_allclose(spec.power, eps)
     assert len(cfg.layers[0].bins) == 256  # independent odd bins below N/2
 
 
@@ -31,21 +30,21 @@ def test_uniform_config_ado_and_haco():
     ado = SchemeConfig.uniform("ado", N, 16, 1.0)
     assert [sp.kind for sp in ado.layers] == ["aco", "dco"]
     eps = N ** 2 * 1.0 / 1022
-    np.testing.assert_allclose(ado.layers[0].sym_power, 4.0 * eps)
-    np.testing.assert_allclose(ado.layers[1].sym_power, eps)  # no halving
+    np.testing.assert_allclose(ado.layers[0].power, eps)
+    np.testing.assert_allclose(ado.layers[1].power, eps)  # whatever the clipping
     haco = SchemeConfig.uniform("haco", N, [16, 4], 1.0)
     assert [sp.kind for sp in haco.layers] == ["aco", "pam"]
     assert np.all(haco.layers[1].M == 4)
 
 
-@pytest.mark.parametrize("scheme,bins,power", [("aco", N // 4, 4.0 * N ** 2 / (N // 2)),
-                                                ("pam", N // 2 - 1, 4.0 * N ** 2 / (N - 2)),
+@pytest.mark.parametrize("scheme,bins,power", [("aco", N // 4, N ** 2 / (N // 2)),
+                                                ("pam", N // 2 - 1, N ** 2 / (N - 2)),
                                                 ("dco", N // 2 - 1, N ** 2 / (N - 2))])
 def test_uniform_config_single_layer(scheme, bins, power):
     cfg = SchemeConfig.uniform(scheme, N, 16, 1.0, layers=5)  # layer count ignored
     (spec,) = cfg.layers
     assert spec.kind == scheme and len(spec.bins) == bins
-    np.testing.assert_allclose(spec.sym_power, power)
+    np.testing.assert_allclose(spec.power, power)
 
 
 def test_uniform_config_validation():
@@ -94,15 +93,15 @@ def test_layer_alphabets_are_built_once(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["laco", "ado", "haco"])
 def test_observations_equal_scaled_spectrum_exactly(scheme):
-    # one real multiply of the (re, im) pairs by 2/sqrt(P_s) (1/sqrt(P_s) for
-    # a DCO layer) is exactly the complex scaling 2 * Y / sqrt(P_s)
+    # one real multiply of the (re, im) pairs by 1/sqrt(P_s) is exactly the
+    # complex scaling Y / sqrt(P_s), on every kind of layer
     rng = np.random.default_rng(12)
     cfg = SchemeConfig.uniform(scheme, N, 16, 3.0, 9 if scheme == "laco" else None)
     for spec in cfg.layers:
-        power = spec.sym_power * rng.uniform(0.1, 10.0, spec.sym_power.shape)
+        power = spec.power * rng.uniform(0.1, 10.0, spec.power.shape)
         spec = LayerSpec(spec.kind, spec.bins, spec.M, power)
         Y = np.fft.rfft(rng.standard_normal((5, N // spec.fold)))
-        ref = (1.0 if spec.kind == "dco" else 2.0) * Y[:, spec.bins // spec.fold] / np.sqrt(power)
+        ref = Y[:, spec.bins // spec.fold] / np.sqrt(power)
         obs = _observations(Y, spec.tables)
         assert np.array_equal(obs[..., 0], ref.real) and np.array_equal(obs[..., 1], ref.imag)
 
@@ -217,7 +216,7 @@ def test_from_allocation_roundtrip():
     assert [sp.kind for sp in cfg.layers] == ["aco", "aco", "aco"]
     np.testing.assert_array_equal(cfg.layers[0].bins, [1, 3])
     np.testing.assert_array_equal(cfg.layers[0].M, [4, 16])
-    np.testing.assert_allclose(cfg.layers[0].sym_power, [40.0, 80.0])
+    np.testing.assert_allclose(cfg.layers[0].power, [10.0, 20.0])
     np.testing.assert_array_equal(cfg.layers[2].bins, [4])
     tx = transmit(cfg, np.random.default_rng(7), 3)
     for det, sent in zip(receive(tx.x, cfg), tx.sym_idx):

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, avg_neighbor_counts,
-                                 rim_probabilities)
+                                 detection_error_power, min_distance, rim_probabilities)
 from oofdm.modems import affected_subcarriers, layer_index
 from oofdm.multilayer import SchemeConfig
-from oofdm.rcn import layer_error_power, worst_case_noise
+from oofdm.rcn import worst_case_noise
 
 N = 1024
 
@@ -90,8 +90,8 @@ def test_layer_number_comes_from_the_bins():
     np.testing.assert_array_equal(extra[2::4], 0.0)
     assert np.all(extra[affected_subcarriers(2, N)] > 0)
     spec = cfg.layers[0]
-    f = layer_error_power(spec.M, spec.sym_power, p_v[spec.bins])
-    assert prof.bin_powers[0] == pytest.approx(2.0 * np.sum(f) / N)
+    f = detection_error_power(min_distance(spec.M, spec.power), p_v[spec.bins], spec.M)
+    assert prof.bin_powers[0] == pytest.approx(2.0 * np.sum(f) / (N // 4))
     assert prof.delta_powers[0] == pytest.approx(prof.bin_powers[0] / (4 * N))
 
 
@@ -104,39 +104,53 @@ def test_chain_uses_accumulated_noise():
     assert prof.bin_powers[1] > alone.bin_powers[0]
 
 
+def _layer_error_power(M, power, noise_power, rims=3):
+    # per-bin detection-error power of a layer at effective power P_s(k) and total noise P_z(k)
+    return detection_error_power(min_distance(M, power), noise_power, M, rims)
+
+
 def test_layer_error_power_matches_scalar_evaluation():
-    from oofdm.constellation import detection_error_power, min_distance
-    vals = layer_error_power(np.array([16, 64]), np.array([8.0, 8.0]),
-                             np.array([1.0, 2.0]))
-    ref = [detection_error_power(min_distance(16, 8.0), 4.0, 16),
-           detection_error_power(min_distance(64, 8.0), 8.0, 64)]
+    vals = _layer_error_power(np.array([16, 64]), np.array([2.0, 2.0]), np.array([1.0, 2.0]))
+    ref = [_layer_error_power(16, 2.0, 1.0), _layer_error_power(64, 2.0, 2.0)]
     np.testing.assert_allclose(vals, ref)
 
 
-def _scalar_error_power(M, sym_power, noise_power, rims):
+def _scalar_error_power(M, power, noise_power, rims):
     # reference: the rim sum for one bin, neighbor counts looked up by position
-    d = float(np.sqrt(6.0 * sym_power / (M - 1)))
+    d = float(np.sqrt(6.0 * power / (M - 1)))
     if noise_power == 0.0:
         return 0.0
-    probs = rim_probabilities(d, 4.0 * noise_power, rims)["positions"]
+    probs = rim_probabilities(d, noise_power, rims)["positions"]
     counts = avg_neighbor_counts(int(M))
     return sum(d ** 2 * RIM_DIST2[pos] * float(probs[pos]) * counts[pos]
                for pos in RIM_POSITIONS)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 8), st.floats(1e-3, 1e4), st.floats(0.0, 1e4)),
+@given(st.lists(st.tuples(st.integers(1, 8), st.floats(2.5e-4, 2.5e3), st.floats(0.0, 1e4)),
                 min_size=1, max_size=24),
        st.integers(1, 3))
-@example([(3, 8410.710036957444, 2519.462286844841)], 2)  # scalar ** 2 was one ulp off
+@example([(3, 8410.710036957444 / 4, 2519.462286844841)], 2)  # scalar ** 2 was one ulp off
 def test_layer_error_power_is_elementwise(triples, rims):
-    bits, sym_power, noise = (np.array(col) for col in zip(*triples))
+    bits, power, noise = (np.array(col) for col in zip(*triples))
     M = 2 ** bits
-    vals = layer_error_power(M, sym_power, noise, rims)
-    alone = [layer_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, sym_power, noise)]
+    vals = _layer_error_power(M, power, noise, rims)
+    alone = [_layer_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, power, noise)]
     np.testing.assert_array_equal(vals, alone)
-    ref = [_scalar_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, sym_power, noise)]
+    ref = [_scalar_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, power, noise)]
     np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(1, 3))
+def test_error_power_scales_exactly_with_power_and_noise(bits, power, noise, rims):
+    # loading at 4 P_s against 4 P_z quadruples the error power bit for bit, so
+    # the effective-power unit changes no output. A rim term below the normal
+    # range rounds coarser than four times it would, which can move a result
+    # just above that range, so the result must clear it by 2^53.
+    ref = _layer_error_power(2 ** bits, power, noise, rims)
+    assume(np.isfinite(4.0 * ref) and abs(ref) >= np.finfo(float).tiny * 2.0 ** 53)
+    assert _layer_error_power(2 ** bits, 4.0 * power, 4.0 * noise, rims) == 4.0 * ref
 
 
 @settings(max_examples=40, deadline=None)
