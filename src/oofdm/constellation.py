@@ -132,7 +132,8 @@ def rim_probabilities(d_min, sigma2, rims: int = 3):
     if rims not in (1, 2, 3):
         raise ValueError("rims must be 1, 2 or 3")
     d_min = np.asarray(d_min, dtype=float)
-    sigma_axis = np.sqrt(sigma2 / 2.0)
+    # a subnormal sigma2 can halve to zero; the clamp keeps its tails at zero
+    sigma_axis = np.sqrt(np.maximum(sigma2 / 2.0, np.finfo(float).smallest_subnormal))
     p_a, p_b, p_c = (qfunc(w * d_min / (2.0 * sigma_axis)) if w < 2 * rims
                      else np.zeros(np.broadcast(d_min, sigma_axis).shape) for w in (1.0, 3.0, 5.0))
     cells = (1.0 - 2.0 * p_a, p_a - p_b, p_b - p_c, p_c)

@@ -37,14 +37,17 @@ def test_uniform_config_ado_and_haco():
     assert np.all(haco.layers[1].M == 4)
 
 
-@pytest.mark.parametrize("scheme,bins,power", [("aco", N // 4, N ** 2 / (N // 2)),
-                                                ("pam", N // 2 - 1, N ** 2 / (N - 2)),
+@pytest.mark.parametrize("scheme,bins,power", [("aco", N // 4, 4.0 * N ** 2 / (N // 2)),
+                                                ("pam", N // 2 - 1, 4.0 * N ** 2 / (N - 2)),
                                                 ("dco", N // 2 - 1, N ** 2 / (N - 2))])
 def test_uniform_config_single_layer(scheme, bins, power):
+    # `power` is the symbol power sent per bin: the tables load a zero-clipped
+    # layer at four times its effective power
     cfg = SchemeConfig.uniform(scheme, N, 16, 1.0, layers=5)  # layer count ignored
     (spec,) = cfg.layers
     assert spec.kind == scheme and len(spec.bins) == bins
-    np.testing.assert_allclose(spec.power, power)
+    np.testing.assert_allclose(spec.power, power / (1.0 if scheme == "dco" else 4.0))
+    np.testing.assert_allclose((spec.tables.amp * spec.fold) ** 2, power)
 
 
 def test_uniform_config_validation():

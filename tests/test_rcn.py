@@ -131,6 +131,7 @@ def _scalar_error_power(M, power, noise_power, rims):
                 min_size=1, max_size=24),
        st.integers(1, 3))
 @example([(3, 8410.710036957444 / 4, 2519.462286844841)], 2)  # scalar ** 2 was one ulp off
+@example([(1, 1.0, 5e-324)], 1)  # a subnormal noise power halved to zero
 def test_layer_error_power_is_elementwise(triples, rims):
     bits, power, noise = (np.array(col) for col in zip(*triples))
     M = 2 ** bits
