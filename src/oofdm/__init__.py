@@ -7,7 +7,7 @@ from .channel import (ChannelProfile, gamma_to_p_eff, measure_power_relations,
                       rcn_statistics)
 from .constellation import (Constellation, avg_neighbor_counts,
                             detection_error_power, min_distance,
-                            rim_probabilities, ser_pam, ser_qam)
+                            rim_probabilities, ser_pam, ser_qam, unit_alphabet)
 from .modems import (PowerTriple, affected_subcarriers, effective_subcarriers,
                      power_relations)
 from .multilayer import (LayerSpec, SchemeConfig, TxBatch, layer_frames, layer_noise,

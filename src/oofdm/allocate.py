@@ -46,7 +46,7 @@ def waterfill(q, phi, budget: float) -> np.ndarray:
     m_all = np.arange(1, len(qs) + 1)
     mu_all = (budget + prefix) / m_all
     valid = mu_all > qs  # water above the worst active subcarrier
-    m = int(np.max(m_all[valid]))
+    m = int(np.max(m_all[valid], initial=1))  # mu >= q_min: the cheapest bin is always active
     mu = mu_all[m - 1]
     p = np.zeros_like(q)
     p[phi] = np.maximum(0.0, mu - q[phi])

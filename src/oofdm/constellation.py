@@ -1,5 +1,6 @@
-"""QAM/PAM constellation geometry, per-axis ML detection, closed-form SER, and
-the rim-based detection-error power model.
+"""Unit-power QAM/PAM alphabets (`unit_alphabet`, built once per kind and order),
+the per-axis ML detector `quantize`, closed-form SER, and the rim-based
+detection-error power model.
 
 The rim model approximates E{|x - xhat|^2} for ML detection of M-QAM in
 complex AWGN by summing contributions of neighbors in the first three
@@ -31,46 +32,27 @@ def _axis_levels(m: int):
 
 @dataclass(frozen=True)
 class Constellation:
-    """Immutable symbol alphabet scaled to the average power it was built with.
-
-    QAM uses a rectangular grid (square when log2(M) is even); PAM loads are
-    purely imaginary. Point index order is row-major over (I level, Q level).
-    """
+    """One unit-power alphabet: an m_i x m_q QAM grid, or purely imaginary 1 x M
+    PAM. Point index order is row-major over (I level, Q level); `points` is read-only."""
     M: int
     points: np.ndarray
     d_min: float
     m_i: int
     m_q: int
 
-    @classmethod
-    def qam(cls, M: int, power: float) -> "Constellation":
-        if M < 2 or (M & (M - 1)) != 0:
-            raise ValueError(f"QAM order must be a power of two >= 2, got {M}")
-        b = int(round(np.log2(M)))
-        m_i = 2 ** ((b + 1) // 2)
-        m_q = 2 ** (b // 2)
-        li = _axis_levels(m_i)
-        lq = _axis_levels(m_q)
-        grid = (li[:, None] + 1j * lq[None, :]).ravel()
-        unit_power = (m_i ** 2 - 1 + m_q ** 2 - 1) / 3.0
-        scale = np.sqrt(power / unit_power)
-        return cls(M, grid * scale, 2.0 * scale, m_i, m_q)
 
-    @classmethod
-    def pam(cls, M: int, power: float) -> "Constellation":
-        if M < 2 or (M & (M - 1)) != 0:
-            raise ValueError(f"PAM order must be a power of two >= 2, got {M}")
-        levels = _axis_levels(M)
-        scale = np.sqrt(3.0 * power / (M ** 2 - 1))
-        return cls(M, 1j * levels * scale, 2.0 * scale, 1, M)
-
-    def detect(self, obs):
-        """ML detection via per-axis quantization (exact for rectangular grids).
-
-        Returns integer indices into `points`.
-        """
-        pairs = np.array(obs, dtype=complex)[..., None].view(float)
-        return quantize(pairs, self.d_min, (self.m_i - 1, self.m_q - 1), self.m_q)
+@lru_cache(maxsize=None)
+def unit_alphabet(kind: str, M: int) -> Constellation:
+    """The unit-power alphabet of order M = 2^b on a layer of `kind`, built once per
+    process: PAM is the 1 x M grid, any other kind 2^ceil(b/2) x 2^floor(b/2) QAM."""
+    if M < 2 or M & (M - 1):
+        raise ValueError(f"constellation order must be a power of two >= 2, got {M}")
+    b = int(M).bit_length() - 1
+    m_i, m_q = (1, M) if kind == "pam" else (2 ** ((b + 1) // 2), 2 ** (b // 2))
+    scale = np.sqrt(3.0 / (m_i ** 2 + m_q ** 2 - 2))
+    points = (_axis_levels(m_i)[:, None] + 1j * _axis_levels(m_q)[None, :]).ravel() * scale
+    points.flags.writeable = False
+    return Constellation(M, points, 2.0 * scale, m_i, m_q)
 
 
 def quantize(pairs, d_min, top, m_q):
@@ -146,7 +128,7 @@ def _neighbor_counts(M: int) -> tuple:
     """Average neighbor count of each rim position (RIM_POSITIONS order): a
     shift of (x, y) level steps fits max(m_i - |x|, 0) * max(m_q - |y|, 0)
     times on the grid, summed over the sign and axis arrangements of (a, b)."""
-    c = Constellation.qam(M, 1.0)  # any power; geometry only
+    c = unit_alphabet("qam", M)
     counts = []
     for a, b in _RIM_OFFSET.values():
         shifts = {(sx * u, sy * v) for u, v in ((a, b), (b, a)) for sx in (1, -1) for sy in (1, -1)}

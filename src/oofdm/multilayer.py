@@ -16,25 +16,17 @@ full length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .constellation import Constellation, quantize
+from .constellation import quantize, unit_alphabet
 from .modems import effective_subcarriers, laco_layers, layer_kinds
 
 DCO_BIAS = 3.0  # in frame standard deviations, as the closed-form DCO relations assume
 # Longest layer period added tiled to full length: adding through a periods view
 # loops over the period innermost, which is slower for a period of a few samples.
 _SHORT_PERIOD = 16
-
-
-@lru_cache(maxsize=None)
-def _unit_alphabet(kind: str, order: int) -> Constellation:
-    """The unit-power alphabet of one order, built once per process and read-only."""
-    alphabet = (Constellation.pam if kind == "pam" else Constellation.qam)(order, 1.0)
-    alphabet.points.flags.writeable = False
-    return alphabet
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,7 @@ class LayerSpec:
     def tables(self) -> "LayerTables":
         """Per-bin mapping and detection tables, built on first use."""
         orders, pos = np.unique(self.M, return_inverse=True)
-        alphabets = [_unit_alphabet(self.kind, int(order)) for order in orders]
+        alphabets = [unit_alphabet(self.kind, int(order)) for order in orders]
         start = np.cumsum([0] + [c.M for c in alphabets])[:-1]
         d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
                            for a in ("d_min", "m_i", "m_q"))
@@ -92,6 +84,8 @@ class SchemeConfig:
         for sp in self.layers:
             if not (sp.bins.size and sp.bins.min() >= 1 and sp.bins.max() < self.n // 2):
                 raise ValueError("a layer needs independent bins in [1, n/2)")
+            for order in np.unique(sp.M):
+                unit_alphabet(sp.kind, int(order))  # rejects an order off the grid
         folds = [sp.fold for sp in self.layers]
         if folds != sorted(folds):
             raise ValueError(f"layer periods must be nested: fold factors {folds} decrease")

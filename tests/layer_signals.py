@@ -4,7 +4,7 @@ of `layer_noise` checked against them."""
 
 import numpy as np
 
-from oofdm.constellation import Constellation
+from oofdm.constellation import unit_alphabet
 from oofdm.multilayer import layer_frames, layer_noise
 
 
@@ -12,8 +12,7 @@ def layer_loads(spec, idx):
     """Complex loads (F, n_j) of symbol indices `idx` on a layer, bin by bin:
     the point of the bin's unit-power alphabet scaled by 2*sqrt(P_s), or by
     sqrt(P_s) on a DCO layer (zero-clipping halves the data bins)."""
-    make = Constellation.pam if spec.kind == "pam" else Constellation.qam
-    points = [make(int(m), 1.0).points[i] for m, i in zip(spec.M, idx.T)]
+    points = [unit_alphabet(spec.kind, int(m)).points[i] for m, i in zip(spec.M, idx.T)]
     return np.stack(points, axis=-1) * ((1.0 if spec.kind == "dco" else 2.0) * np.sqrt(spec.power))
 
 

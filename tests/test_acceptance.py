@@ -15,7 +15,7 @@ from layer_signals import layer_signals
 from oofdm.allocate import allocate, waterfill
 from oofdm.channel import (ChannelProfile, gamma_to_p_eff, measure_power_relations,
                            rcn_statistics, run_point)
-from oofdm.constellation import Constellation, detection_error_power
+from oofdm.constellation import detection_error_power, quantize, unit_alphabet
 from oofdm.modems import power_relations
 from oofdm.multilayer import SchemeConfig, layer_frames, receive, transmit
 from oofdm.rcn import worst_case_noise
@@ -263,14 +263,15 @@ def test_criterion_7_oracle_equivalence():
     # d_min/sigma >= 2 everywhere; the smallest grid needs a little more
     # headroom before the three-rim truncation error drops below 5%
     for M, ratio in ((4, 2.8), (16, 2.5), (64, 2.0)):
-        c = Constellation.qam(M, float(M))
+        c = unit_alphabet("qam", M)
         d = c.d_min
         sigma2 = (d / ratio) ** 2
         nobs = 10 ** 6
         idx = rng.integers(0, M, nobs)
         noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(nobs)
                                        + 1j * rng.standard_normal(nobs))
-        det = c.detect(c.points[idx] + noise)
+        obs = (c.points[idx] + noise)[..., None].view(float)
+        det = quantize(obs, d, (c.m_i - 1, c.m_q - 1), c.m_q)
         mc = np.mean(np.abs(c.points[det] - c.points[idx]) ** 2)
         est = detection_error_power(d, sigma2, M, rims=3)
         worst_rel = max(worst_rel, abs(est - mc) / mc)

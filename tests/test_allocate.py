@@ -92,6 +92,13 @@ def test_waterfill_validation():
         waterfill(np.ones(4), np.array([], dtype=int), 1.0)
 
 
+def test_underflowing_budget_loads_nothing():
+    # budget + q_min rounds to q_min: the water stays at the cheapest bin's level
+    np.testing.assert_array_equal(waterfill(np.array([1.0, 3.0]), np.arange(2), 1e-17), 0.0)
+    res = allocate(ChannelProfile.exponential(N), 10.0 ** -19, 1e-2)
+    assert res.total_bits == 0 and not np.any(res.powers)
+
+
 def test_flat_unaware_allocation_is_uniform():
     res = allocate(ChannelProfile.flat(N), 10.0 ** 1.8, 1e-2, mode="rcn_unaware")
     assert res.iterations == 1 and res.converged

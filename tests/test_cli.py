@@ -293,6 +293,13 @@ def test_allocate_command(tmp_path):
     assert (tmp_path / "allocation_rcn_aware_18dB.csv").exists()
 
 
+def test_allocate_with_an_underflowing_budget_loads_nothing(tmp_path):
+    rc = main(["allocate", "--gammas-eff=-400", "--n", "64", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "allocation_summary.json").read_text())
+    assert len(summary) == 2 and all(entry["total_bits"] == 0 for entry in summary)
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scheme": "haco", "peff": 2.0}))

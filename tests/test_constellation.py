@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, Constellation,
-                                 avg_neighbor_counts, detection_error_power,
-                                 min_distance, quantize, rim_probabilities,
-                                 ser_pam, ser_qam)
+from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, avg_neighbor_counts,
+                                 detection_error_power, min_distance, quantize,
+                                 rim_probabilities, ser_pam, ser_qam, unit_alphabet)
 from oofdm.multilayer import LayerSpec
 
 # frozen Monte Carlo oracles (ML detection, 10^6 trials, seed 20240817):
@@ -19,76 +18,91 @@ SER_QAM16_SNR100_SE = 4.0e-6
 DET_ERR_POWER_MC = 0.945666
 
 
-def ml_detect(observation, constellation: Constellation):
+def ml_detect(observation, points):
     """Brute-force nearest-point detection; ties broken by lowest index.
 
     Returns (index, point value). Vectorized over `observation`.
     """
     obs = np.asarray(observation, dtype=complex)
-    d2 = np.abs(obs[..., None] - constellation.points) ** 2
+    d2 = np.abs(obs[..., None] - points) ** 2
     idx = np.argmin(d2, axis=-1)
-    return idx, constellation.points[idx]
+    return idx, points[idx]
+
+
+def detect(obs, c):
+    """Indices of the engine's per-axis decisions on observations `obs` of alphabet `c`."""
+    pairs = np.array(obs, dtype=complex)[..., None].view(float)
+    return quantize(pairs, c.d_min, (c.m_i - 1, c.m_q - 1), c.m_q)
 
 
 def test_qam_power_and_geometry():
     for M in (4, 16, 64, 256):
-        c = Constellation.qam(M, 3.7)
+        c = unit_alphabet("qam", M)
         assert len(c.points) == M
-        assert np.mean(np.abs(c.points) ** 2) == pytest.approx(3.7)
+        assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0)
         assert np.sum(c.points) == pytest.approx(0.0, abs=1e-12)
+        assert not c.points.flags.writeable
 
 
 def test_min_distance_matches_pairwise_enumeration():
     # nearest-neighbor distance of a generated 16-QAM set equals the closed form
-    c = Constellation.qam(16, 5.0)
+    c = unit_alphabet("qam", 16)
     d = np.abs(c.points[:, None] - c.points[None, :])
     d[d == 0] = np.inf
-    assert abs(d.min() - min_distance(16, 5.0)) < 1e-12
+    assert abs(d.min() - min_distance(16, 1.0)) < 1e-12
     assert abs(d.min() - c.d_min) < 1e-12
 
 
 def test_rectangular_qam_geometry():
-    c = Constellation.qam(8, 1.0)
+    c = unit_alphabet("qam", 8)
     assert (c.m_i, c.m_q) == (4, 2)
     assert c.m_i != c.m_q
-    square = Constellation.qam(16, 1.0)
+    square = unit_alphabet("qam", 16)
     assert square.m_i == square.m_q
 
 
 def test_pam_points_are_imaginary():
-    c = Constellation.pam(4, 2.0)
+    c = unit_alphabet("pam", 4)
+    assert (c.m_i, c.m_q) == (1, 4)
     assert np.max(np.abs(c.points.real)) == 0.0
-    assert np.mean(np.abs(c.points) ** 2) == pytest.approx(2.0)
+    assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("M", [0, 1, 3, 6, -4])
+def test_unit_alphabet_rejects_orders_off_the_grid(M):
+    with pytest.raises(ValueError, match="power of two >= 2"):
+        unit_alphabet("qam", M)
 
 
 def test_detect_agrees_with_brute_force_ml():
     rng = np.random.default_rng(11)
-    for maker, M in ((Constellation.qam, 16), (Constellation.qam, 8),
-                     (Constellation.pam, 4)):
-        c = maker(M, 1.0)
+    for kind, M in (("qam", 16), ("qam", 8), ("pam", 4)):
+        c = unit_alphabet(kind, M)
         obs = c.points[rng.integers(0, M, 2000)] + 0.3 * (
             rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
-        idx_bf, _ = ml_detect(obs, c)
-        np.testing.assert_array_equal(c.detect(obs), idx_bf)
+        idx_bf, _ = ml_detect(obs, c.points)
+        np.testing.assert_array_equal(detect(obs, c), idx_bf)
 
 
-ALPHABETS = ([(Constellation.qam, 2 ** b) for b in range(1, 9)]
-             + [(Constellation.pam, 2 ** b) for b in range(1, 5)])
+ALPHABETS = ([("qam", 2 ** b) for b in range(1, 9)]
+             + [("pam", 2 ** b) for b in range(1, 5)])
 
 
-@pytest.mark.parametrize("maker,M", ALPHABETS, ids=lambda a: getattr(a, "__name__", a))
+@pytest.mark.parametrize("kind,M", ALPHABETS)
 @settings(max_examples=40, deadline=None)
 @given(st.floats(1e-3, 1e3),
        st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1,
                 max_size=40))
-def test_detect_is_brute_force_ml(maker, M, power, coords):
-    # observations up to twice the unit-power extent, so the outer decision
-    # regions are hit too; ties (a measure-zero set) may go either way
-    c = maker(M, power)
+def test_detect_is_brute_force_ml(kind, M, power, coords):
+    # observations of an alphabet sent at `power`, up to twice its extent, so the
+    # outer decision regions are hit too; the receiver scales them by 1/sqrt(power)
+    # before detection. Ties (a measure-zero set) may go either way
+    c = unit_alphabet(kind, M)
+    points = np.sqrt(power) * c.points
     obs = np.sqrt(power) * np.array([re + 1j * im for re, im in coords])
-    det = c.detect(obs)
-    idx_bf, _ = ml_detect(obs, c)
-    d2 = np.abs(obs[:, None] - c.points) ** 2
+    det = detect(obs / np.sqrt(power), c)
+    idx_bf, _ = ml_detect(obs, points)
+    d2 = np.abs(obs[:, None] - points) ** 2
     best = d2.min(axis=1)
     tol = 1e-9 * power
     np.testing.assert_array_less(d2[np.arange(len(obs)), det], best + tol)
@@ -109,19 +123,18 @@ def test_layer_detector_is_brute_force_ml_per_bin(kind, data):
     obs = rng.uniform(-2.0, 2.0, (50, len(M))) + 1j * rng.uniform(-2.0, 2.0, (50, len(M)))
     tables = spec.tables
     det = quantize(obs.copy()[..., None].view(float), tables.d_min, tables.top, tables.m_q)
-    make = Constellation.pam if kind == "pam" else Constellation.qam
     for b, order in enumerate(M):
-        c = make(int(order), 1.0)
-        np.testing.assert_array_equal(det[:, b], c.detect(obs[:, b]))
-        idx_bf, _ = ml_detect(obs[:, b], c)
+        c = unit_alphabet(kind, int(order))
+        np.testing.assert_array_equal(det[:, b], detect(obs[:, b], c))
+        idx_bf, _ = ml_detect(obs[:, b], c.points)
         d2 = np.abs(obs[:, b, None] - c.points) ** 2
         unique = np.sum(d2 <= d2.min(axis=1, keepdims=True) + 1e-9, axis=1) == 1
         np.testing.assert_array_equal(det[unique, b], idx_bf[unique])
 
 
 def test_detect_roundtrip_noiseless():
-    c = Constellation.qam(64, 1.0)
-    np.testing.assert_array_equal(c.detect(c.points), np.arange(64))
+    c = unit_alphabet("qam", 64)
+    np.testing.assert_array_equal(detect(c.points, c), np.arange(64))
 
 
 def test_ser_qam_against_mc_oracle():
@@ -132,13 +145,14 @@ def test_ser_qam_against_mc_oracle():
 def test_ser_qam_against_inline_mc():
     # 10^5 noisy 16-QAM observations at a moderate operating point
     rng = np.random.default_rng(5)
-    c = Constellation.qam(16, 10.0)
+    c = unit_alphabet("qam", 16)
     sigma2 = 0.5
     nobs = 10 ** 5
     idx = rng.integers(0, 16, nobs)
     noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(nobs)
                                    + 1j * rng.standard_normal(nobs))
-    p_hat = np.mean(c.detect(c.points[idx] + noise) != idx)
+    obs = np.sqrt(10.0) * c.points[idx] + noise  # sent at power 10
+    p_hat = np.mean(detect(obs / np.sqrt(10.0), c) != idx)
     se = np.sqrt(p_hat * (1 - p_hat) / nobs)
     assert abs(ser_qam(16, 10.0, sigma2) - p_hat) <= 3 * se
 
@@ -151,20 +165,21 @@ def test_ser_pam_against_mc_oracle():
 
 def test_ser_pam_against_inline_mc():
     rng = np.random.default_rng(6)
-    c = Constellation.pam(4, 5.0)
+    c = unit_alphabet("pam", 4)
     sigma2 = 1.0
     nobs = 10 ** 5
     idx = rng.integers(0, 4, nobs)
     noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(nobs)
                                    + 1j * rng.standard_normal(nobs))
-    p_hat = np.mean(c.detect(c.points[idx] + noise) != idx)
+    obs = np.sqrt(5.0) * c.points[idx] + noise  # sent at power 5
+    p_hat = np.mean(detect(obs / np.sqrt(5.0), c) != idx)
     se = np.sqrt(p_hat * (1 - p_hat) / nobs)
     assert abs(ser_pam(4, 5.0, sigma2) - p_hat) <= 3 * se
 
 
 def _brute_force_counts(M):
     # independent re-enumeration of the average neighbor counts
-    c = Constellation.qam(M, float(M))
+    c = unit_alphabet("qam", M)
     pts = c.points / (c.d_min / 2.0)  # odd-integer grid
     counts = {pos: 0.0 for pos in RIM_POSITIONS}
     for p in pts:

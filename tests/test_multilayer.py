@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from hermitian import hermitian_embed
 from layer_signals import layer_loads, layer_signals
-from oofdm.constellation import Constellation
+from oofdm.constellation import unit_alphabet
 from oofdm.modems import effective_subcarriers
-from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, _unit_alphabet,
-                               draw_symbols, layer_frames, layer_noise, modulate, receive, transmit)
+from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
+                               layer_frames, layer_noise, modulate, receive, transmit)
 
 N = 1024
 
@@ -57,6 +57,16 @@ def test_uniform_config_validation():
         SchemeConfig.uniform("laco", N, [16, 16], 1.0, layers=3)
 
 
+@pytest.mark.parametrize("order", [3, 6, 1, 0])
+def test_config_rejects_orders_off_the_grid(order):
+    with pytest.raises(ValueError, match="power of two >= 2"):
+        SchemeConfig.uniform("aco", 64, order, 10.0)
+    aco, dco = SchemeConfig.uniform("ado", 64, 16, 10.0).layers
+    mixed = LayerSpec("dco", dco.bins, np.where(dco.bins == 6, order, 16), dco.power)
+    with pytest.raises(ValueError, match=f"got {order}"):
+        SchemeConfig("ado", 64, [aco, mixed])
+
+
 def test_config_rejects_decreasing_fold_factors():
     laco = SchemeConfig.uniform("laco", N, 16, 1.0, layers=3)
     SchemeConfig("laco", N, [laco.layers[0], laco.layers[2]])  # a pruned, nested config
@@ -67,31 +77,28 @@ def test_config_rejects_decreasing_fold_factors():
         SchemeConfig("ado", N, ado.layers[::-1])
 
 
-def test_layer_alphabets_are_built_once(monkeypatch):
+def test_layer_alphabets_are_built_once():
     bits = np.full(N, 2)
     bits[3::4] = 3  # layer 1 mixes 4-QAM and 8-QAM
-    built = []
-    qam = Constellation.qam
-    monkeypatch.setattr(Constellation, "qam", lambda M, power: built.append(M) or qam(M, power))
-    _unit_alphabet.cache_clear()
+    unit_alphabet.cache_clear()
     cfg = SchemeConfig.from_allocation(N, bits, np.ones(N))
     spec = cfg.layers[0]
     tables = spec.tables
     assert spec.tables is tables
-    unit = [qam(m, 1.0).points for m in (4, 8)]
+    assert unit_alphabet.cache_info().misses == 2  # the 4-QAM and 8-QAM alphabets
+    unit = [unit_alphabet(spec.kind, m).points for m in (4, 8)]
     np.testing.assert_array_equal(tables.alphabet, np.concatenate(unit))
     np.testing.assert_array_equal(tables.offset, np.where(spec.M == 8, 4, 0))
-    assert not _unit_alphabet(spec.kind, 4).points.flags.writeable
     # layers 2..9 reuse layer 1's 4-QAM, and a second transmit and receive builds no alphabet
     for _ in range(2):
         tx = transmit(cfg, np.random.default_rng(0), 2)
         receive(tx.x, cfg)
-        assert built == [4, 8]
+        assert unit_alphabet.cache_info().misses == 2
     # nor does a second config with the same orders
     other = SchemeConfig.from_allocation(N, bits, np.full(N, 2.0))
     for sp in other.layers:
         sp.tables
-    assert built == [4, 8]
+    assert unit_alphabet.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("scheme", ["laco", "ado", "haco"])
