@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
-Subcommands reproduce the five experiment families as plot-ready CSV files:
-power-relations, rcn-power, rcn-stats, ser, and allocate. Every run writes a
-JSON manifest (resolved configuration, seed, version, output paths) next to
-its outputs so results can be reproduced bit-exactly.
+power-relations prints the closed-form power relations (and a Monte Carlo check).
+rcn-power, rcn-stats, ser and allocate build plot-ready CSV tables (allocate also a
+JSON summary), written only once the whole run has succeeded, with a JSON manifest
+(resolved configuration, seed, version, output paths) that reproduces the run
+bit-exactly; one printed line names every file written.
 
 Configuration precedence: command-line flags > --config JSON file > defaults.
 The default output directory can be set with the OOFDM_OUT environment
@@ -45,13 +46,6 @@ def _parse_grid(text):
     return values
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("OOFDM_OUT", ".")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _channel(args) -> ChannelProfile:
     if args.channel:
         return ChannelProfile.from_csv(args.channel, args.n)
@@ -70,25 +64,27 @@ def _points(args, channel: ChannelProfile, scheme: str, gammas, effective: bool,
         yield gamma, scheme_cfg, run_point(scheme_cfg, channel, args.runs, (args.seed, i), **run_kw)
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_manifest(out_dir: Path, subcommand: str, args, outputs):
-    """The resolved options (all but the handler), version and output paths."""
-    manifest = {
-        "subcommand": subcommand,
-        "config": {key: value for key, value in vars(args).items() if key != "func"},
-        "version": __version__,
-        "outputs": [str(p) for p in outputs],
-    }
-    path = out_dir / f"{subcommand}_manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return path
+def _write_outputs(args, outputs: dict) -> int:
+    """Write a finished run's outputs (file name -> a CSV's (header, rows), or the list
+    in allocation_summary.json) and its manifest into --out, else $OOFDM_OUT, else the
+    working directory, and print one line naming every file."""
+    out_dir = Path(args.out or os.environ.get("OOFDM_OUT", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in outputs]
+    for path, content in zip(paths, outputs.values()):
+        with open(path, "w", newline="") as fh:
+            if path.suffix == ".json":
+                json.dump(content, fh, indent=2)
+            else:
+                header, rows = content
+                csv.writer(fh).writerows([header, *rows])
+    manifest = out_dir / f"{args.command}_manifest.json"
+    with open(manifest, "w") as fh:
+        json.dump({"subcommand": args.command,
+                   "config": {key: value for key, value in vars(args).items() if key != "func"},
+                   "version": __version__, "outputs": [str(p) for p in paths]}, fh, indent=2)
+    print(f"wrote {', '.join(map(str, paths))} and {manifest}")
+    return 0
 
 
 def cmd_power_relations(args):
@@ -108,7 +104,6 @@ def cmd_power_relations(args):
 
 
 def cmd_rcn_power(args):
-    out_dir = _out_dir(args)
     gammas = _parse_grid(args.gammas_eff)
     channel = _channel(args)
     p_v = channel.bin_noise_power()
@@ -120,22 +115,17 @@ def cmd_rcn_power(args):
         for t in range(len(delta)):
             rows.append([gamma, t + 1, delta[t], estimates[1][t], estimates[2][t],
                          estimates[3][t], err[t]])
-    path = out_dir / "rcn_power.csv"
-    _write_csv(path, ["gamma_eff_db", "layer", "measured_delta_power",
-                      "estimated_1rim", "estimated_2rims", "estimated_3rims",
-                      "err_power"], rows)
-    manifest = _write_manifest(out_dir, "rcn-power", args, [path])
-    print(f"wrote {path} and {manifest}")
-    return 0
+    header = ["gamma_eff_db", "layer", "measured_delta_power", "estimated_1rim",
+              "estimated_2rims", "estimated_3rims", "err_power"]
+    return _write_outputs(args, {"rcn_power.csv": (header, rows)})
 
 
 def cmd_ser(args):
-    out_dir = _out_dir(args)
     gammas = _parse_grid(args.gammas)
     channel = _channel(args)
     p_v = channel.bin_noise_power()
     rows = []
-    outputs = []
+    outputs = {}
     for scheme in args.schemes.split(","):
         scheme = scheme.strip().lower()
         points = _points(args, channel, scheme, gammas, effective=False)
@@ -144,32 +134,23 @@ def cmd_ser(args):
             unaware = evaluate_ser(scheme_cfg, p_v, "rcn_unaware", args.rims).overall
             rows.append([gamma, scheme, point["ser"], point["stderr"], aware, unaware])
             if args.dump_frames and i == 0:
-                outputs.append(_dump_frame(out_dir, scheme_cfg, channel, args.seed))
-    path = out_dir / "ser.csv"
-    _write_csv(path, ["gamma_db", "scheme", "simulated", "stderr",
-                      "rcn_aware", "rcn_unaware"], rows)
-    outputs.append(path)
-    manifest = _write_manifest(out_dir, "ser", args, outputs)
-    print(f"wrote {path} and {manifest}")
-    return 0
+                outputs[f"frame_{scheme}.csv"] = _dump_frame(scheme_cfg, channel, args.seed)
+    header = ["gamma_db", "scheme", "simulated", "stderr", "rcn_aware", "rcn_unaware"]
+    return _write_outputs(args, {**outputs, "ser.csv": (header, rows)})
 
 
-def _dump_frame(out_dir: Path, scheme_cfg: SchemeConfig, channel: ChannelProfile, seed: int) -> Path:
-    """Debug dump of a single frame: time index, transmitted and received
-    signals, and the per-layer frames remodulated from the decisions."""
+def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, seed: int):
+    """(header, rows) of a debug dump of a single frame: time index, transmitted
+    and received signals, and the per-layer frames remodulated from the decisions."""
     rng = np.random.default_rng(seed)
     tx = transmit(scheme_cfg, rng, 1)
     y = tx.x + post_eq_noise(channel, rng, 1)
     s_hat, _ = layer_frames(scheme_cfg, receive(y, scheme_cfg), tx.bias)
     header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
-    rows = [[i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
-    path = out_dir / f"frame_{scheme_cfg.scheme}.csv"
-    _write_csv(path, header, rows)
-    return path
+    return header, [[i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
 
 
 def cmd_rcn_stats(args):
-    out_dir = _out_dir(args)
     gammas = _parse_grid(args.gammas_eff)
     channel = _channel(args)
     t_max = _probed_layers(args.n, args.bin)
@@ -188,33 +169,27 @@ def cmd_rcn_stats(args):
                                       ("im", res["normalized_im"][t1], ks_im)):
                 qs = np.quantile(samples, np.linspace(0.01, 0.99, 99))
                 cdf_rows.append([gamma, t1 + 1, part, ks] + list(qs))
-    cov_path = out_dir / "rcn_covariance.csv"
-    _write_csv(cov_path, ["gamma_eff_db", "t1", "t2", "abs_rho"], cov_rows)
-    cdf_path = out_dir / "rcn_cdf.csv"
-    _write_csv(cdf_path, ["gamma_eff_db", "layer", "part", "ks_distance"]
-               + [f"q{p:02d}" for p in range(1, 100)], cdf_rows)
-    manifest = _write_manifest(out_dir, "rcn-stats", args, [cov_path, cdf_path])
-    print(f"wrote {cov_path}, {cdf_path} and {manifest}")
-    return 0
+    cov_header = ["gamma_eff_db", "t1", "t2", "abs_rho"]
+    cdf_header = ["gamma_eff_db", "layer", "part", "ks_distance"] + [f"q{p:02d}" for p in range(1, 100)]
+    return _write_outputs(args, {"rcn_covariance.csv": (cov_header, cov_rows),
+                                 "rcn_cdf.csv": (cdf_header, cdf_rows)})
 
 
 def cmd_allocate(args):
     if args.validate_runs < 0:
         raise ValueError(f"--validate-runs must be >= 0, got {args.validate_runs}")
-    out_dir = _out_dir(args)
     channel = _channel(args)
     p_v = channel.bin_noise_power()
-    outputs = []
+    header = ["k", "layer", "bits", "power", "noise"]
+    outputs = {}
     summary = []
     for gamma_eff in _parse_grid(args.gammas_eff):
-        p_eff = 10.0 ** (gamma_eff / 10.0) * channel.noise_power
+        p_eff = gamma_to_p_eff(None, gamma_eff, channel.noise_power, effective=True)
         for mode in MODES:
             res = allocate(channel, p_eff, args.pe, mode=mode, rims=args.rims)
-            rows = [[k, layer_index(int(k), args.n), res.bits[k],
-                     res.powers[k], res.noise[k]] for k in res.loaded]
-            path = out_dir / f"allocation_{mode}_{gamma_eff:g}dB.csv"
-            _write_csv(path, ["k", "layer", "bits", "power", "noise"], rows)
-            outputs.append(path)
+            rows = [[k, layer_index(int(k), args.n), res.bits[k], res.powers[k], res.noise[k]]
+                    for k in res.loaded]
+            outputs[f"allocation_{mode}_{gamma_eff:g}dB.csv"] = (header, rows)
             entry = {"gamma_eff_db": gamma_eff, "mode": mode,
                      "iterations": res.iterations, "converged": res.converged,
                      "total_bits": res.total_bits,
@@ -223,16 +198,10 @@ def cmd_allocate(args):
                 scheme_cfg = SchemeConfig.from_allocation(args.n, res.bits, res.powers)
                 point = run_point(scheme_cfg, channel, args.validate_runs, args.seed)
                 entry["simulated_ser"] = point["ser"]
-                pred = evaluate_ser(scheme_cfg, p_v, "rcn_aware", args.rims)
-                entry["predicted_ser"] = pred.overall
+                entry["predicted_ser"] = evaluate_ser(scheme_cfg, p_v, "rcn_aware", args.rims).overall
             summary.append(entry)
-    summary_path = out_dir / "allocation_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    outputs.append(summary_path)
-    manifest = _write_manifest(out_dir, "allocate", args, outputs)
-    print(f"wrote {summary_path} and {manifest}")
-    return 0
+    outputs["allocation_summary.json"] = summary
+    return _write_outputs(args, outputs)
 
 
 def _add_common(p, *groups):

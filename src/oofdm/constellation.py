@@ -42,13 +42,19 @@ class Constellation:
 
 
 @lru_cache(maxsize=None)
-def unit_alphabet(kind: str, M: int) -> Constellation:
-    """The unit-power alphabet of order M = 2^b on a layer of `kind`, built once per
-    process: PAM is the 1 x M grid, any other kind 2^ceil(b/2) x 2^floor(b/2) QAM."""
+def _grid(kind: str, M: int) -> tuple:
+    """(m_i, m_q) of the order-M = 2^b grid on a layer of `kind`: PAM is 1 x M,
+    any other kind 2^ceil(b/2) x 2^floor(b/2) QAM."""
     if M < 2 or M & (M - 1):
         raise ValueError(f"constellation order must be a power of two >= 2, got {M}")
     b = int(M).bit_length() - 1
-    m_i, m_q = (1, M) if kind == "pam" else (2 ** ((b + 1) // 2), 2 ** (b // 2))
+    return (1, M) if kind == "pam" else (2 ** ((b + 1) // 2), 2 ** (b // 2))
+
+
+@lru_cache(maxsize=None)
+def unit_alphabet(kind: str, M: int) -> Constellation:
+    """The unit-power alphabet of order M on a layer of `kind`, built once per process."""
+    m_i, m_q = _grid(kind, M)
     scale = np.sqrt(3.0 / (m_i ** 2 + m_q ** 2 - 2))
     points = (_axis_levels(m_i)[:, None] + 1j * _axis_levels(m_q)[None, :]).ravel() * scale
     points.flags.writeable = False
@@ -128,11 +134,11 @@ def _neighbor_counts(M: int) -> tuple:
     """Average neighbor count of each rim position (RIM_POSITIONS order): a
     shift of (x, y) level steps fits max(m_i - |x|, 0) * max(m_q - |y|, 0)
     times on the grid, summed over the sign and axis arrangements of (a, b)."""
-    c = unit_alphabet("qam", M)
+    m_i, m_q = _grid("qam", M)
     counts = []
     for a, b in _RIM_OFFSET.values():
         shifts = {(sx * u, sy * v) for u, v in ((a, b), (b, a)) for sx in (1, -1) for sy in (1, -1)}
-        counts.append(sum(max(c.m_i - abs(x), 0) * max(c.m_q - abs(y), 0) for x, y in shifts) / M)
+        counts.append(sum(max(m_i - abs(x), 0) * max(m_q - abs(y), 0) for x, y in shifts) / M)
     return tuple(counts)
 
 
@@ -146,16 +152,13 @@ def detection_error_power(d_min, sigma2, M, rims: int = 3):
     with minimum distance d_min in complex AWGN of power sigma2 (zero for
     zero noise). Broadcasts over d_min, sigma2 and M.
     """
-    M = np.asarray(M)
-    bits = np.round(np.log2(M)).astype(np.int64)
-    if np.any(M < 2) or np.any(2 ** bits != M):
-        raise ValueError("QAM order must be a power of two >= 2")
+    orders, which = np.unique(M, return_inverse=True)
+    table = np.array([_neighbor_counts(m) for m in orders]).reshape(-1, len(RIM_POSITIONS))
+    counts = table[which.reshape(np.shape(M))]  # (..., position)
     sigma2 = np.asarray(sigma2, dtype=float)
     live = sigma2 != 0.0
     probs = rim_probabilities(d_min, np.where(live, sigma2, 1.0), rims)["positions"]
-    table = np.array([_neighbor_counts(2 ** b) for b in range(1, bits.max(initial=1) + 1)])
-    counts = table[bits - 1]  # (..., position)
     d2 = np.asarray(d_min, dtype=float) ** 2
-    total = sum(d2 * (a * a + b * b) * probs[pos] * counts[..., i]
-                for i, (pos, (a, b)) in enumerate(_RIM_OFFSET.items()))
+    total = sum(d2 * RIM_DIST2[pos] * probs[pos] * counts[..., i]
+                for i, pos in enumerate(RIM_POSITIONS))
     return np.where(live, total, 0.0)[()]

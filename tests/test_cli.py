@@ -243,6 +243,28 @@ def test_ser_command_with_frame_dump(tmp_path):
     assert "s_hat_1" in frame[0]
 
 
+def test_failed_run_writes_nothing(tmp_path, capsys):
+    # files are written once the whole run has succeeded: the unknown second
+    # scheme used to leave the output directory and frame_aco.csv behind
+    out = tmp_path / "d"
+    rc = main(["ser", "--schemes", "aco,qam", "--gammas", "10", "--runs", "10", "--n", "64",
+               "--dump-frames", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_wrote_line_names_every_output_and_the_manifest(tmp_path, capsys):
+    rc = main(["ser", "--schemes", "aco,haco", "--gammas", "10", "--runs", "20", "--n", "64",
+               "--dump-frames", "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = tmp_path / "ser_manifest.json"
+    outputs = json.loads(manifest.read_text())["outputs"]
+    assert outputs == [str(tmp_path / name) for name in ("frame_aco.csv", "frame_haco.csv", "ser.csv")]
+    assert capsys.readouterr().out == f"wrote {', '.join(outputs)} and {manifest}\n"
+
+
 def test_rcn_stats_command(tmp_path):
     rc = main(["rcn-stats", "--gammas-eff", "0", "--runs", "200", "--n", "256",
                "--bin", "64", "--out", str(tmp_path)])
@@ -267,14 +289,16 @@ def test_rcn_stats_with_unaffected_probe_is_an_error(tmp_path, capsys, probe):
 
 
 def test_rcn_stats_with_one_frame_is_an_error(tmp_path, capsys):
-    # one frame has no spread: the covariance was written as abs_rho = nan
+    # one frame has no spread: the covariance was written as abs_rho = nan;
+    # the failed run creates no output directory
+    out = tmp_path / "out"
     rc = main(["rcn-stats", "--n", "64", "--runs", "1", "--bin", "16", "--gammas-eff", "10",
-               "--out", str(tmp_path)])
+               "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "no clipping-noise spread" in err and "1 frame(s)" in err and "--runs" in err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_allocate_command(tmp_path):

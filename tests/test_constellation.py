@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, avg_neighbor_counts,
+from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, _neighbor_counts, avg_neighbor_counts,
                                  detection_error_power, min_distance, quantize,
                                  rim_probabilities, ser_pam, ser_qam, unit_alphabet)
 from oofdm.multilayer import LayerSpec
@@ -260,3 +260,18 @@ def test_detection_error_power_monotone_in_rims():
 
 def test_detection_error_power_zero_noise():
     assert detection_error_power(2.0, 0.0, 16) == 0.0
+
+
+@pytest.mark.parametrize("M", [0, 3])
+def test_detection_error_power_rejects_orders_off_the_grid(M):
+    # the same check and message as unit_alphabet; order 0 used to reach log2(0)
+    with pytest.raises(ValueError, match=f"constellation order must be a power of two >= 2, got {M}"):
+        detection_error_power(2.0, 1.0, np.array([16, M]))
+
+
+def test_rim_model_caches_no_alphabet():
+    # the neighbor counts need the grid shape only, never the points of an order
+    _neighbor_counts.cache_clear()
+    before = unit_alphabet.cache_info().currsize
+    detection_error_power(1e-3, 1e-6, np.array([4, 2 ** 12]))
+    assert unit_alphabet.cache_info().currsize == before
