@@ -10,8 +10,8 @@ from .constellation import (Constellation, avg_neighbor_counts,
                             rim_probabilities, ser_pam, ser_qam, unit_alphabet)
 from .modems import (PowerTriple, affected_subcarriers, effective_subcarriers,
                      power_relations)
-from .multilayer import (LayerSpec, SchemeConfig, TxBatch, layer_frames, layer_noise,
-                         receive, transmit)
+from .multilayer import (LayerSpec, SchemeConfig, layer_frames, layer_noise, receive,
+                         transmit)
 from .numerics import qfunc, qfunc_inv
 from .rcn import NoiseProfile, worst_case_noise
 from .ser import SerReport, evaluate_ser

@@ -11,8 +11,8 @@ frame samples at a time, so that a block's signals stay in cache;
 `multilayer.layer_noise` measures an instrumented block's RCN from its sent
 and detected indices, on each layer's period. The generator fills in order
 and every step is row-independent: results depend on (seed, batch size)
-only, never on the block. `rcn_statistics` alone needs `scipy.stats` and
-imports it when called.
+only, never on the block. The engine loads no scipy module: `rcn_statistics`
+alone needs `scipy.stats` and imports it when called.
 """
 from __future__ import annotations
 

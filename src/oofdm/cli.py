@@ -3,8 +3,8 @@
 power-relations prints the closed-form power relations (and a Monte Carlo check).
 rcn-power, rcn-stats, ser and allocate build plot-ready CSV tables (allocate also a
 JSON summary), written only once the whole run has succeeded, with a JSON manifest
-(resolved configuration, seed, version, output paths) that reproduces the run
-bit-exactly; one printed line names every file written.
+(resolved configuration, seed, the oofdm, Python, numpy and scipy versions, output
+paths) that reproduces the run bit-exactly; one printed line names every file written.
 
 Configuration precedence: command-line flags > --config JSON file > defaults.
 The default output directory can be set with the OOFDM_OUT environment
@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -68,6 +69,7 @@ def _write_outputs(args, outputs: dict) -> int:
     """Write a finished run's outputs (file name -> a CSV's (header, rows), or the list
     in allocation_summary.json) and its manifest into --out, else $OOFDM_OUT, else the
     working directory, and print one line naming every file."""
+    from importlib import metadata  # 20 ms to import; reads a version without importing scipy
     out_dir = Path(args.out or os.environ.get("OOFDM_OUT", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in outputs]
@@ -82,7 +84,9 @@ def _write_outputs(args, outputs: dict) -> int:
     with open(manifest, "w") as fh:
         json.dump({"subcommand": args.command,
                    "config": {key: value for key, value in vars(args).items() if key != "func"},
-                   "version": __version__, "outputs": [str(p) for p in paths]}, fh, indent=2)
+                   "version": __version__, "python": platform.python_version(),
+                   "numpy": np.__version__, "scipy": metadata.version("scipy"),
+                   "outputs": [str(p) for p in paths]}, fh, indent=2)
     print(f"wrote {', '.join(map(str, paths))} and {manifest}")
     return 0
 
@@ -90,16 +94,17 @@ def _write_outputs(args, outputs: dict) -> int:
 def cmd_power_relations(args):
     layers = len(layer_kinds(args.scheme, args.n, args.layers))
     triple = power_relations(args.scheme, args.peff, layers)
-    print(f"scheme={args.scheme} P_eff={args.peff:g}")
-    print(f"closed form: P_elec={triple.p_elec:.6g} P_opt={triple.p_opt:.6g}")
+    lines = [f"scheme={args.scheme} P_eff={args.peff:g}",
+             f"closed form: P_elec={triple.p_elec:.6g} P_opt={triple.p_opt:.6g}"]
     if args.validate:
         mc = measure_power_relations(args.scheme, args.peff, n=args.n, M=args.m,
                                      frames=args.validate, seed=args.seed,
                                      layers=layers)
         rel_e = abs(mc["p_elec"] - triple.p_elec) / triple.p_elec
         rel_o = abs(mc["p_opt"] - triple.p_opt) / triple.p_opt
-        print(f"monte carlo ({args.validate} frames): P_elec={mc['p_elec']:.6g} "
-              f"({rel_e:.2%}) P_opt={mc['p_opt']:.6g} ({rel_o:.2%})")
+        lines.append(f"monte carlo ({args.validate} frames): P_elec={mc['p_elec']:.6g} "
+                     f"({rel_e:.2%}) P_opt={mc['p_opt']:.6g} ({rel_o:.2%})")
+    print("\n".join(lines))  # only once every input has passed its check
     return 0
 
 

@@ -26,6 +26,7 @@ def laco_layers(n: int) -> int:
 def layer_kinds(scheme: str, n: int, layers: int | None = None) -> tuple:
     """Clipping behavior of each layer of a scheme; LACO has `layers` layers,
     at most and by default every layer a length-N frame holds."""
+    _check_length(n)  # a fixed-depth scheme's kinds do not depend on N, but no frame has N = 4
     scheme = scheme.lower()
     if scheme == "laco":
         if layers is not None and not 1 <= layers <= laco_layers(n):

@@ -84,7 +84,7 @@ class SchemeConfig:
         for sp in self.layers:
             if not (sp.bins.size and sp.bins.min() >= 1 and sp.bins.max() < self.n // 2):
                 raise ValueError("a layer needs independent bins in [1, n/2)")
-            for order in np.unique(sp.M):
+            for order in sorted(set(sp.M.tolist())):  # np.unique would import numpy.ma
                 unit_alphabet(sp.kind, int(order))  # rejects an order off the grid
         folds = [sp.fold for sp in self.layers]
         if folds != sorted(folds):

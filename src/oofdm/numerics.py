@@ -1,4 +1,6 @@
 """Shared numerical primitives: frame-length check, Gaussian tail functions.
+The tail functions import `scipy.special` when first called, so that the
+Monte Carlo engine, which never calls them, loads no scipy module.
 
 Transform convention used throughout the package (numpy's default, used by
 the engine's rfft/irfft calls): the forward DFT carries no normalization and
@@ -12,7 +14,6 @@ clipping-noise model and the SER expressions relies on this convention.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 
 def _check_length(n: int):
@@ -22,11 +23,13 @@ def _check_length(n: int):
 
 def qfunc(x):
     """Gaussian tail Q(x) = P(N(0,1) > x) = erfc(x/sqrt(2))/2."""
+    from scipy import special  # at module level it tripled the package's import time
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 def qfunc_inv(p):
     """Inverse of qfunc on (0, 1)."""
+    from scipy import special
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("qfunc_inv requires 0 < p < 1")

@@ -236,14 +236,22 @@ def test_measure_power_relations_multi_layer():
 
 def test_package_use_leaves_scipy_stats_unloaded():
     # scipy.stats more than doubles the start-up of every process; only
-    # rcn_statistics may load it
+    # rcn_statistics may load it. The engine and the power relations load no
+    # scipy at all; the first Q-function call (here the allocator's) loads
+    # scipy.special alone
     code = """if True:
         import sys
         import oofdm, oofdm.cli
-        from oofdm import ChannelProfile, SchemeConfig, allocate
+        from oofdm import (ChannelProfile, SchemeConfig, allocate, measure_power_relations,
+                           power_relations)
         from oofdm.channel import run_point
-        allocate(ChannelProfile.exponential(64), 100.0, 1e-2)
         run_point(SchemeConfig.uniform("laco", 64, 4, 1.0), ChannelProfile.flat(64), 10, 0)
+        measure_power_relations("haco", 1.0, n=64, M=4, frames=10)
+        power_relations("laco", 1.0, 5)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, f"the engine loaded {loaded}"
+        allocate(ChannelProfile.exponential(64), 100.0, 1e-2)
+        assert "scipy.special" in sys.modules, "allocate ran without scipy.special"
         assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
     """
     src = str(Path(channel_module.__file__).resolve().parents[1])

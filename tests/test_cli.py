@@ -2,11 +2,14 @@
 
 import csv
 import json
+import platform
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from oofdm.channel import ChannelProfile, gamma_to_p_eff, run_point
 from oofdm.cli import _parse_grid, build_parser, main
@@ -150,6 +153,26 @@ def test_power_relations_with_negative_validate_is_an_error(capsys):
     assert "monte carlo" not in captured.out
 
 
+def test_power_relations_with_off_grid_order_fails_before_printing(capsys):
+    # printed both closed-form lines, then the order error, and exited 1
+    rc = main(["power-relations", "--scheme", "aco", "--m", "3", "--validate", "10",
+               "--n", "64"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: constellation order must be a power of two >= 2, got 3\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scheme", ["aco", "dco", "pam", "ado", "haco"])
+def test_power_relations_with_bad_frame_length_is_an_error(capsys, scheme):
+    # a fixed-depth scheme never checked --n: N = 4 exited 0
+    rc = main(["power-relations", "--scheme", scheme, "--n", "4"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: frame length must be a power of two >= 8, got 4\n"
+    assert captured.out == ""
+
+
 def test_ser_with_zero_order_is_an_error(tmp_path, capsys):
     rc = main(["ser", "--m", "0", "--schemes", "laco", "--gammas", "20", "--runs", "10",
                "--n", "64", "--out", str(tmp_path)])
@@ -213,6 +236,9 @@ def test_manifests_of_identical_runs_are_equal(tmp_path):
     for m in (a, b):
         del m["config"]["out"], m["outputs"]
     assert a == b
+    # provenance: the versions of the interpreter and libraries that ran it
+    assert (a["python"], a["numpy"], a["scipy"]) == (platform.python_version(),
+                                                     np.__version__, scipy.__version__)
 
 def test_ser_rows_are_seeded_per_grid_point(tmp_path):
     # point i of the grid is run_point of its own config, seeded (--seed, i)
