@@ -3,10 +3,15 @@ the per-axis ML detector `quantize`, closed-form SER, and the rim-based
 detection-error power model.
 
 The rim model approximates E{|x - xhat|^2} for ML detection of M-QAM in
-complex AWGN by summing contributions of neighbors in the first three
-concentric rings around the transmitted point. One offset table, _RIM_OFFSET,
-defines the rim positions; their distances, hit probabilities (products of
-per-axis decision-cell chances) and neighbor counts (from the grid shape) derive from it.
+complex AWGN from the neighbors in the first three rims around the sent point.
+It is separable: d_min^2 (E_I S_Q + E_Q S_I), where on each axis S = sum A(w)
+and E = sum w^2 A(w) over w = -3..3. A(w) = cells[|w|] max(m - |w|, 0) / m is
+the chance of landing w decision cells off times the share of the axis's m
+levels that have a level there, so (m_i, m_q) from `_grid` covers square and
+rectangular grids, and a PAM axis (m = 1), alike. On grids of 32 points or
+fewer, fewer rims can give more power at low d/sigma: rim 1 credits an axis's
+whole tail to the nearest level, which rim 2 partly moves to levels a small
+grid lacks.
 """
 from __future__ import annotations
 
@@ -16,14 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import qfunc
-
-# Axis offsets (a, b), a >= b, in d_min units of each rim position; label
-# digits: one = rim 1, two = rim 2, three = rim 3.
-_RIM_OFFSET = {1: (1, 0), 2: (1, 1), 10: (2, 0), 11: (2, 1), 12: (2, 2),
-               100: (3, 0), 101: (3, 1), 102: (3, 2), 103: (3, 3)}
-RIM_POSITIONS = tuple(_RIM_OFFSET)
-RIM_DIST2 = {pos: a * a + b * b for pos, (a, b) in _RIM_OFFSET.items()}  # in d_min^2 units
-
 
 def _axis_levels(m: int):
     # odd-integer levels -(m-1), ..., (m-1)
@@ -104,61 +101,42 @@ def ser_pam(M, eps, sigma2):
     return 2.0 * (M - 1.0) / M * qfunc(arg)
 
 
-def rim_probabilities(d_min, sigma2, rims: int = 3):
-    """Per-position hit probabilities for the first three rims.
-
-    p_a, p_b, p_c are the tail probabilities of one noise axis (variance
-    sigma2/2) exceeding d/2, 3d/2, 5d/2. With rims=1, p_b = p_c = 0; with
-    rims=2, p_c = 0, which zeroes the corresponding outer-rim positions.
-    Position (a, b) is hit with probability cells[a] * cells[b], cells[w]
-    being the chance that one axis lands w decision cells off to a given side.
-    Broadcasts over d_min and sigma2.
-    """
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if np.any(sigma2 <= 0):
-        raise ValueError("noise power must be positive")
-    if rims not in (1, 2, 3):
-        raise ValueError("rims must be 1, 2 or 3")
-    d_min = np.asarray(d_min, dtype=float)
-    # a subnormal sigma2 can halve to zero; the clamp keeps its tails at zero
-    sigma_axis = np.sqrt(np.maximum(sigma2 / 2.0, np.finfo(float).smallest_subnormal))
-    p_a, p_b, p_c = (qfunc(w * d_min / (2.0 * sigma_axis)) if w < 2 * rims
-                     else np.zeros(np.broadcast(d_min, sigma_axis).shape) for w in (1.0, 3.0, 5.0))
-    cells = (1.0 - 2.0 * p_a, p_a - p_b, p_b - p_c, p_c)
-    p = {pos: cells[a] * cells[b] for pos, (a, b) in _RIM_OFFSET.items()}
-    return {"p_a": p_a, "p_b": p_b, "p_c": p_c, "positions": p}
-
-
 @lru_cache(maxsize=None)
-def _neighbor_counts(M: int) -> tuple:
-    """Average neighbor count of each rim position (RIM_POSITIONS order): a
-    shift of (x, y) level steps fits max(m_i - |x|, 0) * max(m_q - |y|, 0)
-    times on the grid, summed over the sign and axis arrangements of (a, b)."""
-    m_i, m_q = _grid("qam", M)
-    counts = []
-    for a, b in _RIM_OFFSET.values():
-        shifts = {(sx * u, sy * v) for u, v in ((a, b), (b, a)) for sx in (1, -1) for sy in (1, -1)}
-        counts.append(sum(max(m_i - abs(x), 0) * max(m_q - abs(y), 0) for x, y in shifts) / M)
-    return tuple(counts)
-
-
-def avg_neighbor_counts(M: int) -> dict:
-    """Average neighbor counts on the M-QAM grid, keyed by rim position."""
-    return dict(zip(RIM_POSITIONS, _neighbor_counts(M)))
+def avg_neighbor_counts(M: int) -> np.ndarray:
+    """The rim model's table for the M-QAM grid, read-only and (2, 3): row 0 the
+    I axis, row 1 the Q axis, column w - 1 the average number of levels w = 1,
+    2, 3 cells away from a level of that axis, 2 max(m - w, 0) / m."""
+    m = np.array(_grid("qam", M), dtype=float)[:, None]
+    counts = 2.0 * np.maximum(m - np.arange(1.0, 4.0), 0.0) / m
+    counts.flags.writeable = False
+    return counts
 
 
 def detection_error_power(d_min, sigma2, M, rims: int = 3):
     """Rim-model approximation of E{|x - xhat|^2} for ML detection of M-QAM
     with minimum distance d_min in complex AWGN of power sigma2 (zero for
-    zero noise). Broadcasts over d_min, sigma2 and M.
+    zero noise), d_min^2 (E_I S_Q + E_Q S_I) as in the module docstring.
+    cells[w] is the chance that one axis (noise variance sigma2/2) lands w
+    decision cells off to a given side, from the tails p_a, p_b, p_c beyond
+    d/2, 3d/2, 5d/2; rims=1 zeroes p_b and p_c, rims=2 p_c. Broadcasts over
+    d_min, sigma2 and M.
     """
-    orders, which = np.unique(M, return_inverse=True)
-    table = np.array([_neighbor_counts(m) for m in orders]).reshape(-1, len(RIM_POSITIONS))
-    counts = table[which.reshape(np.shape(M))]  # (..., position)
     sigma2 = np.asarray(sigma2, dtype=float)
+    if not np.all(sigma2 >= 0.0):
+        raise ValueError("noise power must be positive")
+    if rims not in (1, 2, 3):
+        raise ValueError("rims must be 1, 2 or 3")
+    orders, which = np.unique(M, return_inverse=True)
+    counts = np.array([avg_neighbor_counts(m) for m in orders])[which.reshape(np.shape(M))]
+    d_min = np.asarray(d_min, dtype=float)
     live = sigma2 != 0.0
-    probs = rim_probabilities(d_min, np.where(live, sigma2, 1.0), rims)["positions"]
-    d2 = np.asarray(d_min, dtype=float) ** 2
-    total = sum(d2 * RIM_DIST2[pos] * probs[pos] * counts[..., i]
-                for i, pos in enumerate(RIM_POSITIONS))
-    return np.where(live, total, 0.0)[()]
+    # a subnormal sigma2 can halve to zero; the clamp keeps its tails at zero
+    sigma_axis = np.sqrt(np.maximum(np.where(live, sigma2, 1.0) / 2.0, np.finfo(float).smallest_subnormal))
+    p_a, p_b, p_c = (qfunc(w * d_min / (2.0 * sigma_axis)) if w < 2 * rims else 0.0
+                     for w in (1.0, 3.0, 5.0))
+    cells = (p_a - p_b, p_b - p_c, p_c)  # w = 1, 2, 3
+    s_i, s_q = (1.0 - 2.0 * p_a + sum(c * counts[..., axis, w] for w, c in enumerate(cells))
+                for axis in (0, 1))
+    e_i, e_q = (sum((w + 1) ** 2 * c * counts[..., axis, w] for w, c in enumerate(cells))
+                for axis in (0, 1))
+    return np.where(live, d_min ** 2 * (e_i * s_q + e_q * s_i), 0.0)[()]

@@ -30,6 +30,16 @@ class NoiseProfile:
     delta_powers: np.ndarray     # (J,) per-layer time-domain RCN bound
 
 
+def noise_map(config: SchemeConfig, p_v) -> np.ndarray:
+    """p_v as floats, checked: one non-negative power per bin of the frame."""
+    p_v = np.asarray(p_v, dtype=float)
+    if p_v.shape != (config.n,):
+        raise ValueError("noise map length does not match the frame length")
+    if not np.all(p_v >= 0.0):
+        raise ValueError("noise map must be non-negative, without NaN")
+    return p_v
+
+
 def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
     """Iterate the worst-case total-noise bound layer by layer.
 
@@ -41,10 +51,7 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
     2^t, excluding N/2), which contain the subcarriers of all later layers.
     """
     n = config.n
-    p_v = np.asarray(p_v, dtype=float)
-    if p_v.shape != (n,):
-        raise ValueError("noise map length does not match the frame length")
-    p_z = p_v.copy()
+    p_z = noise_map(config, p_v).copy()
     bin_powers = np.zeros(len(config.layers))
     delta_powers = np.zeros(len(config.layers))
     for i, spec in enumerate(config.layers):

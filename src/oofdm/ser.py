@@ -12,7 +12,7 @@ import numpy as np
 
 from .constellation import ser_pam, ser_qam
 from .multilayer import SchemeConfig
-from .rcn import worst_case_noise
+from .rcn import noise_map, worst_case_noise
 
 MODES = ("rcn_aware", "rcn_unaware")
 
@@ -32,7 +32,7 @@ def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int =
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    p_v = np.asarray(p_v, dtype=float)
+    p_v = noise_map(config, p_v)
     noise = worst_case_noise(config, p_v, rims).p_z if mode == "rcn_aware" else p_v
     layer_ser = []
     total = 0.0

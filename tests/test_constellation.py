@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, _neighbor_counts, avg_neighbor_counts,
-                                 detection_error_power, min_distance, quantize,
-                                 rim_probabilities, ser_pam, ser_qam, unit_alphabet)
+from oofdm.constellation import (avg_neighbor_counts, detection_error_power, min_distance,
+                                 quantize, ser_pam, ser_qam, unit_alphabet)
 from oofdm.multilayer import LayerSpec
+from oofdm.numerics import qfunc
+from rim_oracle import exact_error_power, nine_position_power
 
 # frozen Monte Carlo oracles (ML detection, 10^6 trials, seed 20240817):
 # 16-QAM at eps/sigma2 = 100: empirical SER and its standard error
@@ -177,75 +178,79 @@ def test_ser_pam_against_inline_mc():
     assert abs(ser_pam(4, 5.0, sigma2) - p_hat) <= 3 * se
 
 
-def _brute_force_counts(M):
-    # independent re-enumeration of the average neighbor counts
-    c = unit_alphabet("qam", M)
-    pts = c.points / (c.d_min / 2.0)  # odd-integer grid
-    counts = {pos: 0.0 for pos in RIM_POSITIONS}
-    for p in pts:
-        d2 = np.round(np.abs(pts - p) ** 2 / 4.0).astype(int)
-        for pos, dist2 in RIM_DIST2.items():
-            counts[pos] += np.count_nonzero(d2 == dist2)
-    return {pos: v / M for pos, v in counts.items()}
-
-
 @pytest.mark.parametrize("M", [2 ** b for b in range(1, 9)])
 def test_avg_neighbor_counts_match_enumeration(M):
-    counts = avg_neighbor_counts(M)
-    oracle = _brute_force_counts(M)
-    for pos in RIM_POSITIONS:
-        assert counts[pos] == pytest.approx(oracle[pos], abs=1e-12)
+    # per axis, the average number of levels w = 1, 2, 3 steps from a level of the alphabet
+    c = unit_alphabet("qam", M)
+    for axis, coord in enumerate((c.points.real, c.points.imag)):
+        levels = np.unique(np.round(coord / c.d_min, 9))
+        steps = np.abs(levels[:, None] - levels[None, :])
+        expected = [np.count_nonzero(np.isclose(steps, w)) / len(levels) for w in (1, 2, 3)]
+        np.testing.assert_allclose(avg_neighbor_counts(M)[axis], expected, rtol=0, atol=1e-12)
 
 
 def test_avg_neighbor_counts_known_values():
-    c4 = avg_neighbor_counts(4)
-    assert c4[1] == 2.0 and c4[2] == 1.0
-    assert all(c4[pos] == 0.0 for pos in RIM_POSITIONS if pos not in (1, 2))
-    c16 = avg_neighbor_counts(16)
-    assert c16[1] == 3.0 and c16[2] == 2.25
+    np.testing.assert_array_equal(avg_neighbor_counts(4), [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(avg_neighbor_counts(8), [[1.5, 1.0, 0.5], [1.0, 0.0, 0.0]])
+    assert not avg_neighbor_counts(16).flags.writeable
 
 
-def test_rim_probabilities_truncation():
-    full = rim_probabilities(2.0, 1.0, rims=3)
-    assert full["p_a"] > full["p_b"] > full["p_c"] > 0
-    two = rim_probabilities(2.0, 1.0, rims=2)
-    assert two["p_c"] == 0.0
-    assert all(two["positions"][pos] == 0.0 for pos in (100, 101, 102, 103))
-    one = rim_probabilities(2.0, 1.0, rims=1)
-    assert one["p_b"] == 0.0 and one["p_c"] == 0.0
-    assert one["positions"][1] == pytest.approx(one["p_a"] * (1 - 2 * one["p_a"]))
-    with pytest.raises(ValueError):
-        rim_probabilities(2.0, 1.0, rims=4)
-    with pytest.raises(ValueError):
-        rim_probabilities(2.0, 0.0)
-
-
-def test_rim_distances():
-    assert RIM_POSITIONS == (1, 2, 10, 11, 12, 100, 101, 102, 103)
-    assert RIM_DIST2 == {1: 1, 2: 2, 10: 4, 11: 5, 12: 8, 100: 9, 101: 10, 102: 13, 103: 18}
+def test_rim_truncation_and_rims_check():
+    # one rim credits an axis's whole tail p_a to the next level: on the 2 x 2
+    # grid the error power is d^2 * 2 p_a (1 - p_a); d = 2, sigma2 = 2
+    p_a = qfunc(1.0)
+    assert detection_error_power(2.0, 2.0, 4, rims=1) == pytest.approx(8.0 * p_a * (1.0 - p_a), rel=1e-14)
+    with pytest.raises(ValueError, match="rims must be 1, 2 or 3"):
+        detection_error_power(2.0, 1.0, 16, rims=4)
 
 
 @pytest.mark.parametrize("rims", [1, 2, 3])
-def test_rim_probabilities_are_products_of_axis_cells(rims):
-    # position (a, b) is hit when one axis lands a cells away and the other b
-    d = np.array([0.5, 2.0, 4.0])
-    r = rim_probabilities(d, np.array([1.0, 0.3, 2.0]), rims=rims)
-    p_a, p_b, p_c = r["p_a"], r["p_b"], r["p_c"]
-    expected = {
-        1: (p_a - p_b) * (1.0 - 2.0 * p_a),
-        2: (p_a - p_b) * (p_a - p_b),
-        10: (p_b - p_c) * (1.0 - 2.0 * p_a),
-        11: (p_b - p_c) * (p_a - p_b),
-        12: (p_b - p_c) * (p_b - p_c),
-        100: p_c * (1.0 - 2.0 * p_a),
-        101: p_c * (p_a - p_b),
-        102: p_c * (p_b - p_c),
-        103: p_c * p_c,
-    }
-    assert set(r["positions"]) == set(RIM_POSITIONS) == set(expected)
-    for pos in RIM_POSITIONS:
-        assert np.all(r["positions"][pos] == expected[pos]), pos
-    assert np.all(p_b == 0.0) == (rims < 2) and np.all(p_c == 0.0) == (rims < 3)
+def test_kernel_matches_nine_position_sum(rims):
+    # every QAM order the allocator can emit, square and rectangular, over
+    # d / sigma from 0.01 to 30 at two noise powers
+    ratio = np.geomspace(0.01, 30.0, 25)
+    for sigma2 in (1e-3, 10.0):
+        d = ratio * np.sqrt(sigma2)
+        for M in (2 ** b for b in range(1, 11)):
+            ref = [nine_position_power(x, sigma2, M, rims) for x in d]
+            np.testing.assert_allclose(detection_error_power(d, sigma2, M, rims), ref,
+                                       rtol=1e-14, atol=0.0, err_msg=f"M = {M}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.floats(-2.0, 1.5), st.floats(-6.0, 6.0))
+def test_three_rims_bound_the_untruncated_model(bits, log_ratio, log_sigma2):
+    # the rims drop the edge levels' outer tails and every offset beyond 3,
+    # all of them positive terms; log_ratio is log10(d / sigma)
+    sigma2 = 10.0 ** log_sigma2
+    d = 10.0 ** log_ratio * np.sqrt(sigma2)
+    M = 2 ** bits
+    assert detection_error_power(d, sigma2, M) <= exact_error_power(d, sigma2, M) * (1 + 1e-14)
+
+
+# d / sigma (sigma^2 the complex noise power) from which each small grid has
+# rim-1 <= rim-2 <= rim-3, with a margin over the measured crossover. Below
+# it, the tail that fewer rims credit to a nearer level outweighs the farther
+# levels one more rim adds, which a small grid mostly lacks: rim-1 > rim-2 for
+# M <= 8, rim-2 > rim-3 for M = 16 and 32. Orders from 64 up hold everywhere.
+RIM_ORDER_FROM = {2: 4.3, 4: 4.3, 8: 0.7, 16: 0.6, 32: 0.05}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.floats(-4.0, 2.0), st.floats(-6.0, 6.0))
+def test_more_rims_give_more_error_power(bits, log_ratio, log_sigma2):
+    M = 2 ** bits
+    assume(10.0 ** log_ratio >= RIM_ORDER_FROM.get(M, 0.0))
+    sigma2 = 10.0 ** log_sigma2
+    d = 10.0 ** log_ratio * np.sqrt(sigma2)
+    one, two, three = (detection_error_power(d, sigma2, M, r) for r in (1, 2, 3))
+    assert one <= two * (1 + 1e-14) and two <= three * (1 + 1e-14)
+
+
+def test_rim_count_inversion_on_a_small_grid():
+    # 4-QAM at d / sigma = 2: one rim gives more than two
+    one, two = (detection_error_power(2.0, 1.0, 4, r) for r in (1, 2))
+    assert one == pytest.approx(0.579711, abs=1e-6) and two == pytest.approx(0.579622, abs=1e-6)
 
 
 def test_detection_error_power_against_mc_oracle():
@@ -262,6 +267,13 @@ def test_detection_error_power_zero_noise():
     assert detection_error_power(2.0, 0.0, 16) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_detection_error_power_rejects_nan_or_negative_noise(bad):
+    # NaN passed the old sigma2 <= 0 check and came out as NaN
+    with pytest.raises(ValueError, match="noise power must be positive"):
+        detection_error_power(2.0, np.array([1.0, bad]), 16)
+
+
 @pytest.mark.parametrize("M", [0, 3])
 def test_detection_error_power_rejects_orders_off_the_grid(M):
     # the same check and message as unit_alphabet; order 0 used to reach log2(0)
@@ -271,7 +283,7 @@ def test_detection_error_power_rejects_orders_off_the_grid(M):
 
 def test_rim_model_caches_no_alphabet():
     # the neighbor counts need the grid shape only, never the points of an order
-    _neighbor_counts.cache_clear()
+    avg_neighbor_counts.cache_clear()
     before = unit_alphabet.cache_info().currsize
     detection_error_power(1e-3, 1e-6, np.array([4, 2 ** 12]))
     assert unit_alphabet.cache_info().currsize == before

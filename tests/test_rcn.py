@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oofdm.constellation import (RIM_DIST2, RIM_POSITIONS, avg_neighbor_counts,
-                                 detection_error_power, min_distance, rim_probabilities)
+from oofdm.constellation import detection_error_power, min_distance
 from oofdm.modems import affected_subcarriers, layer_index
 from oofdm.multilayer import SchemeConfig
 from oofdm.rcn import worst_case_noise
+from rim_oracle import nine_position_power
 
 N = 1024
 
@@ -116,14 +116,8 @@ def test_layer_error_power_matches_scalar_evaluation():
 
 
 def _scalar_error_power(M, power, noise_power, rims):
-    # reference: the rim sum for one bin, neighbor counts looked up by position
-    d = float(np.sqrt(6.0 * power / (M - 1)))
-    if noise_power == 0.0:
-        return 0.0
-    probs = rim_probabilities(d, noise_power, rims)["positions"]
-    counts = avg_neighbor_counts(int(M))
-    return sum(d ** 2 * RIM_DIST2[pos] * float(probs[pos]) * counts[pos]
-               for pos in RIM_POSITIONS)
+    # reference: the paper's nine-position rim sum for one bin
+    return nine_position_power(float(np.sqrt(6.0 * power / (M - 1))), noise_power, int(M), rims)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,3 +176,13 @@ def test_worst_case_noise_validates_length():
     cfg = SchemeConfig.uniform("laco", N, 16, 1.0, layers=3)
     with pytest.raises(ValueError):
         worst_case_noise(cfg, np.ones(N // 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_worst_case_noise_rejects_nan_or_negative_noise(bad):
+    # a NaN used to reach the bounds as NaN
+    cfg = SchemeConfig.uniform("laco", N, 16, 1.0, layers=3)
+    p_v = np.ones(N)
+    p_v[2] = bad
+    with pytest.raises(ValueError, match="noise map must be non-negative"):
+        worst_case_noise(cfg, p_v)

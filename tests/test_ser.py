@@ -84,3 +84,13 @@ def test_ser_decreases_with_snr():
     vals = [evaluate_ser(_config("laco", g, 9), P_V, "rcn_aware").overall
             for g in (10.0, 16.0, 22.0, 28.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("mode", ["rcn_aware", "rcn_unaware"])
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_noise_map_must_be_non_negative(mode, bad):
+    # a NaN used to give a NaN SER; a negative power, a sqrt warning and NaN
+    p_v = P_V.copy()
+    p_v[3] = bad
+    with pytest.raises(ValueError, match="noise map must be non-negative"):
+        evaluate_ser(_config("laco", 20.0, 9), p_v, mode)
