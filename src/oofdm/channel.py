@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,13 @@ class ChannelProfile:
     def gain(self) -> np.ndarray:
         return np.ones(self.n) if self.h is None else np.abs(self.h)
 
+    @cached_property
+    def _noise_shaping(self) -> np.ndarray:
+        """1/|H(k)| on the half spectrum, each value twice to scale (re, im) pairs; read-only."""
+        shaping = np.repeat(1.0 / self.gain[: self.n // 2 + 1], 2)
+        shaping.flags.writeable = False
+        return shaping
+
     def bin_noise_power(self) -> np.ndarray:
         """Post-equalization noise power per bin, P{V(k)} = N*Pv/|H(k)|^2."""
         return self.n * self.noise_power / self.gain ** 2
@@ -103,11 +111,10 @@ def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
     v0 *= np.sqrt(profile.noise_power)  # bit for bit rng.normal(0, sqrt(Pv))
     if profile.h is None:
         return v0
-    # numpy divides complex by real through the reciprocal: one multiply of
-    # the (re, im) floats by the interleaved 1/|H(k)| is the same division
+    # numpy divides complex by real through the reciprocal: this multiply is that division
     spectrum = np.fft.rfft(v0)
     pairs = spectrum.view(float)
-    pairs *= np.repeat(1.0 / profile.gain[: profile.n // 2 + 1], 2)
+    pairs *= profile._noise_shaping
     return np.fft.irfft(spectrum, profile.n)
 
 

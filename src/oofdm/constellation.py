@@ -11,7 +11,8 @@ levels that have a level there, so (m_i, m_q) from `_grid` covers square and
 rectangular grids, and a PAM axis (m = 1), alike. On grids of 32 points or
 fewer, fewer rims can give more power at low d/sigma: rim 1 credits an axis's
 whole tail to the nearest level, which rim 2 partly moves to levels a small
-grid lacks.
+grid lacks. `_rim_power` evaluates the model with one Q-function call, once per
+`detection_error_power` call and once per layer of the RCN chain.
 """
 from __future__ import annotations
 
@@ -112,31 +113,41 @@ def avg_neighbor_counts(M: int) -> np.ndarray:
     return counts
 
 
-def detection_error_power(d_min, sigma2, M, rims: int = 3):
-    """Rim-model approximation of E{|x - xhat|^2} for ML detection of M-QAM
-    with minimum distance d_min in complex AWGN of power sigma2 (zero for
-    zero noise), d_min^2 (E_I S_Q + E_Q S_I) as in the module docstring.
-    cells[w] is the chance that one axis (noise variance sigma2/2) lands w
-    decision cells off to a given side, from the tails p_a, p_b, p_c beyond
-    d/2, 3d/2, 5d/2; rims=1 zeroes p_b and p_c, rims=2 p_c. Broadcasts over
-    d_min, sigma2 and M.
-    """
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if not np.all(sigma2 >= 0.0):
-        raise ValueError("noise power must be positive")
+def _neighbor_table(M) -> np.ndarray:
+    """The (2, 3, n) table of `avg_neighbor_counts` for each of the n orders in M."""
+    orders, which = np.unique(M, return_inverse=True)
+    return np.stack([avg_neighbor_counts(m) for m in orders], axis=-1).take(which, axis=-1)
+
+
+_TAIL_STEPS = np.array([[1.0], [3.0], [5.0]])  # p_a, p_b, p_c lie beyond (1, 3, 5) d/2
+_CELL_WEIGHTS = np.array([[[1.0], [1.0], [1.0]], [[1.0], [4.0], [9.0]]])[:, None]  # S: 1, E: w^2
+
+
+def _rim_power(d, sigma2, counts, rims: int):
+    """`detection_error_power` of n bins: d and sigma2 (n,), counts their (2, 3, n)
+    neighbor table. One Q-function call gives every tail, and each axis sums its
+    cell terms as (t1 + t2) + t3, the order of a sum() from 0."""
     if rims not in (1, 2, 3):
         raise ValueError("rims must be 1, 2 or 3")
-    orders, which = np.unique(M, return_inverse=True)
-    counts = np.array([avg_neighbor_counts(m) for m in orders])[which.reshape(np.shape(M))]
-    d_min = np.asarray(d_min, dtype=float)
     live = sigma2 != 0.0
     # a subnormal sigma2 can halve to zero; the clamp keeps its tails at zero
     sigma_axis = np.sqrt(np.maximum(np.where(live, sigma2, 1.0) / 2.0, np.finfo(float).smallest_subnormal))
-    p_a, p_b, p_c = (qfunc(w * d_min / (2.0 * sigma_axis)) if w < 2 * rims else 0.0
-                     for w in (1.0, 3.0, 5.0))
-    cells = (p_a - p_b, p_b - p_c, p_c)  # w = 1, 2, 3
-    s_i, s_q = (1.0 - 2.0 * p_a + sum(c * counts[..., axis, w] for w, c in enumerate(cells))
-                for axis in (0, 1))
-    e_i, e_q = (sum((w + 1) ** 2 * c * counts[..., axis, w] for w, c in enumerate(cells))
-                for axis in (0, 1))
-    return np.where(live, d_min ** 2 * (e_i * s_q + e_q * s_i), 0.0)[()]
+    tails = np.zeros((4, d.size))
+    tails[:rims] = qfunc(_TAIL_STEPS[:rims] * d / (2.0 * sigma_axis))
+    cells = tails[:3] - tails[1:]  # w = 1, 2, 3
+    t = _CELL_WEIGHTS * cells * counts  # (S or E, I or Q axis, w, n)
+    s, e = (t[:, :, 0] + t[:, :, 1]) + t[:, :, 2]
+    p = e * (1.0 - 2.0 * tails[0] + s)[::-1]  # E_I S_Q and E_Q S_I
+    return np.where(live, d ** 2 * (p[0] + p[1]), 0.0)
+
+
+def detection_error_power(d_min, sigma2, M, rims: int = 3):
+    """Rim-model approximation of E{|x - xhat|^2} for ML detection of M-QAM with minimum
+    distance d_min in complex AWGN of power sigma2 (zero for zero noise), broadcast over
+    d_min, sigma2 and M: d_min^2 (E_I S_Q + E_Q S_I) from each axis's tails p_a, p_b, p_c
+    beyond d/2, 3d/2, 5d/2 (variance sigma2/2); rims=1 zeroes p_b and p_c, rims=2 p_c."""
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if not np.all(sigma2 >= 0.0):
+        raise ValueError("noise power must be positive")
+    d_min, sigma2, M = np.broadcast_arrays(np.asarray(d_min, dtype=float), sigma2, M)
+    return _rim_power(d_min.ravel(), sigma2.ravel(), _neighbor_table(M.ravel()), rims).reshape(M.shape)[()]

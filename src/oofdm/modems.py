@@ -62,13 +62,16 @@ def effective_subcarriers(scheme: str, j: int, n: int) -> np.ndarray:
     return k[t == j] if kinds[j - 1] == "aco" else k[t >= j]
 
 
+@lru_cache(maxsize=None)
 def affected_subcarriers(t: int, n: int) -> np.ndarray:
     """Subcarriers receiving residual clipping noise from layer t: nonzero
-    multiples of 2^t below N, excluding N/2."""
+    multiples of 2^t below N, excluding N/2; cached and read-only."""
     k, layer = _loadable(n)
     if not 1 <= t <= laco_layers(n):
         raise ValueError(f"layer {t} out of range for N={n}")
-    return k[layer > t]
+    k = k[layer > t]
+    k.flags.writeable = False
+    return k
 
 
 def layer_index(k, n: int):

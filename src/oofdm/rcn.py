@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import detection_error_power, min_distance
+from .constellation import _neighbor_table, _rim_power, min_distance
 from .modems import affected_subcarriers
 from .multilayer import SchemeConfig
 
@@ -49,19 +49,24 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
     layers' numbers. Layer t's bound spreads over |K_t| = N/2^t subcarriers,
     and its RCN is added to its affected subcarriers (nonzero multiples of
     2^t, excluding N/2), which contain the subcarriers of all later layers.
+    Only zero-clipped layers are modeled (a DCO or PAM layer is last and feeds
+    nothing), each by one rim-kernel call against the noise earlier layers
+    left, on minimum distances and neighbor counts formed once for all bins.
     """
     n = config.n
     p_z = noise_map(config, p_v).copy()
-    bin_powers = np.zeros(len(config.layers))
-    delta_powers = np.zeros(len(config.layers))
-    for i, spec in enumerate(config.layers):
-        if spec.kind != "aco":
-            # the rim model covers QAM-loaded zero-clipped layers; a DCO or
-            # PAM layer is last in its scheme so its residue feeds nothing
-            continue
+    bin_powers, delta_powers = np.zeros((2, len(config.layers)))
+    aco = [spec for spec in config.layers if spec.kind == "aco"]
+    if not aco:
+        return NoiseProfile(p_z, bin_powers, delta_powers)
+    M = np.concatenate([spec.M for spec in aco])
+    d = min_distance(M, np.concatenate([spec.power for spec in aco]))
+    counts = _neighbor_table(M)
+    bounds = np.cumsum([0] + [spec.bins.size for spec in aco])
+    for i, (spec, lo, hi) in enumerate(zip(aco, bounds, bounds[1:])):
         L = spec.fold  # 2^(t-1)
         k_t = n // (2 * L)
-        f = detection_error_power(min_distance(spec.M, spec.power), p_z[spec.bins], spec.M, rims)
+        f = _rim_power(d[lo:hi], p_z[spec.bins], counts[..., lo:hi], rims)
         bin_powers[i] = 2.0 * float(np.sum(f)) / k_t  # both Hermitian mirrors
         delta_powers[i] = bin_powers[i] * k_t / n ** 2
         if bin_powers[i] > 0.0:

@@ -4,7 +4,9 @@
 positions (a, b) of d^2 (a^2 + b^2) times the position's hit probability and
 its average neighbor count, the counts enumerated on the alphabet's points.
 `exact_error_power` is the untruncated per-axis model: every offset, and the
-edge levels' decision cells with their full tails.
+edge levels' decision cells with their full tails. `worst_case_noise_oracle`
+and `ser_oracle` run the noise chain and the SER model one layer at a time,
+each layer through the public `detection_error_power` or SER formula.
 """
 
 from functools import lru_cache
@@ -12,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from oofdm.constellation import unit_alphabet
+from oofdm.constellation import detection_error_power, min_distance, ser_pam, ser_qam, unit_alphabet
+from oofdm.modems import affected_subcarriers
 
 # Axis offsets (a, b), a >= b, in d_min units: rim r holds the positions with a = r.
 RIM_OFFSETS = ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3))
@@ -66,3 +69,34 @@ def exact_error_power(d, sigma2, M):
         p = tail(np.minimum(lo, hi)) - tail(np.maximum(lo, hi))
         total += np.sum(off ** 2 * p) / m
     return d ** 2 * total
+
+
+def worst_case_noise_oracle(config, p_v, rims):
+    """(p_z, bin_powers, delta_powers) of the worst-case noise chain: per
+    zero-clipped layer, the layer's detection-error powers against the noise
+    so far, their sum as the layer's bound, and that bound added onto the
+    layer's affected subcarriers."""
+    n = config.n
+    p_z = np.asarray(p_v, dtype=float).copy()
+    bin_powers, delta_powers = np.zeros(len(config.layers)), np.zeros(len(config.layers))
+    for i, spec in enumerate(config.layers):
+        if spec.kind != "aco":
+            continue
+        k_t = n // (2 * spec.fold)
+        f = detection_error_power(min_distance(spec.M, spec.power), p_z[spec.bins], spec.M, rims)
+        bin_powers[i] = 2.0 * float(np.sum(f)) / k_t
+        delta_powers[i] = bin_powers[i] * k_t / n ** 2
+        if bin_powers[i] > 0.0:
+            p_z[affected_subcarriers(spec.fold.bit_length(), n)] += bin_powers[i]
+    return p_z, bin_powers, delta_powers
+
+
+def ser_oracle(config, p_v, mode, rims):
+    """(layer_ser, overall) of the SER model, one formula call per layer."""
+    noise = worst_case_noise_oracle(config, p_v, rims)[0] if mode == "rcn_aware" else p_v
+    layer_ser, total = [], 0.0
+    for spec in config.layers:
+        ser = ser_pam if spec.kind == "pam" else ser_qam
+        layer_ser.append(ser(spec.M, spec.power, noise[spec.bins]))
+        total += 2.0 * float(np.sum(layer_ser[-1]))
+    return layer_ser, total / config.n_loaded if config.n_loaded else 0.0

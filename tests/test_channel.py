@@ -55,6 +55,19 @@ def test_post_eq_noise_power_matches_map():
     assert rel.max() < 0.05
 
 
+def test_colored_noise_shaping_is_cached_and_unchanged():
+    # one read-only interleaved 1/|H(k)| per profile, scaling the same draws as
+    # the per-block division did, bit for bit
+    prof = ChannelProfile.exponential(64)
+    shaping = prof._noise_shaping
+    assert prof._noise_shaping is shaping and not shaping.flags.writeable
+    rng = np.random.default_rng(7)
+    spectrum = np.fft.rfft(rng.standard_normal((5, 64)) * np.sqrt(prof.noise_power))
+    spectrum /= prof.gain[:33]
+    np.testing.assert_array_equal(post_eq_noise(prof, np.random.default_rng(7), 5),
+                                  np.fft.irfft(spectrum, 64))
+
+
 def test_post_eq_noise_flat_is_white():
     prof = ChannelProfile.flat(N)
     v = post_eq_noise(prof, np.random.default_rng(2), 2000)

@@ -71,6 +71,8 @@ def test_affected_subcarriers():
         # it contains every later layer's subcarriers
         later = effective_subcarriers("laco", t + 1, N)
         assert np.all(np.isin(later, bt))
+        # built once per (t, N), as the noise chain adds onto it once per layer
+        assert affected_subcarriers(t, N) is bt and not bt.flags.writeable
 
 
 def _effective_reference(scheme, j, n):

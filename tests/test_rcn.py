@@ -5,11 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oofdm.constellation as constellation
+from oofdm.channel import ChannelProfile
 from oofdm.constellation import detection_error_power, min_distance
 from oofdm.modems import affected_subcarriers, layer_index
 from oofdm.multilayer import SchemeConfig
+from oofdm.numerics import qfunc
 from oofdm.rcn import worst_case_noise
-from rim_oracle import nine_position_power
+from oofdm.ser import MODES, evaluate_ser
+from rim_oracle import nine_position_power, ser_oracle, worst_case_noise_oracle
 
 N = 1024
 
@@ -126,14 +130,18 @@ def _scalar_error_power(M, power, noise_power, rims):
        st.integers(1, 3))
 @example([(3, 8410.710036957444 / 4, 2519.462286844841)], 2)  # scalar ** 2 was one ulp off
 @example([(1, 1.0, 5e-324)], 1)  # a subnormal noise power halved to zero
+@example([(8, 1.219, 1.011e-5)], 3)  # a subnormal result, 9.2e-13 off the oracle's
 def test_layer_error_power_is_elementwise(triples, rims):
     bits, power, noise = (np.array(col) for col in zip(*triples))
     M = 2 ** bits
     vals = _layer_error_power(M, power, noise, rims)
     alone = [_layer_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, power, noise)]
     np.testing.assert_array_equal(vals, alone)
-    ref = [_scalar_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, power, noise)]
-    np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+    # the two formulations round tails below the normal range differently, so
+    # the oracle holds only where the result clears that range by 2^53
+    ref = np.array([_scalar_error_power(m, ps, pz, rims) for m, ps, pz in zip(M, power, noise)])
+    normal = np.abs(ref) >= np.finfo(float).tiny * 2.0 ** 53
+    np.testing.assert_allclose(vals[normal], ref[normal], rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,6 +171,81 @@ def test_noise_grows_with_layer_depth(n, data):
     loaded = [p_z[spec.bins] for spec in cfg.layers]  # ascending layer depth
     for shallow, deep in zip(loaded, loaded[1:]):
         assert deep.min() >= shallow.max()
+
+
+def _assert_chain_matches_oracle(cfg, p_v, rims):
+    prof = worst_case_noise(cfg, p_v, rims)
+    for got, want in zip((prof.p_z, prof.bin_powers, prof.delta_powers),
+                         worst_case_noise_oracle(cfg, p_v, rims)):
+        assert np.array_equal(got, want)
+    for mode in MODES:
+        report = evaluate_ser(cfg, p_v, mode, rims)
+        layer_ser, overall = ser_oracle(cfg, p_v, mode, rims)
+        assert len(report.layer_ser) == len(layer_ser)
+        assert all(np.array_equal(got, want) for got, want in zip(report.layer_ser, layer_ser))
+        assert report.overall == overall
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2 ** b for b in range(4, 11)]), st.integers(1, 3), st.data())
+def test_chain_equals_the_per_layer_oracle_on_pruned_loadings(n, rims, data):
+    # the stacked chain and SER model against one detection_error_power or SER
+    # formula call per layer, bit for bit, on a random pruned LACO loading
+    bits = data.draw(arrays(np.int64, n, elements=st.integers(0, 8)))
+    powers = data.draw(arrays(float, n, elements=st.floats(1e-2, 1e4)))
+    emptied = data.draw(st.sets(st.integers(1, int(np.log2(n // 2)))))
+    k = np.arange(1, n // 2)
+    bits[k[np.isin(layer_index(k, n), list(emptied))]] = 0
+    p_v = data.draw(arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    _assert_chain_matches_oracle(SchemeConfig.from_allocation(n, bits, powers), p_v, rims)
+
+
+@pytest.mark.parametrize("scheme", ["laco", "ado", "haco", "aco", "dco", "pam"])
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([16, 256, 1024]), bits=st.integers(1, 8), snr_db=st.floats(0.0, 30.0),
+       selective=st.booleans(), rims=st.integers(1, 3))
+def test_chain_equals_the_per_layer_oracle_on_uniform_schemes(scheme, n, bits, snr_db, selective, rims):
+    cfg = SchemeConfig.uniform(scheme, n, 2 ** bits, 10.0 ** (snr_db / 10.0))
+    channel = ChannelProfile.exponential(n) if selective else ChannelProfile.flat(n)
+    _assert_chain_matches_oracle(cfg, channel.bin_noise_power(), rims)
+
+
+@pytest.fixture
+def qfunc_calls(monkeypatch):
+    """The arguments of every Q-function call the model makes."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return qfunc(x)
+    monkeypatch.setattr(constellation, "qfunc", counted)
+    return calls
+
+
+def _pruned_allocation():
+    bits = np.zeros(N, dtype=np.int64)
+    bits[1::4] = 2  # half of layer 1; layer 2 stays empty
+    bits[4::8] = 6  # layer 3
+    bits[8::16] = 3  # layer 4
+    return SchemeConfig.from_allocation(N, bits, np.full(N, 50.0))
+
+
+@pytest.mark.parametrize("rims", [1, 2, 3])
+@pytest.mark.parametrize("cfg", [SchemeConfig.uniform("laco", N, 16, 100.0),
+                                 SchemeConfig.uniform("ado", N, 16, 100.0),
+                                 SchemeConfig.uniform("haco", N, 16, 100.0),
+                                 SchemeConfig.uniform("pam", N, 16, 100.0),
+                                 _pruned_allocation()],
+                         ids=["laco", "ado", "haco", "pam", "pruned"])
+def test_one_q_function_call_per_layer(qfunc_calls, cfg, rims):
+    # the chain evaluates each zero-clipped layer's tails in one call, and the
+    # unaware SER model each layer kind (QAM, PAM) in one call over its bins
+    p_v = ChannelProfile.exponential(N).bin_noise_power()
+    worst_case_noise(cfg, p_v, rims)
+    assert len(qfunc_calls) == sum(spec.kind == "aco" for spec in cfg.layers)
+    qfunc_calls.clear()
+    evaluate_ser(cfg, p_v, "rcn_unaware", rims)
+    assert len(qfunc_calls) == len({spec.kind == "pam" for spec in cfg.layers})
 
 
 def test_worst_case_noise_skips_non_qam_layers():
