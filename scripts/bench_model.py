@@ -44,6 +44,17 @@ def load(src: Path, name: str):
     return package
 
 
+def environment() -> dict:
+    return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy"), "nproc": len(os.sched_getaffinity(0))}
+
+
+def commit(src: Path) -> str | None:
+    """`git describe` of the checkout holding `src`."""
+    return subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                          capture_output=True, text=True).stdout.strip() or None
+
+
 def calls(pkg) -> dict:
     """Name -> zero-argument call into package `pkg`, on inputs fixed by one seed."""
     import numpy as np
@@ -87,13 +98,10 @@ def main() -> int:
                 work[label][name]()
                 walls[label][name].append((time.perf_counter() - t0) * 1e3)
     record = {
-        "environment": {"python": platform.python_version(), "numpy": metadata.version("numpy"),
-                        "scipy": metadata.version("scipy"),
-                        "nproc": len(os.sched_getaffinity(0))},
+        "environment": environment(),
         "repeats": REPEATS,
         "trees": {label: {
-            "commit": subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                                     capture_output=True, text=True).stdout.strip() or None,
+            "commit": commit(src),
             "calls": {name: {"median_ms": statistics.median(w), "min_ms": min(w)}
                       for name, w in walls[label].items()}} for label, src in trees.items()},
     }

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .modems import layer_index, power_relations
-from .multilayer import SchemeConfig, draw_symbols, layer_noise, modulate, receive, transmit
+from .multilayer import SchemeConfig, _detect, draw_symbols, layer_noise, modulate, transmit
 
 DEFAULT_BATCH = 500
 # Frame samples per row block of run_point: a (rows, N) float64 block of 512 KiB.
@@ -154,7 +154,7 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
             tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx])
             y = post_eq_noise(profile, rng, len(tx.x))
             y += tx.x
-            det_idx = receive(y, scheme_cfg)
+            det_idx = _detect(y, scheme_cfg)  # y is not read again
             frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, tx.sym_idx)])
             if instrument:
                 noise.append(layer_noise(scheme_cfg, tx, det_idx, probe_bin))

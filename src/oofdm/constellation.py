@@ -89,7 +89,8 @@ def ser_qam(M, eps, sigma2):
     Approximate for rectangular (odd log2 M) grids.
     """
     a = (np.sqrt(M) - 1.0) / np.sqrt(M)
-    q = qfunc(np.sqrt(3.0 * np.asarray(eps, dtype=float) / ((M - 1) * np.asarray(sigma2, dtype=float))))
+    with np.errstate(divide="ignore"):  # zero noise: Q(inf) = 0
+        q = qfunc(np.sqrt(3.0 * np.asarray(eps, dtype=float) / ((M - 1) * np.asarray(sigma2, dtype=float))))
     return 4.0 * a * q * (1.0 - a * q)
 
 
@@ -98,7 +99,8 @@ def ser_pam(M, eps, sigma2):
     a complex AWGN of power sigma2 acts on the decision (per-axis variance
     sigma2/2): 2(M-1)/M * Q(sqrt(6 eps / ((M^2-1) sigma2))).
     """
-    arg = np.sqrt(6.0 * np.asarray(eps, dtype=float) / ((M ** 2 - 1) * np.asarray(sigma2, dtype=float)))
+    with np.errstate(divide="ignore"):  # zero noise: Q(inf) = 0
+        arg = np.sqrt(6.0 * np.asarray(eps, dtype=float) / ((M ** 2 - 1) * np.asarray(sigma2, dtype=float)))
     return 2.0 * (M - 1.0) / M * qfunc(arg)
 
 

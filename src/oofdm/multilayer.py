@@ -4,11 +4,13 @@ detect-only iterative receiver, and the residual clipping noise (RCN) of its dec
 A layer whose bins are all multiples of L has a frame of period N/L; a
 config's layers have nested periods (L never decreases from layer to layer),
 and only the last may be DCO or PAM. Each layer is synthesized, clipped and
-remodulated on one period, mapped by one gather from its per-bin tables. The
-receiver only detects: it keeps the residual folded onto the current layer's
-period, takes its real FFT, scales the layer's bins by 1/sqrt(P_s) (a zero-clipped
-layer is loaded at 2*sqrt(P_s), and clipping halves its bins), detects them in
-one quantizer call and, but for the last layer, subtracts L times the layer
+remodulated on one period from its per-bin tables, its bins written and read
+through one column index: a basic slice when they are equally spaced, as on
+every uniform and RCN-aware layer, else an index array. The receiver only
+detects: it keeps the residual folded onto the current layer's period, takes
+its real FFT, scales the layer's bins by 1/sqrt(P_s) (a zero-clipped layer is
+loaded at 2*sqrt(P_s), and clipping halves its bins), detects them in one
+quantizer call and, but for the last layer, subtracts L times the layer
 remodulated. `layer_noise` measures the RCN from the sent and detected indices on
 each layer's period too, tiling only the RCN and the squared detection error to
 full length.
@@ -21,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .constellation import quantize, unit_alphabet
-from .modems import effective_subcarriers, laco_layers, layer_kinds
+from .modems import _loadable, effective_subcarriers, laco_layers, layer_kinds
 
 DCO_BIAS = 3.0  # in frame standard deviations, as the closed-form DCO relations assume
 # Longest layer period added tiled to full length: adding through a periods view
@@ -55,16 +57,26 @@ class LayerSpec:
         root = np.sqrt(self.power)
         amp = (1.0 if self.kind == "dco" else 2.0) * root / self.fold
         gain = 1.0 / root
-        return LayerTables(self.bins // self.fold, np.concatenate([c.points for c in alphabets]),
-                           start[pos], amp, np.column_stack((gain, gain)),
-                           np.column_stack((d_min, d_min)), np.column_stack((m_i - 1, m_q - 1)), m_q)
+        return LayerTables(_columns(self.bins // self.fold),
+                           np.concatenate([c.points for c in alphabets]), start[pos], amp,
+                           np.column_stack((gain, gain)), np.column_stack((d_min, d_min)),
+                           np.column_stack((m_i - 1, m_q - 1)), m_q)
+
+
+def _columns(cols: np.ndarray):
+    """`cols` as slice(first, last + 1, step) when equally spaced (a single one counts),
+    else unchanged: numpy indexes with either, and a slice skips the fancy-index gather."""
+    step = int(cols[1] - cols[0]) if cols.size > 1 else 1
+    if step > 0 and np.array_equal(cols, np.arange(cols[0], cols[-1] + 1, step)):
+        return slice(int(cols[0]), int(cols[-1]) + 1, step)
+    return cols
 
 
 @dataclass(frozen=True)
 class LayerTables:
     """One layer's per-bin tables, in bin order; (n_j, 2) ones hold a value per
     axis, contiguous so that they run over (F, n_j, 2) (re, im) pairs in one pass."""
-    cols: np.ndarray       # bins // L: columns in the half spectrum of one period
+    cols: slice | np.ndarray  # bins // L in one period's half spectrum; a slice if equally spaced
     alphabet: np.ndarray   # unit-power alphabets of the layer's orders, concatenated
     offset: np.ndarray     # start of each bin's alphabet in `alphabet`
     amp: np.ndarray        # load scale 2*sqrt(P_s)/L, sqrt(P_s)/L for DCO
@@ -130,13 +142,14 @@ class SchemeConfig:
         power P_s(k) (full-length arrays); unloaded bins are skipped."""
         bits = np.asarray(bits)
         powers = np.asarray(powers)
+        k, t = _loadable(n)
+        loaded = (k < n // 2) & (bits[k] > 0)
+        k, t = k[loaded], t[loaded]
         specs = []
         for j in range(1, laco_layers(n) + 1):
-            ks = effective_subcarriers("laco", j, n)
-            indep = ks[(ks < n // 2) & (bits[ks] > 0)]
-            if len(indep) == 0:
-                continue
-            specs.append(LayerSpec("aco", indep, 2 ** bits[indep].astype(np.int64), powers[indep]))
+            indep = k[t == j]  # LACO layer j holds the bins of layer index j
+            if indep.size:
+                specs.append(LayerSpec("aco", indep, 2 ** bits[indep].astype(np.int64), powers[indep]))
         return cls("laco", n, specs)
 
 
@@ -159,8 +172,9 @@ def _synthesize(spec: LayerSpec, idx, n: int):
 
 def _observations(spectrum, tables: LayerTables):
     """The layer's bins as float (re, im) pairs (F, n_j, 2) scaled by `gain`:
-    numpy divides complex by real through the reciprocal, so this is Y/sqrt(P_s)."""
-    obs = np.take(spectrum, tables.cols, axis=1).view(float).reshape(len(spectrum), -1, 2)
+    numpy divides complex by real through the reciprocal, so this is Y/sqrt(P_s).
+    A sliced block is copied, as `view(float)` needs a contiguous last axis."""
+    obs = np.ascontiguousarray(spectrum[:, tables.cols]).view(float).reshape(len(spectrum), -1, 2)
     obs *= tables.gain
     return obs
 
@@ -174,7 +188,7 @@ def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
 
 def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
     """Map, synthesize and clip each layer on one period, then add the layers
-    in layer order onto the first layer's frame tiled to full length."""
+    in layer order onto the first layer's frame, tiled to full length if shorter."""
     if not config.layers:
         raise ValueError("the config loads no subcarrier: nothing to transmit")
     n, parts, bias = config.n, [], None
@@ -184,7 +198,7 @@ def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
             bias = DCO_BIAS * np.std(s, axis=-1)
             s += bias[:, None]
         parts.append(np.maximum(s, 0.0, out=s))
-    x = np.tile(parts[0], n // parts[0].shape[-1])
+    x = parts[0] if parts[0].shape[-1] == n else np.tile(parts[0], n // parts[0].shape[-1])
     for x_j in parts[1:]:
         period = x_j.shape[-1]
         if period <= _SHORT_PERIOD:
@@ -202,8 +216,13 @@ def transmit(config: SchemeConfig, rng, frames: int) -> TxBatch:
 
 def receive(y, config: SchemeConfig) -> list:
     """Iterative layer-by-layer detection of an equalized frame batch: the
-    detected symbol indices (F, n_j) of each layer."""
-    resid = np.atleast_2d(np.asarray(y, dtype=float)).copy()  # folded as layers go
+    detected symbol indices (F, n_j) of each layer. `y` is left unchanged."""
+    return _detect(np.atleast_2d(np.asarray(y, dtype=float)).copy(), config)
+
+
+def _detect(resid, config: SchemeConfig) -> list:
+    """`receive` on a float (F, N) batch, which it overwrites with the residual
+    (folded onto each layer's period as layers go)."""
     n, frames, det_idx = config.n, resid.shape[0], []
     for spec in config.layers:
         tab, L = spec.tables, spec.fold

@@ -1,13 +1,18 @@
 """Tests for the multi-layer transmitters and the iterative receiver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hermitian import hermitian_embed
 from layer_signals import layer_loads, layer_signals
+from oofdm.allocate import allocate
+from oofdm.channel import ChannelProfile
 from oofdm.constellation import unit_alphabet
-from oofdm.modems import effective_subcarriers
+from oofdm.modems import effective_subcarriers, laco_layers, layer_index
 from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
                                layer_frames, layer_noise, modulate, receive, transmit)
 
@@ -231,6 +236,108 @@ def test_from_allocation_roundtrip():
     tx = transmit(cfg, np.random.default_rng(7), 3)
     for det, sent in zip(receive(tx.x, cfg), tx.sym_idx):
         np.testing.assert_array_equal(det, sent)
+
+
+def _from_allocation_oracle(n, bits, powers):
+    """(bins, M, power) of each nonempty layer, built as `from_allocation` once did:
+    one `effective_subcarriers` call per LACO layer."""
+    layers = []
+    for j in range(1, laco_layers(n) + 1):
+        ks = effective_subcarriers("laco", j, n)
+        indep = ks[(ks < n // 2) & (bits[ks] > 0)]
+        if len(indep):
+            layers.append((indep, 2 ** bits[indep].astype(np.int64), powers[indep]))
+    return layers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2 ** b for b in range(3, 11)]), st.data())
+def test_from_allocation_equals_the_per_layer_construction(n, data):
+    # random loadings, some layers left empty
+    bits = data.draw(arrays(np.int64, n, elements=st.integers(0, 8)))
+    powers = data.draw(arrays(float, n, elements=st.floats(1e-2, 1e4)))
+    emptied = data.draw(st.sets(st.integers(1, laco_layers(n))))
+    k = np.arange(1, n // 2)
+    bits[k[np.isin(layer_index(k, n), list(emptied))]] = 0
+    cfg = SchemeConfig.from_allocation(n, bits, powers)
+    want = _from_allocation_oracle(n, bits, powers)
+    assert len(cfg.layers) == len(want)
+    for spec, (bins, M, power) in zip(cfg.layers, want):
+        assert spec.kind == "aco"
+        assert np.array_equal(spec.bins, bins)
+        assert np.array_equal(spec.M, M)
+        assert np.array_equal(spec.power, power)
+
+
+# Every uniform scheme at N = 16..1024 and the RCN-aware allocations on the
+# exponential channel at 6..26 dB: configs whose layers all have equally spaced bins
+SLICED = ([(scheme, n) for scheme in ("laco", "ado", "haco", "aco", "dco", "pam")
+           for n in (2 ** b for b in range(4, 11))]
+          + [("allocation", snr) for snr in (6, 10, 14, 18, 22, 26)])
+
+
+def _sliced_config(name, arg):
+    if name == "allocation":
+        res = allocate(ChannelProfile.exponential(N), 10.0 ** (arg / 10.0), 1e-2, mode="rcn_aware")
+        return SchemeConfig.from_allocation(N, res.bits, res.powers)
+    return SchemeConfig.uniform(name, arg, 16, 10.0)
+
+
+def _index_array_twin(cfg):
+    """`cfg` with every layer's columns indexed by the bins // L array instead."""
+    twins = []
+    for spec in cfg.layers:
+        twin = LayerSpec(spec.kind, spec.bins, spec.M, spec.power)
+        twin.__dict__["tables"] = replace(spec.tables, cols=spec.bins // spec.fold)  # the cached property
+        twins.append(twin)
+    return SchemeConfig(cfg.scheme, cfg.n, twins)
+
+
+@pytest.mark.parametrize("name,arg", SLICED)
+def test_equally_spaced_layers_index_their_columns_by_a_slice(name, arg):
+    cfg = _sliced_config(name, arg)
+    for spec in cfg.layers:
+        cols = spec.tables.cols
+        assert isinstance(cols, slice)
+        assert np.array_equal(np.arange(cfg.n)[cols], spec.bins // spec.fold)
+
+
+@pytest.mark.parametrize("name,arg", SLICED)
+def test_sliced_columns_equal_the_index_array_bit_for_bit(name, arg):
+    cfg = _sliced_config(name, arg)
+    twin = _index_array_twin(cfg)
+    assert all(isinstance(sp.tables.cols, np.ndarray) for sp in twin.layers)
+    sym_idx = draw_symbols(cfg, np.random.default_rng(3), 6)
+    tx, tx_twin = modulate(cfg, sym_idx), modulate(twin, sym_idx)
+    assert np.array_equal(tx.x, tx_twin.x)
+    y = tx.x + 0.3 * np.std(tx.x) * np.random.default_rng(4).standard_normal(tx.x.shape)
+    det_idx, det_twin = receive(y, cfg), receive(y, twin)
+    assert all(np.array_equal(a, b) for a, b in zip(det_idx, det_twin))
+    probe_bin = cfg.n // 4 + 1
+    for a, b in zip(layer_noise(cfg, tx, det_idx, probe_bin), layer_noise(twin, tx, det_idx, probe_bin)):
+        assert np.array_equal(a, b)
+
+
+def test_notched_layer_keeps_an_index_array_and_round_trips():
+    bits = np.full(N, 4)
+    bits[[5, 7, 9]] = 0  # a notch in layer 1: its bins are no longer equally spaced
+    cfg = SchemeConfig.from_allocation(N, bits, np.full(N, 50.0))
+    first = cfg.layers[0]
+    assert isinstance(first.tables.cols, np.ndarray)
+    assert np.array_equal(first.tables.cols, first.bins)
+    assert all(isinstance(sp.tables.cols, slice) for sp in cfg.layers[1:])
+    tx = transmit(cfg, np.random.default_rng(9), 3)
+    for det, sent in zip(receive(tx.x, cfg), tx.sym_idx):
+        np.testing.assert_array_equal(det, sent)
+
+
+def test_receive_leaves_its_input_unchanged():
+    cfg = SchemeConfig.uniform("laco", N, 16, 10.0, layers=9)
+    tx = transmit(cfg, np.random.default_rng(10), 4)
+    y = tx.x + np.random.default_rng(11).standard_normal(tx.x.shape)
+    sent = y.copy()
+    receive(y, cfg)
+    assert np.array_equal(y, sent)
 
 
 def test_probe_matches_fft_of_delta():

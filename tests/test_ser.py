@@ -94,3 +94,19 @@ def test_noise_map_must_be_non_negative(mode, bad):
     p_v[3] = bad
     with pytest.raises(ValueError, match="noise map must be non-negative"):
         evaluate_ser(_config("laco", 20.0, 9), p_v, mode)
+
+
+@pytest.mark.parametrize("mode", ["rcn_aware", "rcn_unaware"])
+@pytest.mark.parametrize("scheme,layers", [("laco", 3), ("haco", None)])
+def test_zero_noise_on_a_loaded_bin_gives_zero_ser(mode, scheme, layers):
+    # Q(inf) = 0; a zero noise power used to warn "divide by zero" on its way there.
+    # Bin 1 is on the first layer; in rcn_unaware mode bin 2 reaches the HACO PAM layer
+    n = 64
+    p_v = np.full(n, float(n))
+    p_v[[1, 2]] = 0.0
+    cfg = SchemeConfig.uniform(scheme, n, 16, gamma_to_p_eff(scheme, 20.0, 1.0, layers), layers)
+    report = evaluate_ser(cfg, p_v, mode)
+    assert report.layer_ser[0][0] == 0.0
+    if mode == "rcn_unaware":
+        assert report.layer_ser[1][0] == 0.0
+    assert 0.0 < report.overall < evaluate_ser(cfg, np.full(n, float(n)), mode).overall
