@@ -83,6 +83,8 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = channel.n
     gamma_gap = snr_gap(p_e)
     p_v = channel.bin_noise_power()
@@ -91,13 +93,8 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
 
     p_z = p_v.copy()
     history = []
-    converged = False
-    iterations = 0
-    bits = np.zeros(n, dtype=np.int64)
-    powers = np.zeros(n)
-    for _ in range(max_iters):
-        iterations += 1
-        phi = loadable.copy()
+    for iterations in range(1, max_iters + 1):
+        phi = loadable
         while True:
             powers = waterfill(p_z, phi, budget)
             rate = np.log2(1.0 + powers[phi] / (gamma_gap * p_z[phi]))

@@ -4,8 +4,8 @@ the measured power relations. The command line runs the SNR grid.
 
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
-otherwise; a received frame is never inverted. Batch b is seeded with child
-b of `np.random.SeedSequence(seed)`; it draws its symbols whole, then
+otherwise; a received frame is never inverted. `_batches` seeds batch b with
+child b of `np.random.SeedSequence(seed)`; it draws its symbols whole, then
 modulates, draws the noise of and detects one row block of about 512 KiB of
 frame samples at a time, so that a block's signals stay in cache;
 `multilayer.layer_noise` measures an instrumented block's RCN from its sent
@@ -63,7 +63,7 @@ class ChannelProfile:
 
     @classmethod
     def from_csv(cls, path, n: int, noise_power: float = 1.0) -> "ChannelProfile":
-        """Load (k, |H|) or (k, Re H, Im H) rows; unlisted bins default to 1."""
+        """Load (k, |H|) or (k, Re H, Im H) rows; unlisted bins default to 1. Only |H| is kept."""
         h = np.ones(n, dtype=complex)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -80,9 +80,7 @@ class ChannelProfile:
                     h[k] = float(row[1]) + 1j * float(row[2])
                 else:
                     h[k] = float(row[1])
-        if np.allclose(h.imag, 0.0):
-            h = h.real
-        return cls(n, noise_power, h)
+        return cls(n, noise_power, np.abs(h))
 
     @property
     def gain(self) -> np.ndarray:
@@ -122,16 +120,23 @@ def gamma_to_p_eff(scheme: str, gamma_db: float, noise_power: float = 1.0,
                    layers: int | None = None, effective: bool = False) -> float:
     """Convert an SNR point (electrical, or effective with effective=True)
     into the effective-power budget."""
-    p = 10.0 ** (gamma_db / 10.0) * noise_power
+    try:
+        p = 10.0 ** (gamma_db / 10.0) * noise_power
+    except OverflowError:
+        raise ValueError(f"SNR {gamma_db:g} dB overflows the effective power") from None
     if effective:
         return p
     return p / power_relations(scheme, 1.0, layers).p_elec
 
 
-def _batches(frames: int, batch: int):
+def _batches(frames: int, batch: int, seed):
+    """(size, Generator) of each batch of at most `batch` of `frames` frames: batch b
+    draws from child b of `np.random.SeedSequence(seed)`."""
     if frames < 1 or batch < 1:
         raise ValueError(f"frames and batch must be at least 1, got {frames} and {batch}")
-    return [min(batch, frames - lo) for lo in range(0, frames, batch)]
+    sizes = [min(batch, frames - lo) for lo in range(0, frames, batch)]
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [(size, np.random.default_rng(ss)) for size, ss in zip(sizes, seeds)]
 
 
 def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
@@ -142,13 +147,12 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     Returns a dict with per-layer error counts, overall and per-layer SER with
     their standard errors (sample SD of the per-frame SER over sqrt(frames);
     nan for one frame), and (when instrumented) per-frame delta/error powers
-    and probe-bin clipping-noise samples per layer.
+    and probe-bin clipping-noise samples per layer. A probe bin implies instrumentation.
     """
-    sizes = _batches(frames, batch)
+    instrument = instrument or probe_bin is not None
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
     frame_err, noise = [], []
-    for size, ss in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        rng = np.random.default_rng(ss)
+    for size, rng in _batches(frames, batch, seed):
         sym_idx = draw_symbols(scheme_cfg, rng, size)
         for lo in range(0, size, rows):
             tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx])
@@ -220,10 +224,9 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
     """Monte Carlo estimate of (P_elec, P_opt) of a transmitter at the given
     effective power, for comparison against the closed forms."""
     cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
-    sizes = _batches(frames, DEFAULT_BATCH)
     sq_sum = mean_sum = 0.0
-    for size, ss in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        x = transmit(cfg, np.random.default_rng(ss), size).x
+    for size, rng in _batches(frames, DEFAULT_BATCH, seed):
+        x = transmit(cfg, rng, size).x
         sq_sum += float(np.sum(x ** 2))
         mean_sum += float(np.sum(x))
-    return {"p_elec": sq_sum / (frames * n), "p_opt": mean_sum / (frames * n), "p_eff": p_eff}
+    return {"p_elec": sq_sum / (frames * n), "p_opt": mean_sum / (frames * n)}

@@ -93,15 +93,15 @@ def _write_outputs(args, outputs: dict) -> int:
 
 def cmd_power_relations(args):
     layers = len(layer_kinds(args.scheme, args.n, args.layers))
-    triple = power_relations(args.scheme, args.peff, layers)
+    closed = power_relations(args.scheme, args.peff, layers)
     lines = [f"scheme={args.scheme} P_eff={args.peff:g}",
-             f"closed form: P_elec={triple.p_elec:.6g} P_opt={triple.p_opt:.6g}"]
+             f"closed form: P_elec={closed.p_elec:.6g} P_opt={closed.p_opt:.6g}"]
     if args.validate:
         mc = measure_power_relations(args.scheme, args.peff, n=args.n, M=args.m,
                                      frames=args.validate, seed=args.seed,
                                      layers=layers)
-        rel_e = abs(mc["p_elec"] - triple.p_elec) / triple.p_elec
-        rel_o = abs(mc["p_opt"] - triple.p_opt) / triple.p_opt
+        rel_e = abs(mc["p_elec"] - closed.p_elec) / closed.p_elec
+        rel_o = abs(mc["p_opt"] - closed.p_opt) / closed.p_opt
         lines.append(f"monte carlo ({args.validate} frames): P_elec={mc['p_elec']:.6g} "
                      f"({rel_e:.2%}) P_opt={mc['p_opt']:.6g} ({rel_o:.2%})")
     print("\n".join(lines))  # only once every input has passed its check
@@ -162,8 +162,7 @@ def cmd_rcn_stats(args):
     if t_max == 0:
         raise ValueError(f"probe bin {args.bin} is not affected by any layer")
     cov_rows, cdf_rows = [], []
-    for gamma, _, point in _points(args, channel, "laco", gammas, effective=True,
-                                   instrument=True, probe_bin=args.bin):
+    for gamma, _, point in _points(args, channel, "laco", gammas, effective=True, probe_bin=args.bin):
         res = rcn_statistics(point["probe"][:t_max], gamma)
         t_count = res["rho"].shape[0]
         for t1 in range(t_count):
@@ -274,8 +273,8 @@ def build_parser():
 
 
 def _apply_config(ap, args, argv):
-    """Fill options from the --config JSON file, each value parsed as its flag
-    would be; given flags win, and a key that names no option is an error."""
+    """`args` parsed again with the --config JSON file's values, each parsed as its flag
+    would be, as the subcommand's defaults; a key that names no option is an error."""
     with open(args.config) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
@@ -286,11 +285,9 @@ def _apply_config(ap, args, argv):
     unknown = [key for key in defaults if key not in actions]
     if unknown:
         raise ValueError(f"{args.config}: unknown {args.command} option(s): {', '.join(unknown)}")
-    values = {key: _config_value(f"{args.config}: {key}", actions[key], v) for key, v in defaults.items()}
-    for action in actions.values():
-        action.default = argparse.SUPPRESS  # a second parse then holds the given flags only
-    given = vars(ap.parse_args(argv))
-    vars(args).update({dest: v for dest, v in values.items() if dest not in given})
+    sub.set_defaults(**{key: _config_value(f"{args.config}: {key}", actions[key], v)
+                        for key, v in defaults.items()})
+    return ap.parse_args(argv)
 
 
 def _config_value(where: str, action, value):
@@ -313,7 +310,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.config:
-            _apply_config(ap, args, argv)
+            args = _apply_config(ap, args, argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,11 +85,10 @@ def layer_index(k, n: int):
 
 
 @dataclass(frozen=True)
-class PowerTriple:
-    """Electrical, optical, and effective power of a transmitted signal."""
+class PowerPair:
+    """Electrical and optical power of a transmitted signal."""
     p_elec: float
     p_opt: float
-    p_eff: float
 
 
 def laco_ratios(layers: int):
@@ -100,7 +99,7 @@ def laco_ratios(layers: int):
     return 2.0 - 2.0 / np.pi + c, c
 
 
-def power_relations(scheme: str, p_eff: float, layers: int | None = None) -> PowerTriple:
+def power_relations(scheme: str, p_eff: float, layers: int | None = None) -> PowerPair:
     """Closed-form power relations assuming equal per-subcarrier effective
     power (asymptotic in N)."""
     if not 0 < p_eff < np.inf:
@@ -125,4 +124,4 @@ def power_relations(scheme: str, p_eff: float, layers: int | None = None) -> Pow
             raise ValueError(f"unknown scheme {scheme!r}")
     if not np.isfinite(p_elec) or not np.isfinite(p_opt):
         raise ValueError(f"effective power {p_eff:g} overflows the {scheme} power relations")
-    return PowerTriple(p_elec, p_opt, p_eff)
+    return PowerPair(p_elec, p_opt)

@@ -26,9 +26,6 @@ from .constellation import quantize, unit_alphabet
 from .modems import _loadable, effective_subcarriers, laco_layers, layer_kinds
 
 DCO_BIAS = 3.0  # in frame standard deviations, as the closed-form DCO relations assume
-# Longest layer period added tiled to full length: adding through a periods view
-# loops over the period innermost, which is slower for a period of a few samples.
-_SHORT_PERIOD = 16
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,6 @@ class LayerTables:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    scheme: str
     n: int
     layers: list
 
@@ -110,31 +106,26 @@ class SchemeConfig:
         return int(sum(2 * len(sp.bins) for sp in self.layers))
 
     @classmethod
-    def uniform(cls, scheme: str, n: int, M, p_eff: float,
+    def uniform(cls, scheme: str, n: int, M: int, p_eff: float,
                 layers: int | None = None) -> "SchemeConfig":
         """Equal per-subcarrier effective power over all effective subcarriers.
 
         A single-layer scheme (aco, dco, pam) gives a one-layer config; the
-        layer count applies to LACO only. M may be a scalar or a per-layer
-        sequence. Every layer carries the per-subcarrier effective power
-        eps = N^2 * p_eff / N'.
+        layer count applies to LACO only. Every layer carries constellation
+        order M and the per-subcarrier effective power eps = N^2 * p_eff / N'.
         """
         scheme = scheme.lower()
         kinds = layer_kinds(scheme, n, layers)
-        j_count = len(kinds)
-        orders = [M] * j_count if np.isscalar(M) else list(M)
-        if len(orders) != j_count:
-            raise ValueError("per-layer order list does not match the layer count")
-        bins = [effective_subcarriers(scheme, j + 1, n) for j in range(j_count)]
+        bins = [effective_subcarriers(scheme, j + 1, n) for j in range(len(kinds))]
         n_prime = sum(len(b) for b in bins)
         eps = n ** 2 * p_eff / n_prime
         specs = []
-        for kind, order, ks in zip(kinds, orders, bins):
+        for kind, ks in zip(kinds, bins):
             indep = ks[ks < n // 2]
             specs.append(LayerSpec(kind, indep,
-                                   np.full(indep.shape, order, dtype=np.int64),
+                                   np.full(indep.shape, M, dtype=np.int64),
                                    np.full(indep.shape, eps)))
-        return cls(scheme, n, specs)
+        return cls(n, specs)
 
     @classmethod
     def from_allocation(cls, n: int, bits, powers) -> "SchemeConfig":
@@ -150,7 +141,7 @@ class SchemeConfig:
             indep = k[t == j]  # LACO layer j holds the bins of layer index j
             if indep.size:
                 specs.append(LayerSpec("aco", indep, 2 ** bits[indep].astype(np.int64), powers[indep]))
-        return cls("laco", n, specs)
+        return cls(n, specs)
 
 
 @dataclass
@@ -181,9 +172,9 @@ def _observations(spectrum, tables: LayerTables):
 
 def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
     """Random symbol indices per layer (frames, n_j), one uniform draw per bin in layer order
-    from `rng`, so the stream layout does not depend on how bins group by order."""
-    return [np.minimum((rng.random((frames, len(spec.M))) * spec.M).astype(np.int64), spec.M - 1)
-            for spec in config.layers]
+    from `rng`, so the stream layout does not depend on how bins group by order. A draw is
+    below 1 and every order a power of two, so draw * M is exact and its index below M."""
+    return [(rng.random((frames, len(spec.M))) * spec.M).astype(np.int64) for spec in config.layers]
 
 
 def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
@@ -200,12 +191,8 @@ def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
         parts.append(np.maximum(s, 0.0, out=s))
     x = parts[0] if parts[0].shape[-1] == n else np.tile(parts[0], n // parts[0].shape[-1])
     for x_j in parts[1:]:
-        period = x_j.shape[-1]
-        if period <= _SHORT_PERIOD:
-            x += np.tile(x_j, n // period)
-        else:
-            periods = x.reshape(len(x), -1, period)
-            periods += x_j[:, None]
+        periods = x.reshape(len(x), -1, x_j.shape[-1])
+        periods += x_j[:, None]
     return TxBatch(x, sym_idx, bias)
 
 

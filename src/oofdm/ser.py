@@ -21,7 +21,6 @@ MODES = ("rcn_aware", "rcn_unaware")
 class SerReport:
     layer_ser: list            # per layer, per independent bin
     overall: float
-    approximate_orders: tuple  # non-square QAM orders evaluated with the square formula
 
 
 def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int = 3) -> SerReport:
@@ -36,14 +35,13 @@ def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int =
     noise = worst_case_noise(config, p_v, rims).p_z if mode == "rcn_aware" else p_v
     # one SER call for every QAM layer's bins; only the last layer may be PAM
     qam = [spec for spec in config.layers if spec.kind != "pam"]
-    layer_ser, approx = [], ()
+    layer_ser = []
     if qam:
         M, power, bins = (np.concatenate([getattr(spec, a) for spec in qam]) for a in ("M", "power", "bins"))
         layer_ser = np.split(ser_qam(M, power, noise[bins]), np.cumsum([spec.bins.size for spec in qam])[:-1])
-        approx = tuple(int(m) for m in np.unique(M) if int(np.log2(m)) % 2)
     layer_ser += [ser_pam(spec.M, spec.power, noise[spec.bins]) for spec in config.layers[len(qam):]]
     total = 0.0
     for p in layer_ser:  # in layer order
         total += 2.0 * float(np.sum(p))
     n_prime = config.n_loaded
-    return SerReport(layer_ser, total / n_prime if n_prime else 0.0, approx)
+    return SerReport(layer_ser, total / n_prime if n_prime else 0.0)

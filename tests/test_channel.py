@@ -42,6 +42,17 @@ def test_from_csv(tmp_path):
     assert prof.gain[3] == 1.0
 
 
+def test_from_csv_keeps_the_magnitude_of_complex_gains(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 64
+    h = np.ones(n, dtype=complex)
+    h[1:n // 2] = rng.uniform(0.2, 2.0, n // 2 - 1) * np.exp(2j * np.pi * rng.random(n // 2 - 1))
+    h[n // 2 + 1:] = np.conj(h[1:n // 2][::-1])
+    path = tmp_path / "h.csv"
+    path.write_text("k,re,im\n" + "".join(f"{k},{z.real!r},{z.imag!r}\n" for k, z in enumerate(h.tolist())))
+    assert np.array_equal(ChannelProfile.from_csv(path, n).gain, np.abs(h))
+
+
 def test_post_eq_noise_power_matches_map():
     # measured per-bin noise power matches N*Pv/|H(k)|^2 within 3%
     prof = ChannelProfile.exponential(N, att_db=10.0)
@@ -223,6 +234,16 @@ def test_measure_rcn_power_shapes():
     assert out["delta_power"].shape == out["err_power"].shape == (9, 200)
     # coarse agreement with the reference value 0.427 at small frame count
     assert out["delta_power"][0].mean() == pytest.approx(0.427, rel=0.10)
+
+
+def test_probe_bin_implies_instrumentation():
+    # a probe bin without instrument=True was dropped without an error
+    cfg = SchemeConfig.uniform("laco", N, 16, gamma_to_p_eff("laco", 14.0, 1.0, 9, True), 9)
+    probed = run_point(cfg, ChannelProfile.flat(N), 100, 0, probe_bin=256)
+    full = run_point(cfg, ChannelProfile.flat(N), 100, 0, instrument=True, probe_bin=256)
+    assert probed.keys() == full.keys()
+    for key in ("delta_power", "err_power", "probe"):
+        assert np.array_equal(probed[key], full[key]), key
 
 
 def test_probed_layers_match_affected_set_membership():

@@ -449,6 +449,20 @@ def test_allocate_on_asymmetric_channel_is_an_error(tmp_path, capsys):
     assert not list(tmp_path.glob("allocation_*.csv"))
 
 
+@pytest.mark.parametrize("argv", [["ser", "--gammas", "4000", "--runs", "5"],
+                                  ["rcn-power", "--gammas-eff", "1e308", "--runs", "5"],
+                                  ["rcn-stats", "--gammas-eff", "4000", "--runs", "5", "--bin", "4"],
+                                  ["allocate", "--gammas-eff", "4000"]])
+def test_overflowing_snr_is_an_error(tmp_path, capsys, argv):
+    # 10 ** (gamma / 10) raised OverflowError through a traceback
+    out = tmp_path / "out"
+    assert main(argv + ["--n", "64", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "SNR" in err
+    assert not out.exists()
+
+
 def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamas": "1,2", "peff": 2.0}))

@@ -37,7 +37,7 @@ def test_uniform_config_ado_and_haco():
     eps = N ** 2 * 1.0 / 1022
     np.testing.assert_allclose(ado.layers[0].power, eps)
     np.testing.assert_allclose(ado.layers[1].power, eps)  # whatever the clipping
-    haco = SchemeConfig.uniform("haco", N, [16, 4], 1.0)
+    haco = SchemeConfig.uniform("haco", N, 4, 1.0)
     assert [sp.kind for sp in haco.layers] == ["aco", "pam"]
     assert np.all(haco.layers[1].M == 4)
 
@@ -58,8 +58,6 @@ def test_uniform_config_single_layer(scheme, bins, power):
 def test_uniform_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig.uniform("qam", N, 16, 1.0)
-    with pytest.raises(ValueError):
-        SchemeConfig.uniform("laco", N, [16, 16], 1.0, layers=3)
 
 
 @pytest.mark.parametrize("order", [3, 6, 1, 0])
@@ -69,17 +67,17 @@ def test_config_rejects_orders_off_the_grid(order):
     aco, dco = SchemeConfig.uniform("ado", 64, 16, 10.0).layers
     mixed = LayerSpec("dco", dco.bins, np.where(dco.bins == 6, order, 16), dco.power)
     with pytest.raises(ValueError, match=f"got {order}"):
-        SchemeConfig("ado", 64, [aco, mixed])
+        SchemeConfig(64, [aco, mixed])
 
 
 def test_config_rejects_decreasing_fold_factors():
     laco = SchemeConfig.uniform("laco", N, 16, 1.0, layers=3)
-    SchemeConfig("laco", N, [laco.layers[0], laco.layers[2]])  # a pruned, nested config
+    SchemeConfig(N, [laco.layers[0], laco.layers[2]])  # a pruned, nested config
     with pytest.raises(ValueError, match="nested"):
-        SchemeConfig("laco", N, [laco.layers[1], laco.layers[0]])
+        SchemeConfig(N, [laco.layers[1], laco.layers[0]])
     ado = SchemeConfig.uniform("ado", N, 16, 1.0)
     with pytest.raises(ValueError, match="nested"):
-        SchemeConfig("ado", N, ado.layers[::-1])
+        SchemeConfig(N, ado.layers[::-1])
 
 
 def test_layer_alphabets_are_built_once():
@@ -139,7 +137,7 @@ def test_transmit_signal_is_nonnegative_with_expected_power():
 
 
 @pytest.mark.parametrize("scheme,M,layers", [("laco", 16, 9), ("ado", 16, None),
-                                             ("haco", [16, 4], None)])
+                                             ("haco", 4, None)])
 def test_noiseless_roundtrip(scheme, M, layers):
     # receive(y, cfg) alone: the DCO or PAM layer is last and never
     # remodulated, so the DCO layer of ADO is detected without its bias
@@ -149,6 +147,33 @@ def test_noiseless_roundtrip(scheme, M, layers):
     assert len(det_idx) == len(cfg.layers)
     for det, sent in zip(det_idx, tx.sym_idx):
         np.testing.assert_array_equal(det, sent)
+
+
+class _TopDraw:
+    """A generator whose every uniform draw is the largest float below 1."""
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("scheme", ["aco", "pam"])
+@pytest.mark.parametrize("M", [2 ** b for b in range(1, 9)])
+def test_largest_draw_maps_to_the_last_index(scheme, M):
+    # random() < 1 and a power-of-two order keep draw * M below M: no index to clamp
+    cfg = SchemeConfig.uniform(scheme, 64, M, 1.0)
+    (idx,) = draw_symbols(cfg, _TopDraw(), 3)
+    assert np.all(idx == M - 1)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+def test_modulate_is_the_layer_order_sum_of_the_clipped_frames(n):
+    # later layers are added through a periods view, down to a period of 4 samples
+    cfg = SchemeConfig.uniform("laco", n, 16, 10.0, layers=laco_layers(n))
+    sym_idx = draw_symbols(cfg, np.random.default_rng(n), 5)
+    _, x_layers = layer_frames(cfg, sym_idx)
+    x = x_layers[0]
+    for x_j in x_layers[1:]:
+        x = x + x_j
+    assert np.array_equal(modulate(cfg, sym_idx).x, x)
 
 
 def test_noiseless_residual_vanishes():
@@ -217,9 +242,9 @@ def test_dco_or_pam_layer_before_an_aco_layer_is_rejected(kind):
     def layer(kind, bins):
         return LayerSpec(kind, bins, np.full(bins.shape, 16), np.ones(bins.shape))
     odd, twice_odd = np.arange(1, N // 2, 2), np.arange(2, N // 2, 4)
-    SchemeConfig("laco", N, [layer("aco", odd), layer("aco", twice_odd)])
+    SchemeConfig(N, [layer("aco", odd), layer("aco", twice_odd)])
     with pytest.raises(ValueError, match="only the last layer"):
-        SchemeConfig("ado", N, [layer(kind, odd), layer("aco", twice_odd)])
+        SchemeConfig(N, [layer(kind, odd), layer("aco", twice_odd)])
 
 
 def test_from_allocation_roundtrip():
@@ -290,7 +315,7 @@ def _index_array_twin(cfg):
         twin = LayerSpec(spec.kind, spec.bins, spec.M, spec.power)
         twin.__dict__["tables"] = replace(spec.tables, cols=spec.bins // spec.fold)  # the cached property
         twins.append(twin)
-    return SchemeConfig(cfg.scheme, cfg.n, twins)
+    return SchemeConfig(cfg.n, twins)
 
 
 @pytest.mark.parametrize("name,arg", SLICED)
@@ -386,7 +411,7 @@ def test_folded_laco_layers_match_full_transform(data):
     for j in sorted(layers):
         ks = effective_subcarriers("laco", j, N_PROP)
         specs.append(_pruned_layer(data, "aco", ks[ks < N_PROP // 2].tolist()))
-    _check_folded_frames_and_noiseless_detection(SchemeConfig("laco", N_PROP, specs))
+    _check_folded_frames_and_noiseless_detection(SchemeConfig(N_PROP, specs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,8 +424,7 @@ def test_folded_hybrid_layer_with_larger_period_factor(data):
     odd = list(range(1, N_PROP // 2, 2))
     even = list(range(step, N_PROP // 2, step))
     specs = [_pruned_layer(data, "aco", odd), _pruned_layer(data, kind, even)]
-    scheme = "ado" if kind == "dco" else "haco"
-    _check_folded_frames_and_noiseless_detection(SchemeConfig(scheme, N_PROP, specs))
+    _check_folded_frames_and_noiseless_detection(SchemeConfig(N_PROP, specs))
 
 
 @settings(max_examples=60, deadline=None)

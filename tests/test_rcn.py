@@ -87,7 +87,7 @@ def test_layer_number_comes_from_the_bins():
     # the allocator can empty LACO layer 1, leaving layer 2 first in the list:
     # its RCN still lands on multiples of 4 only, bounded over |K_2| = N/4
     full = SchemeConfig.uniform("laco", N, 64, 10.0, layers=9)
-    cfg = SchemeConfig("laco", N, full.layers[1:])
+    cfg = SchemeConfig(N, full.layers[1:])
     p_v = np.full(N, float(N))
     prof = worst_case_noise(cfg, p_v)
     extra = prof.p_z - p_v
@@ -104,7 +104,7 @@ def test_chain_uses_accumulated_noise():
     # the value computed from channel noise alone at high SNR
     prof = _profile(20)
     cfg = SchemeConfig.uniform("laco", N, 64, 100.0, layers=9)
-    alone = worst_case_noise(SchemeConfig("laco", N, cfg.layers[1:2]), np.full(N, float(N)))
+    alone = worst_case_noise(SchemeConfig(N, cfg.layers[1:2]), np.full(N, float(N)))
     assert prof.bin_powers[1] > alone.bin_powers[0]
 
 

@@ -67,14 +67,6 @@ def test_overall_is_loaded_average():
     assert report.overall == pytest.approx(total / 1022)
 
 
-def test_approximate_orders_flagged():
-    cfg = SchemeConfig.uniform("laco", N, [16, 8, 2], 10.0, layers=3)
-    report = evaluate_ser(cfg, P_V, "rcn_unaware")
-    assert report.approximate_orders == (2, 8)
-    clean = evaluate_ser(_config("laco", 20.0, 9), P_V, "rcn_unaware")
-    assert clean.approximate_orders == ()
-
-
 def test_mode_validation():
     with pytest.raises(ValueError):
         evaluate_ser(_config("laco", 20.0, 9), P_V, "oracle")
