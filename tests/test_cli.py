@@ -452,7 +452,7 @@ def test_allocate_on_asymmetric_channel_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["ser", "--gammas", "4000", "--runs", "5"],
                                   ["rcn-power", "--gammas-eff", "1e308", "--runs", "5"],
                                   ["rcn-stats", "--gammas-eff", "4000", "--runs", "5", "--bin", "4"],
-                                  ["allocate", "--gammas-eff", "4000"]])
+                                  ["allocate", "--gammas-eff", "4000"]], ids=lambda argv: argv[0])
 def test_overflowing_snr_is_an_error(tmp_path, capsys, argv):
     # 10 ** (gamma / 10) raised OverflowError through a traceback
     out = tmp_path / "out"
