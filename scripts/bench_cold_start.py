@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
-from importlib import metadata
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from bench_model import ROOT, environment
+
 REPEATS = 7
 
 # Each path's first call, made after importing oofdm.cli.
@@ -63,9 +61,7 @@ def measure(call: str) -> dict:
 
 def main() -> int:
     record = {
-        "environment": {"python": platform.python_version(), "numpy": metadata.version("numpy"),
-                        "scipy": metadata.version("scipy"),
-                        "nproc": len(os.sched_getaffinity(0))},
+        "environment": environment(),
         "paths": {name: measure(call) for name, call in PATHS.items()},
     }
     out = ROOT / "BENCH_cold_start.json"

@@ -34,8 +34,8 @@ def waterfill(q, phi, budget: float) -> np.ndarray:
     Exact KKT solution P_s(k) = max(0, mu - q(k)) with the water level mu
     found by sorting. Returns a full-length array, zero off phi.
     """
-    if budget <= 0:
-        raise ValueError("power budget must be positive")
+    if not 0 < budget < np.inf:  # an overflowing N^2 * P_eff is inf
+        raise ValueError(f"power budget must be positive and finite, got {budget:g}")
     phi = np.asarray(phi, dtype=int)
     if phi.size == 0:
         raise ValueError("active subcarrier set is empty")
@@ -88,7 +88,7 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
     n = channel.n
     gamma_gap = snr_gap(p_e)
     p_v = channel.bin_noise_power()
-    budget = n ** 2 * p_eff
+    budget = n ** 2 * float(p_eff)  # a Python float overflows to inf silently
     loadable, _ = _loadable(n)
 
     p_z = p_v.copy()

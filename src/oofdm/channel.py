@@ -225,8 +225,11 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
     effective power, for comparison against the closed forms."""
     cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
     sq_sum = mean_sum = 0.0
-    for size, rng in _batches(frames, DEFAULT_BATCH, seed):
-        x = transmit(cfg, rng, size).x
-        sq_sum += float(np.sum(x ** 2))
-        mean_sum += float(np.sum(x))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        for size, rng in _batches(frames, DEFAULT_BATCH, seed):
+            x = transmit(cfg, rng, size).x
+            sq_sum += float(np.sum(x ** 2))
+            mean_sum += float(np.sum(x))
+    if not np.isfinite(sq_sum + mean_sum):
+        raise ValueError(f"the transmitted power overflows at P_eff = {p_eff:g}")
     return {"p_elec": sq_sum / (frames * n), "p_opt": mean_sum / (frames * n)}

@@ -90,10 +90,15 @@ class SchemeConfig:
 
     def __post_init__(self):
         for sp in self.layers:
-            if not (sp.bins.size and sp.bins.min() >= 1 and sp.bins.max() < self.n // 2):
-                raise ValueError("a layer needs independent bins in [1, n/2)")
             for order in sorted(set(sp.M.tolist())):  # np.unique would import numpy.ma
                 unit_alphabet(sp.kind, int(order))  # rejects an order off the grid
+        bins = np.concatenate([[1]] + [sp.bins for sp in self.layers])  # one reduction per bound
+        power = np.concatenate([[0.0]] + [sp.power for sp in self.layers])
+        if not (all(sp.bins.size for sp in self.layers) and bins.min() >= 1
+                and bins.max() < self.n // 2):
+            raise ValueError("a layer needs independent bins in [1, n/2)")
+        if not (power.min() >= 0.0 and power.max() < np.inf):  # a NaN makes the minimum NaN
+            raise ValueError("per-bin effective power must be finite and non-negative")
         folds = [sp.fold for sp in self.layers]
         if folds != sorted(folds):
             raise ValueError(f"layer periods must be nested: fold factors {folds} decrease")
@@ -118,7 +123,7 @@ class SchemeConfig:
         kinds = layer_kinds(scheme, n, layers)
         bins = [effective_subcarriers(scheme, j + 1, n) for j in range(len(kinds))]
         n_prime = sum(len(b) for b in bins)
-        eps = n ** 2 * p_eff / n_prime
+        eps = n ** 2 * float(p_eff) / n_prime  # a Python float overflows to inf silently
         specs = []
         for kind, ks in zip(kinds, bins):
             indep = ks[ks < n // 2]

@@ -143,6 +143,28 @@ def test_power_relations_with_overflowing_peff_is_an_error(capsys, scheme):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # eps = N^2 * P_eff / N' overflowed to inf: an IndexError traceback
+    "ser --gammas 3080 --runs 5 --schemes laco",
+    "rcn-power --gammas-eff 3080 --runs 5",
+    # simulated SER 1.0 beside a model SER 0.0, exit 0
+    "ser --gammas 3060 --schemes aco",
+    # an "invalid value encountered in cast" warning, then total_bits 0, exit 0
+    "allocate --gammas-eff 3080",
+    # P_elec=nan and P_elec=inf, exit 0
+    "power-relations --scheme aco --peff 7e305 --validate 5",
+    "power-relations --scheme aco --peff 4e304 --validate 1000",
+])
+def test_overflowing_power_is_an_error(tmp_path, capsys, argv):
+    argv = argv.split() + ["--n", "64"]
+    rc = main(argv if argv[0] == "power-relations" else argv + ["--out", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_power_relations_with_negative_validate_is_an_error(capsys):
     # printed "monte carlo (-5 frames): P_elec=-0 (100.00%)" and exited 0
     rc = main(["power-relations", "--scheme", "aco", "--validate", "-5", "--n", "64"])

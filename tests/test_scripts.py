@@ -1,0 +1,64 @@
+"""Tests for the bench scripts' shared A/B harness in `scripts/bench_model.py`."""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+bench_model = importlib.import_module("bench_model")
+
+
+@pytest.mark.parametrize("script", ["bench_model", "bench_run_point", "bench_cold_start"])
+def test_scripts_import(script):
+    # each A/B script imports its operating points from perfbench/workloads.py,
+    # so a renamed constant there fails here
+    assert importlib.import_module(script).REPEATS >= 1
+
+
+def test_race_warms_up_once_then_alternates_the_trees():
+    calls = []
+    work = {tree: {name: (lambda tree=tree, name=name: calls.append((tree, name)))
+                   for name in ("a", "b")} for tree in ("change", "parent")}
+    walls = bench_model.race(work, 3)
+    order = [("change", "parent"), ("parent", "change"), ("change", "parent")]
+    expected = [(tree, name) for name in ("a", "b")
+                for rnd in [("change", "parent")] + order for tree in rnd]
+    assert calls == expected
+    assert all(len(w) == 3 and min(w) >= 0.0 for tree in walls.values() for w in tree.values())
+
+
+def test_race_of_one_tree():
+    calls = []
+    walls = bench_model.race({"change": {"a": lambda: calls.append("a")}}, 2)
+    assert calls == ["a"] * 3 and len(walls["change"]["a"]) == 2
+
+
+def test_ratios():
+    got = bench_model.ratios([1.0, 3.0, 2.0], [2.0, 2.0, 2.0])
+    assert got == {"median_ratio": 1.0, "change_faster_share": pytest.approx(1 / 3)}
+
+
+def test_commit_label_is_dirty_only_when_src_differs(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "module.py").write_text("x = 1\n")
+    (tmp_path / "BENCH_model.json").write_text("{}\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    sha = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "--short", "HEAD"],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    assert bench_model.commit(src) == sha
+    # a rewritten output file and a new file outside src/ leave the label clean
+    (tmp_path / "BENCH_model.json").write_text('{"calls": {}}\n')
+    (tmp_path / "notes.md").write_text("notes\n")
+    assert bench_model.commit(src) == sha
+    (src / "module.py").write_text("x = 2\n")
+    assert bench_model.commit(src) == f"{sha}-dirty"
