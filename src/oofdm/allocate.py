@@ -78,7 +78,7 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
     """Iterative bit and power allocation at effective-power budget N^2*p_eff.
 
     Noise bookkeeping is post-equalization throughout: the per-bin channel
-    noise is N*Pv/|H(k)|^2 and the rate uses P_s(k)/P_z(k) directly, so the
+    noise is N/|H(k)|^2 and the rate uses P_s(k)/P_z(k) directly, so the
     water-filling runs on P_z itself.
     """
     if mode not in MODES:

@@ -3,8 +3,9 @@ per `run_point` call, the clipping-noise statistics of its probe samples, and
 the measured power relations. The command line runs the SNR grid.
 
 Equalized reception model: y = x + v where v is the post-equalization noise,
-white Gaussian for a flat channel and colored (per-bin power N*Pv/|H(k)|^2)
-otherwise; a received frame is never inverted. `_batches` seeds batch b with
+white unit-power Gaussian noise before equalization, so white for a flat
+channel and colored (per-bin power N/|H(k)|^2) otherwise; a received frame is
+never inverted. `_batches` seeds batch b with
 child b of `np.random.SeedSequence(seed)`; it draws its symbols whole, then
 modulates, draws the noise of and detects one row block of about 512 KiB of
 frame samples at a time, so that a block's signals stay in cache;
@@ -32,13 +33,12 @@ _BLOCK_ELEMS = 1 << 16
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Per-subcarrier gain H(k) plus the pre-equalization white-noise power.
+    """Per-subcarrier gain H(k); the pre-equalization noise is white with unit power.
 
     A real frame sees |H(k)| = |H(N-k)|, and equalization needs a finite,
     nonzero H(k); a profile that breaks either is rejected when it is built.
     """
     n: int
-    noise_power: float = 1.0
     h: np.ndarray | None = None   # None means flat (H = 1)
 
     def __post_init__(self):
@@ -49,38 +49,38 @@ class ChannelProfile:
             raise ValueError("channel magnitude must satisfy |H(k)| = |H(N-k)|")
 
     @classmethod
-    def flat(cls, n: int, noise_power: float = 1.0) -> "ChannelProfile":
-        return cls(n, noise_power)
+    def flat(cls, n: int) -> "ChannelProfile":
+        return cls(n)
 
     @classmethod
-    def exponential(cls, n: int, att_db: float = 10.0, noise_power: float = 1.0) -> "ChannelProfile":
-        """Low-pass magnitude profile |H(k)| = 10^(-a*min(k, N-k)/N) with the
-        band-edge power attenuation att_db (a = att_db/10)."""
-        a = att_db / 10.0
+    def exponential(cls, n: int) -> "ChannelProfile":
+        """Low-pass magnitude profile |H(k)| = 10^(-min(k, N-k)/N): a band-edge
+        power attenuation of 10 dB."""
         k = np.arange(n)
-        h = 10.0 ** (-a * np.minimum(k, n - k) / n)
-        return cls(n, noise_power, h)
+        return cls(n, 10.0 ** (-np.minimum(k, n - k) / n))
 
     @classmethod
-    def from_csv(cls, path, n: int, noise_power: float = 1.0) -> "ChannelProfile":
-        """Load (k, |H|) or (k, Re H, Im H) rows; unlisted bins default to 1. Only |H| is kept."""
+    def from_csv(cls, path, n: int) -> "ChannelProfile":
+        """Load (k, |H|) or (k, Re H, Im H) rows, k an integer in [0, N) listed once; a row whose
+        first cell is no number (a header) is skipped, unlisted bins are 1. Only |H| is kept."""
         h = np.ones(n, dtype=complex)
+        seen = set()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 row = [c.strip() for c in row if c.strip()]
-                if not row or not row[0].lstrip("-").isdigit():
+                try:
+                    k = float(row[0])
+                except (IndexError, ValueError):
                     continue  # header or blank
-                k = int(row[0])
-                if not 0 <= k < n:
-                    raise ValueError(f"channel file {path}: bin {k} is outside [0, {n})")
+                where = f"channel file {path}: row {reader.line_num}"
+                if not (k.is_integer() and 0 <= k < n) or k in seen:
+                    raise ValueError(f"{where}: bin {row[0]} is not an integer in [0, {n}) listed once")
                 if len(row) < 2:
-                    raise ValueError(f"channel file {path}: row {reader.line_num} has no gain")
-                if len(row) >= 3:
-                    h[k] = float(row[1]) + 1j * float(row[2])
-                else:
-                    h[k] = float(row[1])
-        return cls(n, noise_power, np.abs(h))
+                    raise ValueError(f"{where} has no gain")
+                seen.add(k)
+                h[int(k)] = float(row[1]) + 1j * float(row[2]) if len(row) >= 3 else float(row[1])
+        return cls(n, np.abs(h))
 
     @property
     def gain(self) -> np.ndarray:
@@ -94,19 +94,18 @@ class ChannelProfile:
         return shaping
 
     def bin_noise_power(self) -> np.ndarray:
-        """Post-equalization noise power per bin, P{V(k)} = N*Pv/|H(k)|^2."""
-        return self.n * self.noise_power / self.gain ** 2
+        """Post-equalization noise power per bin, P{V(k)} = N/|H(k)|^2."""
+        return self.n / self.gain ** 2
 
 
 def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
     """Draw post-equalization noise frames.
 
-    White time-domain Gaussian for a flat channel; otherwise the white noise
+    White unit-power time-domain Gaussian for a flat channel; otherwise the white noise
     is shaped by 1/|H(k)| on the half spectrum of a real FFT (only the
     magnitude affects the post-equalization statistics). `rng` is a Generator.
     """
     v0 = rng.standard_normal((frames, profile.n))
-    v0 *= np.sqrt(profile.noise_power)  # bit for bit rng.normal(0, sqrt(Pv))
     if profile.h is None:
         return v0
     # numpy divides complex by real through the reciprocal: this multiply is that division

@@ -34,11 +34,15 @@ from .ser import MODES, evaluate_ser
 
 def _parse_grid(text):
     """Parse '0,2,4' or 'start:stop:step' into a nonempty list of finite floats."""
-    values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    try:
+        values = [float(p) for p in text.split(":" if ":" in text else ",")]
+        if ":" in text:
+            start, stop, step = values
+    except ValueError:
+        raise ValueError(f"grid {text!r} is not of the form a,b,c or start:stop:step") from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"grid {text!r} holds a non-finite value")
     if ":" in text:
-        start, stop, step = values
         if not step > 0:
             raise ValueError(f"grid step must be positive, got {step:g}")
         values = list(np.arange(start, stop + step / 2, step))
@@ -60,7 +64,7 @@ def _points(args, channel: ChannelProfile, scheme: str, gammas, effective: bool,
     loading over every layer of the scheme; point i is seeded (--seed, i)."""
     layers = len(layer_kinds(scheme, args.n))
     for i, gamma in enumerate(gammas):
-        p_eff = gamma_to_p_eff(scheme, gamma, channel.noise_power, layers, effective)
+        p_eff = gamma_to_p_eff(scheme, gamma, layers=layers, effective=effective)
         scheme_cfg = SchemeConfig.uniform(scheme, args.n, args.m, p_eff, layers)
         yield gamma, scheme_cfg, run_point(scheme_cfg, channel, args.runs, (args.seed, i), **run_kw)
 
@@ -188,7 +192,7 @@ def cmd_allocate(args):
     outputs = {}
     summary = []
     for gamma_eff in _parse_grid(args.gammas_eff):
-        p_eff = gamma_to_p_eff(None, gamma_eff, channel.noise_power, effective=True)
+        p_eff = gamma_to_p_eff(None, gamma_eff, effective=True)
         for mode in MODES:
             res = allocate(channel, p_eff, args.pe, mode=mode, rims=args.rims)
             rows = [[k, layer_index(int(k), args.n), res.bits[k], res.powers[k], res.noise[k]]

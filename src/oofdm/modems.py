@@ -1,4 +1,4 @@
-"""Optical OFDM primitives: effective/affected subcarrier index sets, the
+"""Optical OFDM primitives: the loadable and affected subcarrier index sets, the
 layer index of a subcarrier, and closed-form power relations between
 electrical, optical, and effective power. Every scheme, single-layer
 ACO/DCO/PAM-DMT included, is transmitted by `multilayer.transmit`.
@@ -47,19 +47,6 @@ def _loadable(n: int):
     t = layer_index(k, n)
     k.flags.writeable = t.flags.writeable = False
     return k, t
-
-
-def effective_subcarriers(scheme: str, j: int, n: int) -> np.ndarray:
-    """Data-bearing subcarrier indices of layer j; never contains 0 or N/2.
-
-    A zero-clipped (ACO) layer j holds the bins of layer index j; a DCO or
-    PAM layer, last in its scheme, holds every bin of layer index j or more.
-    """
-    k, t = _loadable(n)
-    kinds = layer_kinds(scheme, n)
-    if not 1 <= j <= len(kinds):
-        raise ValueError(f"{scheme} layer {j} out of range 1..{len(kinds)} for N={n}")
-    return k[t == j] if kinds[j - 1] == "aco" else k[t >= j]
 
 
 @lru_cache(maxsize=None)

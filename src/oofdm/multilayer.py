@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .constellation import quantize, unit_alphabet
-from .modems import _loadable, effective_subcarriers, laco_layers, layer_kinds
+from .modems import _loadable, laco_layers, layer_kinds
 
 DCO_BIAS = 3.0  # in frame standard deviations, as the closed-form DCO relations assume
 
@@ -113,24 +113,21 @@ class SchemeConfig:
     @classmethod
     def uniform(cls, scheme: str, n: int, M: int, p_eff: float,
                 layers: int | None = None) -> "SchemeConfig":
-        """Equal per-subcarrier effective power over all effective subcarriers.
+        """Equal per-subcarrier effective power eps = N^2 * p_eff / N' on the N' effective
+        subcarriers (both mirrors counted), each carrying constellation order M.
 
-        A single-layer scheme (aco, dco, pam) gives a one-layer config; the
-        layer count applies to LACO only. Every layer carries constellation
-        order M and the per-subcarrier effective power eps = N^2 * p_eff / N'.
+        A single-layer scheme (aco, dco, pam) gives a one-layer config; the layer count
+        applies to LACO only. A zero-clipped (ACO) layer j holds the bins of layer index j;
+        a DCO or PAM layer, last in its scheme, every bin of layer index j or more.
         """
-        scheme = scheme.lower()
         kinds = layer_kinds(scheme, n, layers)
-        bins = [effective_subcarriers(scheme, j + 1, n) for j in range(len(kinds))]
-        n_prime = sum(len(b) for b in bins)
+        k, t = _loadable(n)
+        k, t = k[k < n // 2], t[k < n // 2]
+        bins = [k[t == j] if kind == "aco" else k[t >= j] for j, kind in enumerate(kinds, 1)]
+        n_prime = 2 * sum(len(b) for b in bins)
         eps = n ** 2 * float(p_eff) / n_prime  # a Python float overflows to inf silently
-        specs = []
-        for kind, ks in zip(kinds, bins):
-            indep = ks[ks < n // 2]
-            specs.append(LayerSpec(kind, indep,
-                                   np.full(indep.shape, M, dtype=np.int64),
-                                   np.full(indep.shape, eps)))
-        return cls(n, specs)
+        return cls(n, [LayerSpec(kind, b, np.full(b.shape, M, dtype=np.int64), np.full(b.shape, eps))
+                       for kind, b in zip(kinds, bins)])
 
     @classmethod
     def from_allocation(cls, n: int, bits, powers) -> "SchemeConfig":

@@ -157,7 +157,7 @@ def test_aware_noise_is_the_ser_model_noise_with_layer_1_emptied():
     # the allocator's noise map is the one the SER model evaluates
     h = np.ones(N)
     h[1::2] = 1e-4
-    channel = ChannelProfile(N, 1.0, h)
+    channel = ChannelProfile(N, h)
     res = allocate(channel, 10.0 ** 1.4, 1e-2)
     assert res.converged and not np.any(res.bits[1::2]) and res.total_bits > 0
     cfg = SchemeConfig.from_allocation(N, res.bits, res.powers)

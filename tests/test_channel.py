@@ -19,14 +19,17 @@ N = 1024
 
 
 def test_flat_profile_noise_map():
-    prof = ChannelProfile.flat(N, noise_power=2.0)
-    np.testing.assert_allclose(prof.bin_noise_power(), 2.0 * N)
-    np.testing.assert_allclose(prof.gain, 1.0)
+    # unit-power noise before equalization: N on every bin of a flat channel
+    prof = ChannelProfile.flat(N)
+    np.testing.assert_array_equal(prof.bin_noise_power(), np.full(N, float(N)))
+    np.testing.assert_array_equal(prof.gain, 1.0)
 
 
 def test_exponential_profile_shape():
-    prof = ChannelProfile.exponential(N, att_db=10.0)
+    prof = ChannelProfile.exponential(N)
     g = prof.gain
+    k = np.arange(N)
+    np.testing.assert_array_equal(g, 10.0 ** (-np.minimum(k, N - k) / N))
     assert g[0] == 1.0
     # band-edge power attenuation of 10 dB at k = N/2
     assert 20.0 * np.log10(g[N // 2]) == pytest.approx(-10.0)
@@ -42,6 +45,29 @@ def test_from_csv(tmp_path):
     assert prof.gain[3] == 1.0
 
 
+def test_from_csv_reads_bins_written_as_floats(tmp_path):
+    # np.savetxt writes the bin column as 1.000000000000000000e+00; those rows are data
+    n = 16
+    k = np.arange(n)
+    g = 10.0 ** (-np.minimum(k, n - k) / n)
+    floats, ints = tmp_path / "floats.csv", tmp_path / "ints.csv"
+    np.savetxt(floats, np.column_stack([k, g]), delimiter=",")
+    ints.write_text("# k,h\n" + "".join(f"{b},{v!r}\n" for b, v in zip(k.tolist(), g.tolist())))
+    assert np.array_equal(ChannelProfile.from_csv(ints, n).gain, g)
+    assert np.array_equal(ChannelProfile.from_csv(floats, n).gain, g)
+
+
+@pytest.mark.parametrize("rows,bad_row", [
+    pytest.param("1,0.5\n15,0.5\n2.5,0.5\n", 4, id="fractional"),  # it was read as a header
+    pytest.param("3,0.25\n13,0.5\n3,0.5\n", 4, id="repeated"),  # the last gain was kept
+])
+def test_from_csv_rejects_a_fractional_or_repeated_bin(tmp_path, rows, bad_row):
+    path = tmp_path / "h.csv"
+    path.write_text("k,h\n" + rows)
+    with pytest.raises(ValueError, match=f"row {bad_row}: bin "):
+        ChannelProfile.from_csv(path, 16)
+
+
 def test_from_csv_keeps_the_magnitude_of_complex_gains(tmp_path):
     rng = np.random.default_rng(5)
     n = 64
@@ -54,8 +80,8 @@ def test_from_csv_keeps_the_magnitude_of_complex_gains(tmp_path):
 
 
 def test_post_eq_noise_power_matches_map():
-    # measured per-bin noise power matches N*Pv/|H(k)|^2 within 3%
-    prof = ChannelProfile.exponential(N, att_db=10.0)
+    # measured per-bin noise power matches N/|H(k)|^2 within 3%
+    prof = ChannelProfile.exponential(N)
     v = post_eq_noise(prof, np.random.default_rng(1), 10_000)
     per_bin = np.mean(np.abs(np.fft.fft(v)) ** 2, axis=0)
     ref = prof.bin_noise_power()
@@ -73,7 +99,7 @@ def test_colored_noise_shaping_is_cached_and_unchanged():
     shaping = prof._noise_shaping
     assert prof._noise_shaping is shaping and not shaping.flags.writeable
     rng = np.random.default_rng(7)
-    spectrum = np.fft.rfft(rng.standard_normal((5, 64)) * np.sqrt(prof.noise_power))
+    spectrum = np.fft.rfft(rng.standard_normal((5, 64)))
     spectrum /= prof.gain[:33]
     np.testing.assert_array_equal(post_eq_noise(prof, np.random.default_rng(7), 5),
                                   np.fft.irfft(spectrum, 64))
@@ -82,6 +108,7 @@ def test_colored_noise_shaping_is_cached_and_unchanged():
 def test_post_eq_noise_flat_is_white():
     prof = ChannelProfile.flat(N)
     v = post_eq_noise(prof, np.random.default_rng(2), 2000)
+    np.testing.assert_array_equal(v, np.random.default_rng(2).standard_normal((2000, N)))
     assert np.var(v) == pytest.approx(1.0, rel=0.01)
 
 
@@ -90,7 +117,7 @@ def test_post_eq_noise_rejects_asymmetric_gain():
     h[3] = 0.5  # no matching attenuation at N-3
     # the profile itself is rejected, so no noise is ever drawn for it
     with pytest.raises(ValueError):
-        post_eq_noise(ChannelProfile(N, 1.0, h), np.random.default_rng(0), 1)
+        post_eq_noise(ChannelProfile(N, h), np.random.default_rng(0), 1)
 
 
 @pytest.mark.parametrize("k,gain", [(3, 0.5), (3, 0.0), (0, 0.0), (N // 2, 0.0),
@@ -100,13 +127,13 @@ def test_profile_rejects_bad_gains_when_built(k, gain):
     h = np.ones(N)
     h[k] = gain  # a non-finite gain on both mirrors breaks nothing else
     with pytest.raises(ValueError, match=None if np.isfinite(gain) else "must be finite"):
-        ChannelProfile(N, 1.0, h)
+        ChannelProfile(N, h)
 
 
 def test_profile_accepts_a_phase_on_one_mirror():
     h = np.ones(N, dtype=complex)
     h[5] = -1j  # |H(5)| = |H(N-5)| still holds
-    assert ChannelProfile(N, 1.0, h).gain[5] == 1.0
+    assert ChannelProfile(N, h).gain[5] == 1.0
 
 
 def test_gamma_to_p_eff():

@@ -219,6 +219,8 @@ def test_laco_with_zero_frame_length_is_an_error(tmp_path, capsys, command):
     ["ser", "--schemes", "laco", "--gammas", "inf"],
     ["ser", "--schemes", "laco", "--gammas", "0:inf:5"],
     ["ser", "--schemes", "laco", "--gammas", "5:4:1"],   # empty grid
+    ["ser", "--schemes", "laco", "--gammas", "1:2:3:4"],
+    ["ser", "--schemes", "laco", "--gammas", "5,"],
 ])
 def test_nonfinite_or_empty_grid_is_an_error(tmp_path, capsys, argv):
     rc = main(argv + ["--n", "64", "--runs", "10", "--out", str(tmp_path)])
@@ -397,7 +399,8 @@ def test_invalid_channel_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["300,0.5", "-5,0.5"])
+# a fractional bin was read as a header and a repeated bin kept its last gain
+@pytest.mark.parametrize("row", ["300,0.5", "-5,0.5", "2.5,0.5", "1,0.5"])
 def test_channel_file_bin_out_of_range_is_an_error(tmp_path, capsys, row):
     path = tmp_path / "h.csv"
     path.write_text(f"k,h\n1,0.5\n{row}\n")

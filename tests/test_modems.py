@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oofdm.modems import (affected_subcarriers, effective_subcarriers, layer_index,
-                          laco_ratios, power_relations)
+from index_sets import effective_reference
+from oofdm.modems import affected_subcarriers, laco_layers, layer_index, laco_ratios, power_relations
 from oofdm.multilayer import SchemeConfig, layer_frames, transmit
 
 N = 1024
@@ -22,43 +22,47 @@ def _single_layer(scheme):
     return tx, s, x
 
 
+def _bins(scheme, j, n=N):
+    """Independent data bins (k < N/2) of layer j of a uniform config."""
+    return SchemeConfig.uniform(scheme, n, 16, 1.0).layers[j - 1].bins
+
+
 def test_effective_subcarriers_layer_one_is_odd():
-    ks = effective_subcarriers("laco", 1, N)
+    ks = _bins("laco", 1)
     assert np.all(ks % 2 == 1)
-    assert len(ks) == N // 2
-    np.testing.assert_array_equal(ks, effective_subcarriers("aco", 1, N))
+    assert len(ks) == N // 4
+    np.testing.assert_array_equal(ks, _bins("aco", 1))
 
 
 def test_effective_subcarriers_sizes_halve():
     for j in range(1, 10):
-        assert len(effective_subcarriers("laco", j, N)) == N // 2 ** j
+        assert len(_bins("laco", j)) == N // 2 ** (j + 1)
 
 
 def test_effective_subcarriers_structure():
     # layer j loads k = 2^(j-1) * odd
     for j in (2, 5, 9):
-        ks = effective_subcarriers("laco", j, N)
+        ks = _bins("laco", j)
         assert np.all(ks % 2 ** (j - 1) == 0)
         assert np.all((ks // 2 ** (j - 1)) % 2 == 1)
 
 
 def test_second_layer_sets():
-    ks = effective_subcarriers("ado", 2, N)
+    ks = _bins("ado", 2)
     assert np.all(ks % 2 == 0)
     assert 0 not in ks and N // 2 not in ks
-    assert len(ks) == N // 2 - 2
-    np.testing.assert_array_equal(ks, effective_subcarriers("haco", 2, N))
-    dc = effective_subcarriers("dco", 1, N)
-    assert len(dc) == N - 2
+    assert len(ks) == N // 4 - 1
+    np.testing.assert_array_equal(ks, _bins("haco", 2))
+    assert len(_bins("dco", 1)) == N // 2 - 1
 
 
 def test_effective_subcarriers_validation():
     with pytest.raises(ValueError):
-        effective_subcarriers("laco", 10, N)  # log2(N/2) = 9
+        SchemeConfig.uniform("laco", N, 16, 1.0, layers=10)  # log2(N/2) = 9
     with pytest.raises(ValueError):
-        effective_subcarriers("ado", 3, N)
+        SchemeConfig.uniform("laco", N, 16, 1.0, layers=0)
     with pytest.raises(ValueError):
-        effective_subcarriers("bogus", 1, N)
+        SchemeConfig.uniform("bogus", N, 16, 1.0)
 
 
 def test_affected_subcarriers():
@@ -67,25 +71,12 @@ def test_affected_subcarriers():
         assert np.all(bt % 2 ** t == 0)
         assert N // 2 not in bt and 0 not in bt
         # the affected set plus {0, N/2} has the size of the layer's own set
-        assert len(bt) + 2 == len(effective_subcarriers("laco", t, N))
+        assert len(bt) + 2 == len(effective_reference("laco", t, N))
         # it contains every later layer's subcarriers
-        later = effective_subcarriers("laco", t + 1, N)
+        later = effective_reference("laco", t + 1, N)
         assert np.all(np.isin(later, bt))
         # built once per (t, N), as the noise chain adds onto it once per layer
         assert affected_subcarriers(t, N) is bt and not bt.flags.writeable
-
-
-def _effective_reference(scheme, j, n):
-    """Explicit per-scheme formula for the data bins of layer j."""
-    k = np.arange(1, n)
-    if scheme == "aco" or (scheme in ("ado", "haco", "laco") and j == 1):
-        return k[k % 2 == 1]
-    if scheme in ("dco", "pam"):
-        return k[k != n // 2]
-    if scheme in ("ado", "haco"):  # j == 2: even subcarriers
-        return k[(k % 2 == 0) & (k != n // 2)]
-    step = 2 ** (j - 1)  # laco, j >= 2: k = 2^(j-1) * odd
-    return step * np.arange(1, n // step, 2)
 
 
 def _affected_reference(t, n):
@@ -95,17 +86,28 @@ def _affected_reference(t, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(("aco", "dco", "pam", "ado", "haco", "laco")), st.integers(3, 12))
-def test_index_sets_match_explicit_formulas(scheme, log_n):
+@given(st.sampled_from(("aco", "dco", "pam", "ado", "haco", "laco")), st.integers(3, 12), st.data())
+def test_uniform_bins_match_explicit_formulas(scheme, log_n, data):
+    # every LACO depth (the other schemes have a fixed one), in either case
     n = 2 ** log_n
-    layers = {"laco": log_n - 1, "ado": 2, "haco": 2}.get(scheme, 1)
-    for j in range(1, layers + 1):
-        got, want = effective_subcarriers(scheme, j, n), _effective_reference(scheme, j, n)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    for j in (0, layers + 1):
-        with pytest.raises(ValueError, match="out of range"):
-            effective_subcarriers(scheme, j, n)
+    layers = data.draw(st.integers(1, laco_layers(n))) if scheme == "laco" else None
+    p_eff = data.draw(st.floats(1e-6, 1e6))
+    name = data.draw(st.sampled_from((scheme, scheme.upper())))
+    cfg = SchemeConfig.uniform(name, n, 16, p_eff, layers)
+    assert len(cfg.layers) == {"laco": layers, "ado": 2, "haco": 2}.get(scheme, 1)
+    for j, spec in enumerate(cfg.layers, 1):
+        want = effective_reference(scheme, j, n)
+        assert spec.bins.dtype == want.dtype
+        np.testing.assert_array_equal(spec.bins, want[want < n // 2])
+    total = sum(len(spec.bins) for spec in cfg.layers)
+    for spec in cfg.layers:
+        assert np.all(spec.power == n ** 2 * p_eff / (2 * total))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 12))
+def test_index_sets_match_explicit_formulas(log_n):
+    n = 2 ** log_n
     for t in range(1, log_n):
         got, want = affected_subcarriers(t, n), _affected_reference(t, n)
         assert got.dtype == want.dtype
@@ -122,7 +124,7 @@ def test_layer_index():
     ks = np.array([1, 2, 3, 4, 12, 768])
     np.testing.assert_array_equal(layer_index(ks, N), [1, 2, 1, 3, 3, 9])
     for j in range(1, 10):
-        assert np.all(layer_index(effective_subcarriers("laco", j, N), N) == j)
+        assert np.all(layer_index(effective_reference("laco", j, N), N) == j)
     with pytest.raises(ValueError):
         layer_index(0, N)
     with pytest.raises(ValueError):
@@ -139,7 +141,7 @@ def test_single_layer_transmit(scheme):
     np.testing.assert_array_equal(tx.x, x)
     assert np.all(tx.x >= 0.0)
     S = np.fft.fft(s)
-    off = np.setdiff1d(np.arange(N), effective_subcarriers(scheme, 1, N))
+    off = np.setdiff1d(np.arange(N), effective_reference(scheme, 1, N))
     assert np.max(np.abs(S[:, off])) < 1e-12 * np.max(np.abs(S))
 
 

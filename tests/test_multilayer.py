@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hermitian import hermitian_embed
+from index_sets import effective_reference
 from layer_signals import layer_loads, layer_signals
 from oofdm.allocate import allocate
 from oofdm.channel import ChannelProfile
 from oofdm.constellation import unit_alphabet
-from oofdm.modems import effective_subcarriers, laco_layers, layer_index
+from oofdm.modems import laco_layers, layer_index
 from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
                                layer_frames, layer_noise, modulate, receive, transmit)
 
@@ -265,10 +266,10 @@ def test_from_allocation_roundtrip():
 
 def _from_allocation_oracle(n, bits, powers):
     """(bins, M, power) of each nonempty layer, built as `from_allocation` once did:
-    one `effective_subcarriers` call per LACO layer."""
+    one index set per LACO layer, from the explicit formula."""
     layers = []
     for j in range(1, laco_layers(n) + 1):
-        ks = effective_subcarriers("laco", j, n)
+        ks = effective_reference("laco", j, n)
         indep = ks[(ks < n // 2) & (bits[ks] > 0)]
         if len(indep):
             layers.append((indep, 2 ** bits[indep].astype(np.int64), powers[indep]))
@@ -409,7 +410,7 @@ def test_folded_laco_layers_match_full_transform(data):
     layers = data.draw(st.sets(st.integers(1, 7), min_size=1))
     specs = []
     for j in sorted(layers):
-        ks = effective_subcarriers("laco", j, N_PROP)
+        ks = effective_reference("laco", j, N_PROP)
         specs.append(_pruned_layer(data, "aco", ks[ks < N_PROP // 2].tolist()))
     _check_folded_frames_and_noiseless_detection(SchemeConfig(N_PROP, specs))
 

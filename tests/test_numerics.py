@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from layer_signals import layer_loads
-from oofdm.modems import affected_subcarriers, effective_subcarriers
+from oofdm.modems import affected_subcarriers
 from oofdm.multilayer import SchemeConfig, layer_frames, transmit
 from oofdm.numerics import qfunc, qfunc_inv
 
@@ -58,6 +58,6 @@ def test_fft_rejects_bad_length(n):
     # N is the length of every layer transform; the subcarrier index sets
     # every config is built from reject an N that is not a power of two >= 8
     with pytest.raises(ValueError):
-        effective_subcarriers("aco", 1, n)
+        SchemeConfig.uniform("aco", n, 4, 1.0)
     with pytest.raises(ValueError):
         affected_subcarriers(1, n)
