@@ -42,6 +42,8 @@ class ChannelProfile:
     h: np.ndarray | None = None   # None means flat (H = 1)
 
     def __post_init__(self):
+        if self.h is not None and np.shape(self.h) != (self.n,):
+            raise ValueError(f"channel gain must have shape ({self.n},), got {np.shape(self.h)}")
         g = self.gain
         if not np.all(np.isfinite(g) & (g != 0.0)):
             raise ValueError("channel gain must be finite and nonzero on all bins")
@@ -148,6 +150,8 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     nan for one frame), and (when instrumented) per-frame delta/error powers
     and probe-bin clipping-noise samples per layer. A probe bin implies instrumentation.
     """
+    if profile.n != scheme_cfg.n:
+        raise ValueError(f"channel profile has N = {profile.n} but the scheme has N = {scheme_cfg.n}")
     instrument = instrument or probe_bin is not None
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
     frame_err, noise = [], []

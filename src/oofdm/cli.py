@@ -7,8 +7,7 @@ JSON summary), written only once the whole run has succeeded, with a JSON manife
 paths) that reproduces the run bit-exactly; one printed line names every file written.
 
 Configuration precedence: command-line flags > --config JSON file > defaults.
-The default output directory can be set with the OOFDM_OUT environment
-variable.
+The default output directory can be set with the OOFDM_OUT environment variable.
 """
 from __future__ import annotations
 
@@ -54,14 +53,14 @@ def _parse_grid(text):
 def _channel(args) -> ChannelProfile:
     if args.channel:
         return ChannelProfile.from_csv(args.channel, args.n)
-    if args.selective:
-        return ChannelProfile.exponential(args.n)
-    return ChannelProfile.flat(args.n)
+    return ChannelProfile.exponential(args.n) if args.selective else ChannelProfile.flat(args.n)
 
 
 def _points(args, channel: ChannelProfile, scheme: str, gammas, effective: bool, **run_kw):
     """(gamma, config, run_point result) per grid point of a uniform --m
     loading over every layer of the scheme; point i is seeded (--seed, i)."""
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     layers = len(layer_kinds(scheme, args.n))
     for i, gamma in enumerate(gammas):
         p_eff = gamma_to_p_eff(scheme, gamma, layers=layers, effective=effective)
@@ -96,6 +95,8 @@ def _write_outputs(args, outputs: dict) -> int:
 
 
 def cmd_power_relations(args):
+    if args.validate < 0:
+        raise ValueError(f"--validate must be >= 0, got {args.validate}")
     layers = len(layer_kinds(args.scheme, args.n, args.layers))
     closed = power_relations(args.scheme, args.peff, layers)
     lines = [f"scheme={args.scheme} P_eff={args.peff:g}",
@@ -133,8 +134,7 @@ def cmd_ser(args):
     gammas = _parse_grid(args.gammas)
     channel = _channel(args)
     p_v = channel.bin_noise_power()
-    rows = []
-    outputs = {}
+    rows, outputs = [], {}
     for scheme in args.schemes.split(","):
         scheme = scheme.strip().lower()
         points = _points(args, channel, scheme, gammas, effective=False)
@@ -189,8 +189,7 @@ def cmd_allocate(args):
     channel = _channel(args)
     p_v = channel.bin_noise_power()
     header = ["k", "layer", "bits", "power", "noise"]
-    outputs = {}
-    summary = []
+    outputs, summary = {}, []
     for gamma_eff in _parse_grid(args.gammas_eff):
         p_eff = gamma_to_p_eff(None, gamma_eff, effective=True)
         for mode in MODES:
@@ -229,9 +228,15 @@ def _add_common(p, *groups):
         p.add_argument("--out", help="output directory (default $OOFDM_OUT or .)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors, its subparsers' included, raise ValueError."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="oofdm",
-                                 description="Multi-layer optical OFDM experiments")
+    ap = _Parser(prog="oofdm", description="Multi-layer optical OFDM experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("power-relations", help="closed-form power relations")
@@ -277,42 +282,35 @@ def build_parser():
 
 
 def _apply_config(ap, args, argv):
-    """`args` parsed again with the --config JSON file's values, each parsed as its flag
-    would be, as the subcommand's defaults; a key that names no option is an error."""
+    """`args` parsed again with each --config JSON entry as its flag, ahead of `argv`'s
+    flags so that those win; a key must name an option of the subcommand exactly."""
+    options = ap._subparsers._group_actions[0].choices[args.command]._option_string_actions
+    tokens = []
     with open(args.config) as fh:
-        defaults = json.load(fh)
-    if not isinstance(defaults, dict):
-        raise ValueError(f"{args.config}: expected a JSON object of option defaults")
-    sub = next(a for a in ap._actions if a.dest == "command").choices[args.command]
-    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
-    defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
-    unknown = [key for key in defaults if key not in actions]
-    if unknown:
-        raise ValueError(f"{args.config}: unknown {args.command} option(s): {', '.join(unknown)}")
-    sub.set_defaults(**{key: _config_value(f"{args.config}: {key}", actions[key], v)
-                        for key, v in defaults.items()})
-    return ap.parse_args(argv)
-
-
-def _config_value(where: str, action, value):
-    """A --config value as its option would parse it from the command line."""
-    switch = action.nargs == 0
-    if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
-        kind = "true or false" if switch else "a string or number"
-        raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)}")
-    try:
-        value = value if switch else (action.type or str)(str(value))
-    except ValueError:
-        raise ValueError(f"{where}: invalid {action.type.__name__} value {str(value)!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"{where}: {value} is not one of {', '.join(map(str, action.choices))}")
-    return value
+        try:  # argv parses alone, so every error here lies in the file
+            entries = json.load(fh)
+            if not isinstance(entries, dict):
+                raise ValueError("expected a JSON object of option defaults")
+            for key, value in entries.items():
+                flag = "--" + key.replace("_", "-")
+                if flag not in options or flag == "--help":
+                    raise ValueError(f"unknown {args.command} option {key}")
+                switch = options[flag].nargs == 0
+                if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+                    kind = "true or false" if switch else "a string or number"
+                    raise ValueError(f"{key}: expected {kind}, got {json.dumps(value)}")
+                if value is not False:  # a switch set to false keeps its default
+                    tokens.append(flag if switch else f"{flag}={value}")
+            return ap.parse_args([args.command, *tokens, *argv[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         if args.config:
             args = _apply_config(ap, args, argv)
         return args.func(args)

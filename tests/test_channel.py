@@ -1,6 +1,7 @@
 """Tests for channel profiles and the Monte Carlo engine."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -134,6 +135,20 @@ def test_profile_accepts_a_phase_on_one_mirror():
     h = np.ones(N, dtype=complex)
     h[5] = -1j  # |H(5)| = |H(N-5)| still holds
     assert ChannelProfile(N, h).gain[5] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(32,), (2, 32)])
+def test_profile_rejects_a_gain_of_the_wrong_shape(shape):
+    # both built without complaint and failed later in numpy broadcasting
+    with pytest.raises(ValueError, match=rf"shape \(64,\), got {re.escape(str(shape))}"):
+        ChannelProfile(64, np.ones(shape))
+
+
+def test_run_point_rejects_a_profile_of_another_frame_length():
+    # ended in "operands could not be broadcast together with shapes (10,128) (10,64) (10,128)"
+    cfg = SchemeConfig.uniform("aco", 64, 16, 10.0)
+    with pytest.raises(ValueError, match="N = 128 but the scheme has N = 64"):
+        run_point(cfg, ChannelProfile.flat(128), 10, 0)
 
 
 def test_gamma_to_p_eff():

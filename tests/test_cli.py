@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 from oofdm.channel import ChannelProfile, gamma_to_p_eff, run_point
-from oofdm.cli import _parse_grid, build_parser, main
+from oofdm.cli import _apply_config, _parse_grid, build_parser, main
 from oofdm.multilayer import SchemeConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -85,6 +86,22 @@ def test_ser_with_zero_runs_is_an_error(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "ser.csv").exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_zero_runs_error_names_the_flag(tmp_path, capsys, via_config):
+    # named the engine's internal batch: "frames and batch must be at least 1, got 0 and 500"
+    out = tmp_path / "out"
+    argv = ["ser", "--schemes", "haco", "--gammas", "20", "--n", "64", "--out", str(out)]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": 0}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--runs", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --runs must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_ser_default_laco_scheme(tmp_path):
@@ -171,7 +188,7 @@ def test_power_relations_with_negative_validate_is_an_error(capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert "frames and batch must be at least 1" in captured.err
+    assert "--validate" in captured.err
     assert "monte carlo" not in captured.out
 
 
@@ -505,6 +522,81 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["ser", "--runs", "x"], ["ser", "--rims", "4"],
+                                  ["ser", "--bogus", "1"], []], ids=["value", "choice", "flag", "empty"])
+def test_parse_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    # argparse printed its usage block and raised SystemExit(2)
+    monkeypatch.setenv("OOFDM_OUT", str(tmp_path / "out"))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ser", "-h"])
+    assert exc.value.code == 0
+    assert "--gammas" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["{", '{"gamma": "10"}', '["runs"]'],
+                         ids=["malformed", "abbreviated", "array"])
+def test_config_file_error_names_the_file(tmp_path, capsys, text):
+    # malformed JSON named no file; {"gamma": ...} is no abbreviation of --gammas in a file
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    rc = main(["ser", "--n", "64", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _config_options():
+    """(subcommand, option) for every option a --config entry can set: not --help, nor
+    --config, nor a required option, which the command line gives and so overrides."""
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    return [(name, action) for name, parser in subparsers.items() for action in parser._actions
+            if action.option_strings and action.dest not in ("help", "config")
+            and not action.required]
+
+
+def _config_json_value(action):
+    """A JSON value of the option's switch, choices or type."""
+    if action.nargs == 0:
+        return st.booleans()
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    numbers = st.integers() | st.floats(allow_nan=False)
+    return {int: st.integers() | st.integers().map(str),
+            float: numbers | numbers.map(str)}.get(action.type, st.text() | numbers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_config_options()), st.data())
+def test_config_entry_parses_as_its_flag(tmp_path_factory, option, data):
+    # the same Namespace field, or the same rejection, from a --config entry as from its flag
+    name, action = option
+    value = data.draw(_config_json_value(action))
+    flag = action.option_strings[0]
+    base = [name, "--scheme", "aco"] if name == "power-relations" else [name]
+    cfg = tmp_path_factory.mktemp("config") / "c.json"
+    key = data.draw(st.sampled_from([flag[2:], action.dest]))  # --dump-frames: dump-frames or dump_frames
+    cfg.write_text(json.dumps({key: value}))
+    ap = build_parser()
+    outcomes = []
+    for argv in (base + ([flag] * value if action.nargs == 0 else [f"{flag}={value}"]),
+                 base + ["--config", str(cfg)]):
+        try:
+            args = ap.parse_args(argv)
+            args = _apply_config(ap, args, argv) if args.config else args
+            outcomes.append(getattr(args, action.dest))
+        except ValueError:
+            outcomes.append(ValueError)
+    assert outcomes[0] == outcomes[1]
+
+
 def _ser_rows(path):
     with open(path / "ser.csv") as fh:
         return list(csv.DictReader(fh))
@@ -544,7 +636,7 @@ def test_config_value_of_the_wrong_type_is_an_error(tmp_path, capsys, config, ke
                "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "ser.csv").exists()
 
