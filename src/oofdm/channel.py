@@ -5,10 +5,10 @@ the measured power relations. The command line runs the SNR grid.
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white unit-power Gaussian noise before equalization, so white for a flat
 channel and colored (per-bin power N/|H(k)|^2) otherwise; a received frame is
-never inverted. `_batches` seeds batch b with
-child b of `np.random.SeedSequence(seed)`; it draws its symbols whole, then
-modulates, draws the noise of and detects one row block of about 512 KiB of
-frame samples at a time, so that a block's signals stay in cache;
+never inverted. `_batches` seeds batch b with child b of
+`np.random.SeedSequence(seed)`; `_blocks` draws a batch's symbols whole, then modulates
+and draws the noise of one row block of about 512 KiB of frame samples at a time,
+which `run_point` detects, so that a block's signals stay in cache;
 `multilayer.layer_noise` measures an instrumented block's RCN from its sent
 and detected indices, on each layer's period. The generator fills in order
 and every step is row-independent: results depend on (seed, batch size)
@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .modems import layer_index, power_relations
-from .multilayer import SchemeConfig, _detect, draw_symbols, layer_noise, modulate, transmit
+from .multilayer import SchemeConfig, _detect, draw_symbols, layer_noise, modulate
+from .numerics import _check_length
 
 DEFAULT_BATCH = 500
 # Frame samples per row block of run_point: a (rows, N) float64 block of 512 KiB.
@@ -42,6 +43,7 @@ class ChannelProfile:
     h: np.ndarray | None = None   # None means flat (H = 1)
 
     def __post_init__(self):
+        _check_length(self.n)
         if self.h is not None and np.shape(self.h) != (self.n,):
             raise ValueError(f"channel gain must have shape ({self.n},), got {np.shape(self.h)}")
         g = self.gain
@@ -82,6 +84,8 @@ class ChannelProfile:
                     raise ValueError(f"{where} has no gain")
                 seen.add(k)
                 h[int(k)] = float(row[1]) + 1j * float(row[2]) if len(row) >= 3 else float(row[1])
+        if not seen:
+            raise ValueError(f"channel file {path} lists no bin")
         return cls(n, np.abs(h))
 
     @property
@@ -140,6 +144,22 @@ def _batches(frames: int, batch: int, seed):
     return [(size, np.random.default_rng(ss)) for size, ss in zip(sizes, seeds)]
 
 
+def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
+            batch: int = DEFAULT_BATCH):
+    """(sent TxBatch, received y) of each row block of a run, in order: the frames that
+    `run_point` detects, y before detection."""
+    if profile.n != scheme_cfg.n:
+        raise ValueError(f"channel profile has N = {profile.n} but the scheme has N = {scheme_cfg.n}")
+    rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
+    for size, rng in _batches(frames, batch, seed):
+        sym_idx = draw_symbols(scheme_cfg, rng, size)
+        for lo in range(0, size, rows):
+            tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx])
+            y = post_eq_noise(profile, rng, len(tx.x))
+            y += tx.x
+            yield tx, y
+
+
 def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
               batch: int = DEFAULT_BATCH, instrument: bool = False,
               probe_bin: int | None = None):
@@ -150,21 +170,13 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     nan for one frame), and (when instrumented) per-frame delta/error powers
     and probe-bin clipping-noise samples per layer. A probe bin implies instrumentation.
     """
-    if profile.n != scheme_cfg.n:
-        raise ValueError(f"channel profile has N = {profile.n} but the scheme has N = {scheme_cfg.n}")
     instrument = instrument or probe_bin is not None
-    rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
     frame_err, noise = [], []
-    for size, rng in _batches(frames, batch, seed):
-        sym_idx = draw_symbols(scheme_cfg, rng, size)
-        for lo in range(0, size, rows):
-            tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx])
-            y = post_eq_noise(profile, rng, len(tx.x))
-            y += tx.x
-            det_idx = _detect(y, scheme_cfg)  # y is not read again
-            frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, tx.sym_idx)])
-            if instrument:
-                noise.append(layer_noise(scheme_cfg, tx, det_idx, probe_bin))
+    for tx, y in _blocks(scheme_cfg, profile, frames, seed, batch):
+        det_idx = _detect(y, scheme_cfg)  # y is not read again
+        frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, tx.sym_idx)])
+        if instrument:
+            noise.append(layer_noise(scheme_cfg, tx, det_idx, probe_bin))
     frame_err = np.concatenate(frame_err, axis=1)          # (J, frames)
     err_counts = frame_err.sum(axis=1)
     n_bins = np.array([len(sp.bins) for sp in scheme_cfg.layers])
@@ -230,7 +242,7 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
     sq_sum = mean_sum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         for size, rng in _batches(frames, DEFAULT_BATCH, seed):
-            x = transmit(cfg, rng, size).x
+            x = modulate(cfg, draw_symbols(cfg, rng, size)).x
             sq_sum += float(np.sum(x ** 2))
             mean_sum += float(np.sum(x))
     if not np.isfinite(sq_sum + mean_sum):

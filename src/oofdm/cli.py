@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .allocate import allocate
-from .channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
-                      measure_power_relations, post_eq_noise, rcn_statistics, run_point)
+from .channel import (ChannelProfile, _blocks, _probed_layers, gamma_to_p_eff,
+                      measure_power_relations, rcn_statistics, run_point)
 from .modems import layer_index, layer_kinds, power_relations
-from .multilayer import SchemeConfig, layer_frames, receive, transmit
+from .multilayer import SchemeConfig, _detect, layer_frames
 from .rcn import worst_case_noise
 from .ser import MODES, evaluate_ser
 
@@ -59,8 +59,6 @@ def _channel(args) -> ChannelProfile:
 def _points(args, channel: ChannelProfile, scheme: str, gammas, effective: bool, **run_kw):
     """(gamma, config, run_point result) per grid point of a uniform --m
     loading over every layer of the scheme; point i is seeded (--seed, i)."""
-    if args.runs < 1:
-        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     layers = len(layer_kinds(scheme, args.n))
     for i, gamma in enumerate(gammas):
         p_eff = gamma_to_p_eff(scheme, gamma, layers=layers, effective=effective)
@@ -95,8 +93,6 @@ def _write_outputs(args, outputs: dict) -> int:
 
 
 def cmd_power_relations(args):
-    if args.validate < 0:
-        raise ValueError(f"--validate must be >= 0, got {args.validate}")
     layers = len(layer_kinds(args.scheme, args.n, args.layers))
     closed = power_relations(args.scheme, args.peff, layers)
     lines = [f"scheme={args.scheme} P_eff={args.peff:g}",
@@ -143,18 +139,18 @@ def cmd_ser(args):
             unaware = evaluate_ser(scheme_cfg, p_v, "rcn_unaware", args.rims).overall
             rows.append([gamma, scheme, point["ser"], point["stderr"], aware, unaware])
             if args.dump_frames and i == 0:
-                outputs[f"frame_{scheme}.csv"] = _dump_frame(scheme_cfg, channel, args.seed)
+                outputs[f"frame_{scheme}.csv"] = _dump_frame(scheme_cfg, channel, args.runs, (args.seed, i))
     header = ["gamma_db", "scheme", "simulated", "stderr", "rcn_aware", "rcn_unaware"]
     return _write_outputs(args, {**outputs, "ser.csv": (header, rows)})
 
 
-def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, seed: int):
-    """(header, rows) of a debug dump of a single frame: time index, transmitted
-    and received signals, and the per-layer frames remodulated from the decisions."""
-    rng = np.random.default_rng(seed)
-    tx = transmit(scheme_cfg, rng, 1)
-    y = tx.x + post_eq_noise(channel, rng, 1)
-    s_hat, _ = layer_frames(scheme_cfg, receive(y, scheme_cfg), tx.bias)
+def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, frames: int, seed):
+    """(header, rows) of a debug dump of frame 0 of `run_point`'s run of `frames` frames seeded
+    `seed`: time index, transmitted and received signals, and the per-layer frames
+    remodulated from the decisions."""
+    tx, y = next(_blocks(scheme_cfg, channel, frames, seed))
+    bias = None if tx.bias is None else tx.bias[:1]
+    s_hat, _ = layer_frames(scheme_cfg, _detect(y[:1].copy(), scheme_cfg), bias)
     header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
     return header, [[i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
 
@@ -184,8 +180,6 @@ def cmd_rcn_stats(args):
 
 
 def cmd_allocate(args):
-    if args.validate_runs < 0:
-        raise ValueError(f"--validate-runs must be >= 0, got {args.validate_runs}")
     channel = _channel(args)
     p_v = channel.bin_noise_power()
     header = ["k", "layer", "bits", "power", "noise"]
@@ -213,7 +207,7 @@ def cmd_allocate(args):
 
 def _add_common(p, *groups):
     """--seed, --n and --config, plus the named groups: "runs", "rims", and
-    "channel" (--channel, --selective and --out)."""
+    "channel" (--out, and --channel or --selective)."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=1024, help="frame length")
     p.add_argument("--config", help="JSON file with defaults for any flag")
@@ -222,9 +216,10 @@ def _add_common(p, *groups):
     if "rims" in groups:
         p.add_argument("--rims", type=int, default=3, choices=(1, 2, 3))
     if "channel" in groups:
-        p.add_argument("--channel", help="channel profile CSV (k,|H|) or (k,ReH,ImH)")
-        p.add_argument("--selective", action="store_true",
-                       help="use the built-in exponential low-pass profile")
+        profile = p.add_mutually_exclusive_group()
+        profile.add_argument("--channel", help="channel profile CSV (k,|H|) or (k,ReH,ImH)")
+        profile.add_argument("--selective", action="store_true",
+                             help="use the built-in exponential low-pass profile")
         p.add_argument("--out", help="output directory (default $OOFDM_OUT or .)")
 
 
@@ -287,7 +282,7 @@ def _apply_config(ap, args, argv):
     options = ap._subparsers._group_actions[0].choices[args.command]._option_string_actions
     tokens = []
     with open(args.config) as fh:
-        try:  # argv parses alone, so every error here lies in the file
+        try:  # argv parses alone, so every error here lies in the file or clashes with argv
             entries = json.load(fh)
             if not isinstance(entries, dict):
                 raise ValueError("expected a JSON object of option defaults")
@@ -313,6 +308,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         if args.config:
             args = _apply_config(ap, args, argv)
+        for flag, low in (("seed", 0), ("runs", 1), ("validate", 0), ("validate_runs", 0)):
+            if getattr(args, flag, low) < low:  # a subcommand without the flag passes
+                raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

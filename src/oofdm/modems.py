@@ -1,7 +1,7 @@
 """Optical OFDM primitives: the loadable and affected subcarrier index sets, the
 layer index of a subcarrier, and closed-form power relations between
 electrical, optical, and effective power. Every scheme, single-layer
-ACO/DCO/PAM-DMT included, is transmitted by `multilayer.transmit`.
+ACO/DCO/PAM-DMT included, is transmitted by `multilayer.modulate`.
 """
 from __future__ import annotations
 

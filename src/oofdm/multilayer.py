@@ -198,20 +198,9 @@ def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
     return TxBatch(x, sym_idx, bias)
 
 
-def transmit(config: SchemeConfig, rng, frames: int) -> TxBatch:
-    """Draw random symbols for every layer and superpose the layer signals."""
-    return modulate(config, draw_symbols(config, rng, frames))
-
-
-def receive(y, config: SchemeConfig) -> list:
-    """Iterative layer-by-layer detection of an equalized frame batch: the
-    detected symbol indices (F, n_j) of each layer. `y` is left unchanged."""
-    return _detect(np.atleast_2d(np.asarray(y, dtype=float)).copy(), config)
-
-
 def _detect(resid, config: SchemeConfig) -> list:
-    """`receive` on a float (F, N) batch, which it overwrites with the residual
-    (folded onto each layer's period as layers go)."""
+    """Detected symbol indices (F, n_j) of each layer of an equalized float (F, N) batch, layer
+    by layer; overwrites the batch with the residual, folded onto each layer's period."""
     n, frames, det_idx = config.n, resid.shape[0], []
     for spec in config.layers:
         tab, L = spec.tables, spec.fold

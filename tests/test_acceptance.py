@@ -11,13 +11,14 @@ N = 1024, unit noise power), so these tests take most of the suite's time.
 import numpy as np
 import pytest
 from layer_signals import layer_signals
+from txrx import receive, transmit
 
 from oofdm.allocate import allocate, waterfill
 from oofdm.channel import (ChannelProfile, gamma_to_p_eff, measure_power_relations,
                            rcn_statistics, run_point)
 from oofdm.constellation import detection_error_power, quantize, unit_alphabet
 from oofdm.modems import power_relations
-from oofdm.multilayer import SchemeConfig, layer_frames, receive, transmit
+from oofdm.multilayer import SchemeConfig, layer_frames
 from oofdm.rcn import worst_case_noise
 from oofdm.ser import evaluate_ser
 

@@ -14,7 +14,8 @@ import oofdm.channel as channel_module
 from oofdm.channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
                            measure_power_relations, post_eq_noise, run_point)
 from oofdm.modems import affected_subcarriers
-from oofdm.multilayer import SchemeConfig, receive, transmit
+from oofdm.multilayer import SchemeConfig
+from txrx import receive, transmit
 
 N = 1024
 
@@ -67,6 +68,22 @@ def test_from_csv_rejects_a_fractional_or_repeated_bin(tmp_path, rows, bad_row):
     path.write_text("k,h\n" + rows)
     with pytest.raises(ValueError, match=f"row {bad_row}: bin "):
         ChannelProfile.from_csv(path, 16)
+
+
+@pytest.mark.parametrize("text", ["", "k,h\n"], ids=["empty", "header"])
+def test_from_csv_rejects_a_file_without_a_bin(tmp_path, text):
+    # read as a flat channel
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"channel file {re.escape(str(path))} lists no bin"):
+        ChannelProfile.from_csv(path, 16)
+
+
+@pytest.mark.parametrize("n", [-8, 0, 12])
+def test_profile_checks_the_frame_length_first(n):
+    # N = -8 ended in numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=f"frame length must be a power of two >= 8, got {n}"):
+        ChannelProfile.flat(n)
 
 
 def test_from_csv_keeps_the_magnitude_of_complex_gains(tmp_path):

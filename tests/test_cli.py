@@ -12,9 +12,11 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from oofdm.channel import ChannelProfile, gamma_to_p_eff, run_point
+from oofdm.channel import ChannelProfile, gamma_to_p_eff, post_eq_noise, run_point
 from oofdm.cli import _apply_config, _parse_grid, build_parser, main
-from oofdm.multilayer import SchemeConfig
+from oofdm.modems import layer_kinds
+from oofdm.multilayer import SchemeConfig, draw_symbols, layer_frames, modulate
+from txrx import receive
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -212,6 +214,42 @@ def test_power_relations_with_bad_frame_length_is_an_error(capsys, scheme):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["ser", "--schemes", "laco", "--gammas", "10", "--runs", "5"],
+                                     ["rcn-stats", "--gammas-eff", "10", "--runs", "5"],
+                                     ["allocate", "--gammas-eff", "10"]])
+def test_negative_frame_length_is_an_error(tmp_path, capsys, command):
+    # printed numpy's "negative dimensions are not allowed"
+    out = tmp_path / "out"
+    assert main(command + ["--n", "-8", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: frame length must be a power of two >= 8, got -8\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ser", "--n", "64", "--runs", "5", "--gammas", "10"],
+    ["power-relations", "--scheme", "laco", "--n", "64", "--validate", "5"],
+    ["allocate", "--n", "64", "--gammas-eff", "10", "--validate-runs", "5"],
+    ["rcn-power", "--n", "64", "--runs", "5", "--gammas-eff", "10"],
+    ["rcn-stats", "--n", "64", "--runs", "5", "--gammas-eff", "0", "--bin", "4"],
+])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_negative_seed_is_an_error(tmp_path, capsys, argv, via_config):
+    # printed numpy's "expected non-negative integer", naming no flag
+    out = tmp_path / "out"
+    argv = argv + (["--out", str(out)] if argv[0] != "power-relations" else [])
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ser_with_zero_order_is_an_error(tmp_path, capsys):
     rc = main(["ser", "--m", "0", "--schemes", "laco", "--gammas", "20", "--runs", "10",
                "--n", "64", "--out", str(tmp_path)])
@@ -308,6 +346,30 @@ def test_ser_command_with_frame_dump(tmp_path):
         frame = list(csv.DictReader(fh))
     assert len(frame) == 256
     assert "s_hat_1" in frame[0]
+
+
+@pytest.mark.parametrize("scheme, selective", [("haco", False), ("ado", True)])
+def test_frame_dump_is_frame_0_of_point_0(tmp_path, scheme, selective):
+    # the dump drew its own frame from default_rng(--seed): no frame of the run
+    argv = ["ser", "--schemes", scheme, "--gammas", "20,25", "--runs", "100", "--n", "256",
+            "--seed", "3", "--dump-frames", "--out", str(tmp_path)] + ["--selective"] * selective
+    assert main(argv) == 0
+    with open(tmp_path / f"frame_{scheme}.csv") as fh:
+        frame = np.array(list(csv.reader(fh))[1:], dtype=float)
+    layers = len(layer_kinds(scheme, 256))
+    cfg = SchemeConfig.uniform(scheme, 256, 16, gamma_to_p_eff(scheme, 20.0, 1.0, layers), layers)
+    profile = ChannelProfile.exponential(256) if selective else ChannelProfile.flat(256)
+    # point 0 draws batch 0 from child 0 of SeedSequence((--seed, 0)), its symbols whole;
+    # a row block at N = 256 holds 256 frames, so the first block is the whole batch
+    rng = np.random.default_rng(np.random.SeedSequence((3, 0)).spawn(1)[0])
+    tx = modulate(cfg, [idx[:256] for idx in draw_symbols(cfg, rng, 100)])
+    y = tx.x + post_eq_noise(profile, rng, len(tx.x))
+    np.testing.assert_array_equal(frame[:, 0], np.arange(256))
+    np.testing.assert_array_equal(frame[:, 1], tx.x[0])
+    np.testing.assert_array_equal(frame[:, 2], y[0])
+    bias = None if tx.bias is None else tx.bias[:1]
+    s_hat, _ = layer_frames(cfg, receive(y[:1], cfg), bias)
+    np.testing.assert_array_equal(frame[:, 3:], np.concatenate(s_hat).T)
 
 
 def test_failed_run_writes_nothing(tmp_path, capsys):
@@ -440,6 +502,46 @@ def test_channel_file_row_without_gain_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(path) in err and "row 2" in err
     assert not (tmp_path / "ser.csv").exists()
+
+
+def test_channel_file_and_selective_profile_are_exclusive(tmp_path, capsys):
+    # --channel silently won: an empty file allocated on a flat channel and exited 0
+    path = tmp_path / "h.csv"
+    path.write_text("k,h\n1,0.5\n63,0.5\n")
+    out = tmp_path / "out"
+    rc = main(["allocate", "--n", "64", "--selective", "--channel", str(path),
+               "--gammas-eff", "10", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--channel" in err and "--selective" in err
+    assert not out.exists()
+
+
+def test_config_entry_that_conflicts_with_a_flag_is_an_error(tmp_path, capsys):
+    # the flag won silently over the file's profile
+    path = tmp_path / "h.csv"
+    path.write_text("k,h\n1,0.5\n63,0.5\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"selective": True}))
+    out = tmp_path / "out"
+    rc = main(["allocate", "--n", "64", "--gammas-eff", "10", "--channel", str(path),
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert "--channel" in err and "--selective" in err
+    assert not out.exists()
+
+
+def test_channel_file_without_a_bin_is_an_error(capsys, tmp_path):
+    # /dev/null read as a flat channel: allocate exited 0
+    out = tmp_path / "out"
+    rc = main(["allocate", "--n", "64", "--channel", "/dev/null", "--gammas-eff", "10",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: channel file /dev/null lists no bin\n"
+    assert not out.exists()
 
 
 def test_validating_an_empty_allocation_skips_its_simulation(tmp_path):

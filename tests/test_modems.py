@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from index_sets import effective_reference
 from oofdm.modems import affected_subcarriers, laco_layers, layer_index, laco_ratios, power_relations
-from oofdm.multilayer import SchemeConfig, layer_frames, transmit
+from oofdm.multilayer import SchemeConfig, layer_frames
+from txrx import transmit
 
 N = 1024
 

@@ -15,7 +15,8 @@ from oofdm.channel import ChannelProfile
 from oofdm.constellation import unit_alphabet
 from oofdm.modems import laco_layers, layer_index
 from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
-                               layer_frames, layer_noise, modulate, receive, transmit)
+                               layer_frames, layer_noise, modulate)
+from txrx import receive, transmit
 
 N = 1024
 

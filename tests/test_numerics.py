@@ -5,8 +5,9 @@ import pytest
 
 from layer_signals import layer_loads
 from oofdm.modems import affected_subcarriers
-from oofdm.multilayer import SchemeConfig, layer_frames, transmit
+from oofdm.multilayer import SchemeConfig, layer_frames
 from oofdm.numerics import qfunc, qfunc_inv
+from txrx import transmit
 
 # frozen oracle: numeric integration of the standard normal tail to 1e-6
 Q_AT_1_2816 = 0.09999150009767514
