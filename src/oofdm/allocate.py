@@ -19,6 +19,8 @@ from .numerics import qfunc_inv
 from .rcn import worst_case_noise
 from .ser import MODES
 
+MAX_ITERS = 50  # outer iterations before `allocate` gives up on convergence
+
 
 def snr_gap(p_e: float) -> float:
     """SNR gap Gamma(p_e) = (1/3) * [Qinv(p_e/4)]^2 for square-QAM loading."""
@@ -73,18 +75,16 @@ class AllocationResult:
 
 
 def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
-             mode: str = "rcn_aware", rims: int = 3, max_iters: int = 50,
-             max_bits: int = 8) -> AllocationResult:
+             mode: str = "rcn_aware", rims: int = 3, max_bits: int = 8) -> AllocationResult:
     """Iterative bit and power allocation at effective-power budget N^2*p_eff.
 
     Noise bookkeeping is post-equalization throughout: the per-bin channel
     noise is N/|H(k)|^2 and the rate uses P_s(k)/P_z(k) directly, so the
-    water-filling runs on P_z itself.
+    water-filling runs on P_z itself. Stops once the noise map converges, or after
+    MAX_ITERS iterations; `history` holds each iteration's total bits and active-set size.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = channel.n
     gamma_gap = snr_gap(p_e)
     p_v = channel.bin_noise_power()
@@ -93,7 +93,7 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
 
     p_z = p_v.copy()
     history = []
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         phi = loadable
         while True:
             powers = waterfill(p_z, phi, budget)

@@ -5,15 +5,15 @@ the measured power relations. The command line runs the SNR grid.
 Equalized reception model: y = x + v where v is the post-equalization noise,
 white unit-power Gaussian noise before equalization, so white for a flat
 channel and colored (per-bin power N/|H(k)|^2) otherwise; a received frame is
-never inverted. `_batches` seeds batch b with child b of
-`np.random.SeedSequence(seed)`; `_blocks` draws a batch's symbols whole, then modulates
-and draws the noise of one row block of about 512 KiB of frame samples at a time,
-which `run_point` detects, so that a block's signals stay in cache;
-`multilayer.layer_noise` measures an instrumented block's RCN from its sent
-and detected indices, on each layer's period. The generator fills in order
-and every step is row-independent: results depend on (seed, batch size)
-only, never on the block. The engine loads no scipy module: `rcn_statistics`
-alone needs `scipy.stats` and imports it when called.
+never inverted. A run draws its frames in batches of `DEFAULT_BATCH`: `_batches`
+seeds batch b with child b of `np.random.SeedSequence(seed)`, spawned as the batch
+starts; `_blocks` draws a batch's symbols whole, then modulates and draws the noise of
+one row block of about 512 KiB of frame samples at a time, which `run_point` detects,
+so that a block's signals stay in cache; `multilayer.layer_noise` measures an
+instrumented block's RCN from its sent and detected indices, on each layer's period.
+The generator fills in order and every step is row-independent: results depend on
+the seed only, never on the block. The engine loads no scipy module:
+`rcn_statistics` alone needs `scipy.stats` and imports it when called.
 """
 from __future__ import annotations
 
@@ -134,35 +134,33 @@ def gamma_to_p_eff(scheme: str, gamma_db: float, noise_power: float = 1.0,
     return p / power_relations(scheme, 1.0, layers).p_elec
 
 
-def _batches(frames: int, batch: int, seed):
-    """(size, Generator) of each batch of at most `batch` of `frames` frames: batch b
-    draws from child b of `np.random.SeedSequence(seed)`."""
-    if frames < 1 or batch < 1:
-        raise ValueError(f"frames and batch must be at least 1, got {frames} and {batch}")
-    sizes = [min(batch, frames - lo) for lo in range(0, frames, batch)]
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    return [(size, np.random.default_rng(ss)) for size, ss in zip(sizes, seeds)]
+def _batches(frames: int, seed):
+    """(size, Generator) of each batch of at most DEFAULT_BATCH of `frames` frames, in order:
+    batch b draws from child b of `np.random.SeedSequence(seed)`, spawned as it starts."""
+    if frames < 1:
+        raise ValueError(f"frames must be at least 1, got {frames}")
+    batch, root = DEFAULT_BATCH, np.random.SeedSequence(seed)
+    for lo in range(0, frames, batch):
+        yield min(batch, frames - lo), np.random.default_rng(root.spawn(1)[0])
 
 
-def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
-            batch: int = DEFAULT_BATCH):
-    """(sent TxBatch, received y) of each row block of a run, in order: the frames that
-    `run_point` detects, y before detection."""
+def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed):
+    """(sent symbol indices per layer, received y) of each row block of a run, in order:
+    the frames that `run_point` detects, y before detection."""
     if profile.n != scheme_cfg.n:
         raise ValueError(f"channel profile has N = {profile.n} but the scheme has N = {scheme_cfg.n}")
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
-    for size, rng in _batches(frames, batch, seed):
+    for size, rng in _batches(frames, seed):
         sym_idx = draw_symbols(scheme_cfg, rng, size)
         for lo in range(0, size, rows):
-            tx = modulate(scheme_cfg, [idx[lo:lo + rows] for idx in sym_idx])
-            y = post_eq_noise(profile, rng, len(tx.x))
-            y += tx.x
-            yield tx, y
+            sent = [idx[lo:lo + rows] for idx in sym_idx]
+            y = modulate(scheme_cfg, sent)
+            y += post_eq_noise(profile, rng, len(y))
+            yield sent, y
 
 
 def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
-              batch: int = DEFAULT_BATCH, instrument: bool = False,
-              probe_bin: int | None = None):
+              instrument: bool = False, probe_bin: int | None = None):
     """Monte Carlo run at a single operating point.
 
     Returns a dict with per-layer error counts, overall and per-layer SER with
@@ -172,11 +170,11 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     """
     instrument = instrument or probe_bin is not None
     frame_err, noise = [], []
-    for tx, y in _blocks(scheme_cfg, profile, frames, seed, batch):
+    for sent, y in _blocks(scheme_cfg, profile, frames, seed):
         det_idx = _detect(y, scheme_cfg)  # y is not read again
-        frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, tx.sym_idx)])
+        frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, sent)])
         if instrument:
-            noise.append(layer_noise(scheme_cfg, tx, det_idx, probe_bin))
+            noise.append(layer_noise(scheme_cfg, sent, det_idx, probe_bin))
     frame_err = np.concatenate(frame_err, axis=1)          # (J, frames)
     err_counts = frame_err.sum(axis=1)
     n_bins = np.array([len(sp.bins) for sp in scheme_cfg.layers])
@@ -241,8 +239,8 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
     cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
     sq_sum = mean_sum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        for size, rng in _batches(frames, DEFAULT_BATCH, seed):
-            x = modulate(cfg, draw_symbols(cfg, rng, size)).x
+        for size, rng in _batches(frames, seed):
+            x = modulate(cfg, draw_symbols(cfg, rng, size))
             sq_sum += float(np.sum(x ** 2))
             mean_sum += float(np.sum(x))
     if not np.isfinite(sq_sum + mean_sum):

@@ -26,7 +26,7 @@ from .allocate import allocate
 from .channel import (ChannelProfile, _blocks, _probed_layers, gamma_to_p_eff,
                       measure_power_relations, rcn_statistics, run_point)
 from .modems import layer_index, layer_kinds, power_relations
-from .multilayer import SchemeConfig, _detect, layer_frames
+from .multilayer import SchemeConfig, _detect, layer_frames, modulate
 from .rcn import worst_case_noise
 from .ser import MODES, evaluate_ser
 
@@ -148,11 +148,11 @@ def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, frames: int, 
     """(header, rows) of a debug dump of frame 0 of `run_point`'s run of `frames` frames seeded
     `seed`: time index, transmitted and received signals, and the per-layer frames
     remodulated from the decisions."""
-    tx, y = next(_blocks(scheme_cfg, channel, frames, seed))
-    bias = None if tx.bias is None else tx.bias[:1]
-    s_hat, _ = layer_frames(scheme_cfg, _detect(y[:1].copy(), scheme_cfg), bias)
+    sent, y = next(_blocks(scheme_cfg, channel, frames, seed))
+    x = modulate(scheme_cfg, [idx[:1] for idx in sent])  # frames are row-independent
+    s_hat, _ = layer_frames(scheme_cfg, _detect(y[:1].copy(), scheme_cfg))
     header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
-    return header, [[i, tx.x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
+    return header, [[i, x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
 
 
 def cmd_rcn_stats(args):
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
             if getattr(args, flag, low) < low:  # a subcommand without the flag passes
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -146,14 +146,6 @@ class SchemeConfig:
         return cls(n, specs)
 
 
-@dataclass
-class TxBatch:
-    """One batch of transmitted frames plus ground truth."""
-    x: np.ndarray                 # (F, N) nonnegative signal
-    sym_idx: list                 # per layer (F, n_j) symbol indices
-    bias: np.ndarray | None       # (F,) DCO bias, if any
-
-
 def _synthesize(spec: LayerSpec, idx, n: int):
     """One period (length n/L) of the real frames loading symbols `idx`; the
     division of the load scale by L is exact as L is a power of two."""
@@ -161,6 +153,12 @@ def _synthesize(spec: LayerSpec, idx, n: int):
     half = np.zeros((len(idx), n // (2 * L) + 1), dtype=complex)
     half[:, tab.cols] = tab.alphabet[idx + tab.offset] * tab.amp
     return np.fft.irfft(half, n // L)
+
+
+def _dco_bias(s):
+    """Per-frame DCO clipping level (F, 1): DCO_BIAS standard deviations of the
+    layer's own pre-clipping frames `s`."""
+    return DCO_BIAS * np.std(s, axis=-1, keepdims=True)
 
 
 def _observations(spectrum, tables: LayerTables):
@@ -179,23 +177,23 @@ def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
     return [(rng.random((frames, len(spec.M))) * spec.M).astype(np.int64) for spec in config.layers]
 
 
-def modulate(config: SchemeConfig, sym_idx) -> TxBatch:
-    """Map, synthesize and clip each layer on one period, then add the layers
-    in layer order onto the first layer's frame, tiled to full length if shorter."""
+def modulate(config: SchemeConfig, sym_idx) -> np.ndarray:
+    """The (F, N) frames loading `sym_idx`: map, synthesize and clip each layer on one
+    period, then add the layers in layer order onto the first layer's frame, tiled to
+    full length if shorter."""
     if not config.layers:
         raise ValueError("the config loads no subcarrier: nothing to transmit")
-    n, parts, bias = config.n, [], None
+    n, parts = config.n, []
     for spec, idx in zip(config.layers, sym_idx):
         s = _synthesize(spec, idx, n)
         if spec.kind == "dco":  # the last layer, clipped at a per-frame bias
-            bias = DCO_BIAS * np.std(s, axis=-1)
-            s += bias[:, None]
+            s += _dco_bias(s)
         parts.append(np.maximum(s, 0.0, out=s))
     x = parts[0] if parts[0].shape[-1] == n else np.tile(parts[0], n // parts[0].shape[-1])
     for x_j in parts[1:]:
         periods = x.reshape(len(x), -1, x_j.shape[-1])
         periods += x_j[:, None]
-    return TxBatch(x, sym_idx, bias)
+    return x
 
 
 def _detect(resid, config: SchemeConfig) -> list:
@@ -215,32 +213,33 @@ def _detect(resid, config: SchemeConfig) -> list:
     return det_idx
 
 
-def layer_frames(config: SchemeConfig, sym_idx, bias=None):
-    """Full-length pre-clipping and clipped frames s, x (per layer (F, N)) loading `sym_idx`;
-    a DCO layer is clipped at the per-frame `bias` it then needs."""
+def layer_frames(config: SchemeConfig, sym_idx):
+    """Full-length pre-clipping and clipped frames s, x (per layer (F, N)) loading `sym_idx`,
+    each layer clipped as `modulate` clips it."""
     s_all, x_all = [], []
     for spec, idx in zip(config.layers, sym_idx):
         s = _synthesize(spec, idx, config.n)
-        x = np.maximum(s + bias[:, None] if spec.kind == "dco" else s, 0.0)
+        x = np.maximum(s + _dco_bias(s) if spec.kind == "dco" else s, 0.0)
         s_all.append(np.tile(s, spec.fold))
         x_all.append(np.tile(x, spec.fold))
     return s_all, x_all
 
 
-def layer_noise(config: SchemeConfig, truth: TxBatch, det_idx, probe_bin: int | None = None):
+def layer_noise(config: SchemeConfig, sent_idx, det_idx, probe_bin: int | None = None):
     """Per-frame RCN power mean(delta_t^2), error power mean(e_t^2) and RCN sample FFT(delta_t)
     at `probe_bin` (or None) of each layer, as (J, F) arrays, from sent and detected indices.
     delta_t and e_t^2 are formed on one period and then tiled: elementwise steps commute with
     tiling, so the results equal those of full-length frames bit for bit."""
     ph = None if probe_bin is None else np.exp(-2j * np.pi * probe_bin * np.arange(config.n) / config.n)
     delta_power, err_power, probe = [], [], []
-    for spec, sent, det in zip(config.layers, truth.sym_idx, det_idx):  # one layer's frames at a time
+    for spec, sent, det in zip(config.layers, sent_idx, det_idx):  # one layer's frames at a time
         s, s_hat = (_synthesize(spec, idx, config.n) for idx in (sent, det))
         e = s_hat - s
         if spec.kind == "dco":
-            # bias-clipped layer: residual after subtraction, shifted
-            # so that the three-term decomposition stays exact
-            x, x_hat = (np.maximum(v + truth.bias[:, None], 0.0) for v in (s, s_hat))
+            # bias-clipped layer, both frames at the sent bias: residual after
+            # subtraction, shifted so that the three-term decomposition stays exact
+            bias = _dco_bias(s)
+            x, x_hat = (np.maximum(v + bias, 0.0) for v in (s, s_hat))
             delta = x - x_hat + 0.5 * e
         else:
             delta = 0.5 * (np.abs(s) - np.abs(s + e))

@@ -5,7 +5,7 @@ of `layer_noise` checked against them."""
 import numpy as np
 
 from oofdm.constellation import unit_alphabet
-from oofdm.multilayer import layer_frames, layer_noise
+from oofdm.multilayer import DCO_BIAS, layer_frames, layer_noise
 
 
 def layer_loads(spec, idx):
@@ -22,10 +22,16 @@ def layer_signals(y, config, truth, det_idx):
 
     `truth` is the transmitted batch and `det_idx` the decisions of
     `receive(y, config)`; asserts that the delta and error powers of
-    `layer_noise` are the per-frame means of delta_t^2 and e_t^2.
+    `layer_noise` are the per-frame means of delta_t^2 and e_t^2. A detected
+    DCO layer is clipped at the transmitted bias, DCO_BIAS standard deviations
+    of the sent pre-clipping frame.
     """
-    s, x = layer_frames(config, truth.sym_idx, truth.bias)
-    s_hat, x_hat = layer_frames(config, det_idx, truth.bias)  # the transmitted bias
+    s, x = layer_frames(config, truth.sym_idx)
+    s_hat, x_hat = layer_frames(config, det_idx)
+    for j, spec in enumerate(config.layers):
+        if spec.kind == "dco":
+            bias = DCO_BIAS * np.std(s[j][:, : config.n // spec.fold], axis=-1, keepdims=True)
+            x_hat[j] = np.maximum(s_hat[j] + bias, 0.0)
     e, delta, y_resid = [], [], []
     y_cur = np.atleast_2d(np.asarray(y, dtype=float))
     for j, spec in enumerate(config.layers):
@@ -36,7 +42,7 @@ def layer_signals(y, config, truth, det_idx):
             delta.append(0.5 * (np.abs(s[j]) - np.abs(s[j] + e[j])))
         y_cur = y_cur - x_hat[j]
         y_resid.append(y_cur)
-    delta_power, err_power, _ = layer_noise(config, truth, det_idx)
+    delta_power, err_power, _ = layer_noise(config, truth.sym_idx, det_idx)
     np.testing.assert_array_equal(delta_power, [np.mean(d ** 2, axis=-1) for d in delta])
     np.testing.assert_array_equal(err_power, [np.mean(ej ** 2, axis=-1) for ej in e])
     return e, delta, y_resid

@@ -142,11 +142,6 @@ def test_history_records_each_iteration():
     assert res.history[-1]["total_bits"] == res.total_bits
 
 
-def test_max_iters_must_allow_one_iteration():
-    with pytest.raises(ValueError, match="max_iters"):
-        allocate(ChannelProfile.flat(64), 10.0, 1e-2, max_iters=0)
-
-
 def test_mode_validation():
     with pytest.raises(ValueError):
         allocate(ChannelProfile.flat(N), 1.0, 1e-2, mode="genie")

@@ -176,24 +176,26 @@ def test_gamma_to_p_eff():
     assert gamma_to_p_eff("laco", 20.0, effective=True) == pytest.approx(100.0)
 
 
-def test_run_point_is_deterministic():
+def test_run_point_is_deterministic(monkeypatch):
+    monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 100)
     cfg = SchemeConfig.uniform("laco", N, 16, gamma_to_p_eff("laco", 20.0, 1.0, 9), 9)
     prof = ChannelProfile.flat(N)
-    a = run_point(cfg, prof, frames=200, seed=42, batch=100)
-    b = run_point(cfg, prof, frames=200, seed=42, batch=100)
+    a = run_point(cfg, prof, frames=200, seed=42)
+    b = run_point(cfg, prof, frames=200, seed=42)
     assert a["ser"] == b["ser"]
     np.testing.assert_array_equal(a["layer_errors"], b["layer_errors"])
-    c = run_point(cfg, prof, frames=200, seed=43, batch=100)
+    c = run_point(cfg, prof, frames=200, seed=43)
     assert c["ser"] != a["ser"]
 
 
-def test_run_point_stderr_definition():
+def test_run_point_stderr_definition(monkeypatch):
     # the standard error is the sample SD (ddof = 1) of the per-frame SER over
     # sqrt(frames), overall and per layer; the per-frame errors are recomputed
     # here by transmitting and receiving each batch whole
+    monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 150)
     cfg = SchemeConfig.uniform("laco", N, 16, gamma_to_p_eff("laco", 18.0, 1.0, 9), 9)
     prof = ChannelProfile.flat(N)
-    out = run_point(cfg, prof, frames=300, seed=0, batch=150)
+    out = run_point(cfg, prof, frames=300, seed=0)
     counts = []
     for ss in np.random.SeedSequence(0).spawn(2):
         rng = np.random.default_rng(ss)
@@ -228,10 +230,10 @@ def test_run_point_results_do_not_depend_on_the_block(monkeypatch, scheme, layer
     # 7-row blocks divide neither the 150-frame batches nor the 40-frame tail
     cfg = SchemeConfig.uniform(scheme, N, 16, gamma_to_p_eff(scheme, 14.0, 1.0, layers), layers)
     prof = ChannelProfile.flat(N) if channel == "flat" else ChannelProfile.exponential(N)
+    monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 150)
 
     def run():
-        return run_point(cfg, prof, frames=340, seed=3, batch=150, instrument=True,
-                         probe_bin=4)
+        return run_point(cfg, prof, frames=340, seed=3, instrument=True, probe_bin=4)
     default = run()
     monkeypatch.setattr(channel_module, "_BLOCK_ELEMS", 7 * N)
     blocked = run()
@@ -257,8 +259,8 @@ def test_run_point_layer_errors_match_recorded(scheme, layers):
     assert out["layer_errors"].tolist() == RECORDED_LAYER_ERRORS[scheme, layers]
 
 
-# Instrumented run_point(cfg, exponential, frames=600, seed=11, batch=250,
-# probe_bin=4) arrays, recorded before the engine mapped and detected each
+# Instrumented run_point(cfg, exponential, frames=600, seed=11, probe_bin=4)
+# arrays in batches of 250 frames, recorded before the engine mapped and detected each
 # layer in one call; the file also holds the RCN-aware allocation (18 dB,
 # p_e = 1e-2) that "alloc" loads. The same random stream must give the same
 # arrays bit for bit, on the same numpy build and CPU family.
@@ -266,7 +268,7 @@ RECORDED_ARRAYS = Path(__file__).parent / "data" / "run_point_exponential.npz"
 
 
 @pytest.mark.parametrize("name", ["laco", "ado", "haco", "alloc"])
-def test_run_point_instrumented_arrays_match_recorded(name):
+def test_run_point_instrumented_arrays_match_recorded(monkeypatch, name):
     with np.load(RECORDED_ARRAYS) as rec:
         recorded = dict(rec)
     if name == "alloc":
@@ -274,22 +276,25 @@ def test_run_point_instrumented_arrays_match_recorded(name):
     else:
         layers = 9 if name == "laco" else None
         cfg = SchemeConfig.uniform(name, N, 16, gamma_to_p_eff(name, 20.0, 1.0, layers), layers)
-    out = run_point(cfg, ChannelProfile.exponential(N), frames=600, seed=11, batch=250,
-                    instrument=True, probe_bin=4)
+    monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 250)
+    out = run_point(cfg, ChannelProfile.exponential(N), frames=600, seed=11, instrument=True,
+                    probe_bin=4)
     for key in ("delta_power", "err_power", "probe"):
         assert np.array_equal(out[key], recorded[f"{name}/{key}"]), key
 
 
-@pytest.mark.parametrize("frames,batch", [(0, 500), (-3, 500), (100, 0)])
-def test_run_point_rejects_empty_runs(frames, batch):
+@pytest.mark.parametrize("frames,batch", [(0, 500), (-3, 500)])
+def test_run_point_rejects_empty_runs(monkeypatch, frames, batch):
+    monkeypatch.setattr(channel_module, "DEFAULT_BATCH", batch)
     cfg = SchemeConfig.uniform("haco", N, 16, 1.0)
-    with pytest.raises(ValueError):
-        run_point(cfg, ChannelProfile.flat(N), frames=frames, seed=0, batch=batch)
+    with pytest.raises(ValueError, match="frames must be at least 1"):
+        run_point(cfg, ChannelProfile.flat(N), frames=frames, seed=0)
 
 
-def test_measure_rcn_power_shapes():
+def test_measure_rcn_power_shapes(monkeypatch):
+    monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 100)
     cfg = SchemeConfig.uniform("laco", N, 64, gamma_to_p_eff("laco", 10.0, 1.0, 9, True), 9)
-    out = run_point(cfg, ChannelProfile.flat(N), 200, seed=(2, 0), batch=100, instrument=True)
+    out = run_point(cfg, ChannelProfile.flat(N), 200, seed=(2, 0), instrument=True)
     assert out["delta_power"].shape == out["err_power"].shape == (9, 200)
     # coarse agreement with the reference value 0.427 at small frame count
     assert out["delta_power"][0].mean() == pytest.approx(0.427, rel=0.10)

@@ -1,16 +1,19 @@
 """Tests for the command-line experiment runner."""
 
 import csv
+import io
 import json
 import platform
 import re
 import shlex
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from oofdm.channel import ChannelProfile, gamma_to_p_eff, post_eq_noise, run_point
 from oofdm.cli import _apply_config, _parse_grid, build_parser, main
@@ -362,13 +365,12 @@ def test_frame_dump_is_frame_0_of_point_0(tmp_path, scheme, selective):
     # point 0 draws batch 0 from child 0 of SeedSequence((--seed, 0)), its symbols whole;
     # a row block at N = 256 holds 256 frames, so the first block is the whole batch
     rng = np.random.default_rng(np.random.SeedSequence((3, 0)).spawn(1)[0])
-    tx = modulate(cfg, [idx[:256] for idx in draw_symbols(cfg, rng, 100)])
-    y = tx.x + post_eq_noise(profile, rng, len(tx.x))
+    x = modulate(cfg, [idx[:256] for idx in draw_symbols(cfg, rng, 100)])
+    y = x + post_eq_noise(profile, rng, len(x))
     np.testing.assert_array_equal(frame[:, 0], np.arange(256))
-    np.testing.assert_array_equal(frame[:, 1], tx.x[0])
+    np.testing.assert_array_equal(frame[:, 1], x[0])
     np.testing.assert_array_equal(frame[:, 2], y[0])
-    bias = None if tx.bias is None else tx.bias[:1]
-    s_hat, _ = layer_frames(cfg, receive(y[:1], cfg), bias)
+    s_hat, _ = layer_frames(cfg, receive(y[:1], cfg))
     np.testing.assert_array_equal(frame[:, 3:], np.concatenate(s_hat).T)
 
 
@@ -775,3 +777,135 @@ def test_rcn_stats_without_clipping_noise_on_a_layer_is_an_error(tmp_path, capsy
     assert err.startswith("error:") and err.count("\n") == 1
     assert "layer 1" in err and "60 dB" in err and "--runs" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# 0:1e6:1e-9 asks np.arange for 1e15 floats, 7.11 PiB: more than a 47-bit user address
+# space holds, so the kernel refuses the allocation without touching memory
+UNALLOCATABLE_GRID = "0:1e6:1e-9"
+
+
+def test_unallocatable_grid_is_one_error_line(tmp_path, capsys):
+    # numpy's MemoryError escaped main as a 16-line traceback
+    out = tmp_path / "out"
+    rc = main(["ser", "--n", "64", "--runs", "10", "--schemes", "aco",
+               f"--gammas={UNALLOCATABLE_GRID}", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "PiB" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+EDGE_TOKENS = ("0", "-1", "-8", "63", "nan", "inf", "1e309", "", "x")
+SCHEMES = ("aco", "dco", "pam", "ado", "haco", "laco")
+
+
+def _grid():
+    values = st.integers(-10, 40)
+    listed = st.lists(values, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
+    ranged = st.tuples(values, st.sampled_from((2.5, 5, 10)), st.integers(0, 2)).map(
+        lambda t: f"{t[0]}:{t[0] + t[1] * t[2]:g}:{t[1]:g}")
+    return listed | ranged
+
+
+# A valid value of every option that takes one, by dest; the size flags are capped
+# so that no draw asks for a large array
+VALID_VALUES = {
+    "seed": st.integers(0, 1000), "n": st.sampled_from([2 ** b for b in range(3, 9)]),
+    "runs": st.integers(1, 20), "validate": st.integers(0, 20), "validate_runs": st.integers(0, 20),
+    "m": st.sampled_from([2 ** b for b in range(1, 9)]), "layers": st.integers(1, 9),
+    "peff": st.floats(1e-3, 1e3), "pe": st.floats(1e-4, 0.5), "bin": st.integers(1, 255),
+    "gammas": _grid(), "gammas_eff": _grid(), "scheme": st.sampled_from(SCHEMES),
+    "schemes": st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=3).map(",".join),
+    "rims": st.sampled_from(["1", "2", "3"]),
+}
+# options given a path or nothing: --out is always a fresh directory
+PATH_OPTIONS = ("out", "channel", "config")
+
+
+def _edge_token(dest):
+    tokens = st.sampled_from(EDGE_TOKENS)
+    return tokens | st.just(UNALLOCATABLE_GRID) if dest in ("gammas", "gammas_eff") else tokens
+
+
+def _token(dest):
+    return VALID_VALUES[dest].map(str) | _edge_token(dest)
+
+
+def _channel_rows(data, n):
+    """CSV text of a few (k, |H|) rows, each also mirrored to N - k if drawn so."""
+    bins = st.integers(0, n - 1).map(str) | st.sampled_from(EDGE_TOKENS)
+    gains = st.floats(0.1, 10.0).map(str) | st.sampled_from(EDGE_TOKENS)
+    rows = []
+    for k, gain in data.draw(st.lists(st.tuples(bins, gains), max_size=3)):
+        rows.append(f"{k},{gain}")
+        if data.draw(st.booleans()) and k.isdigit() and 0 < int(k) and 2 * int(k) != n:
+            rows.append(f"{n - int(k)},{gain}")
+    return "k,h\n" + "\n".join(rows) + "\n"
+
+
+def _written_files(stdout):
+    """The paths named by the `wrote ... and <manifest>` line, if any."""
+    lines = [line for line in stdout.splitlines() if line.startswith("wrote ")]
+    if not lines:
+        return []
+    outputs, manifest = lines[-1][len("wrote "):].rsplit(" and ", 1)
+    return [Path(p) for p in outputs.split(", ")] + [Path(manifest)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(build_parser()._subparsers._group_actions[0].choices)), st.data())
+def test_any_argv_exits_cleanly(tmp_path_factory, command, data):
+    # every option of the subcommand, read from the parser, given a valid value or an edge
+    # token: the run succeeds and writes every file it names, or prints one error line
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    tmp = tmp_path_factory.mktemp("argv")
+    out = tmp / "out"
+    argv = [command, f"--out={out}"] if "--out" in parser._option_string_actions else [command]
+    n = data.draw(VALID_VALUES["n"])
+    settable = [a for a in parser._actions if a.option_strings and a.dest not in ("help",) + PATH_OPTIONS]
+    # at most two options get an edge token, the rest a valid value
+    edged = data.draw(st.lists(st.sampled_from([a.dest for a in settable if a.nargs != 0]),
+                               max_size=2, unique=True))
+    # --channel and --selective both given, one in four times
+    profile = data.draw(st.sampled_from([(), ("channel",), ("selective",), ("channel", "selective")]))
+    for action in parser._actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        flag = action.option_strings[0]
+        if action.dest in edged:
+            argv.append(f"{flag}={data.draw(_edge_token(action.dest))}")
+        elif action.dest == "selective":
+            argv += [flag] * (action.dest in profile)
+        elif action.nargs == 0:
+            argv += [flag] * data.draw(st.booleans())
+        elif action.dest == "channel" and action.dest in profile:
+            path = tmp / "h.csv"
+            path.write_text(_channel_rows(data, n))
+            argv.append(f"{flag}={path}")
+        elif action.dest == "config" and data.draw(st.sampled_from([False, False, False, True])):
+            entries = {}
+            for entry in data.draw(st.lists(st.sampled_from(settable), max_size=2, unique=True)):
+                value = st.booleans() if entry.nargs == 0 else _token(entry.dest)
+                entries[entry.dest] = data.draw(value)
+            path = tmp / "c.json"
+            path.write_text(json.dumps(entries))
+            argv.append(f"{flag}={path}")
+        elif action.dest == "n":
+            argv.append(f"{flag}={n}")
+        elif action.dest == "bin":  # an even bin below N, so that some layer may hold it
+            argv.append(f"{flag}={data.draw(st.integers(1, n // 2 - 1)) * 2}")
+        elif action.dest not in PATH_OPTIONS:
+            argv.append(f"{flag}={data.draw(VALID_VALUES[action.dest])}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (redirect_stdout(stdout), redirect_stderr(stderr),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")  # a warning is a stderr line, as on the command line
+        rc = main(argv)
+    err = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+    event(f"{command} exits {rc}" + (f" {err[0][:40]}" if err else ""))
+    if rc == 0:
+        assert err == [], argv
+        assert all(path.is_file() for path in _written_files(stdout.getvalue())), argv
+    else:
+        assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), (argv, err)
+        assert not out.exists() or not any(out.iterdir()), argv

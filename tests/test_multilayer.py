@@ -175,7 +175,7 @@ def test_modulate_is_the_layer_order_sum_of_the_clipped_frames(n):
     x = x_layers[0]
     for x_j in x_layers[1:]:
         x = x + x_j
-    assert np.array_equal(modulate(cfg, sym_idx).x, x)
+    assert np.array_equal(modulate(cfg, sym_idx), x)
 
 
 def test_noiseless_residual_vanishes():
@@ -184,7 +184,7 @@ def test_noiseless_residual_vanishes():
     det_idx = receive(tx.x, cfg)
     _, _, y_resid = layer_signals(tx.x, cfg, tx, det_idx)
     assert np.max(np.abs(y_resid[-1])) < 1e-8 * np.max(tx.x)
-    assert np.max(layer_noise(cfg, tx, det_idx)[0]) < 1e-18
+    assert np.max(layer_noise(cfg, tx.sym_idx, det_idx)[0]) < 1e-18
 
 
 def test_delta_bounded_by_half_error():
@@ -335,13 +335,14 @@ def test_sliced_columns_equal_the_index_array_bit_for_bit(name, arg):
     twin = _index_array_twin(cfg)
     assert all(isinstance(sp.tables.cols, np.ndarray) for sp in twin.layers)
     sym_idx = draw_symbols(cfg, np.random.default_rng(3), 6)
-    tx, tx_twin = modulate(cfg, sym_idx), modulate(twin, sym_idx)
-    assert np.array_equal(tx.x, tx_twin.x)
-    y = tx.x + 0.3 * np.std(tx.x) * np.random.default_rng(4).standard_normal(tx.x.shape)
+    x = modulate(cfg, sym_idx)
+    assert np.array_equal(x, modulate(twin, sym_idx))
+    y = x + 0.3 * np.std(x) * np.random.default_rng(4).standard_normal(x.shape)
     det_idx, det_twin = receive(y, cfg), receive(y, twin)
     assert all(np.array_equal(a, b) for a, b in zip(det_idx, det_twin))
     probe_bin = cfg.n // 4 + 1
-    for a, b in zip(layer_noise(cfg, tx, det_idx, probe_bin), layer_noise(twin, tx, det_idx, probe_bin)):
+    for a, b in zip(layer_noise(cfg, sym_idx, det_idx, probe_bin),
+                    layer_noise(twin, sym_idx, det_idx, probe_bin)):
         assert np.array_equal(a, b)
 
 
@@ -374,7 +375,7 @@ def test_probe_matches_fft_of_delta():
     y = tx.x + rng.standard_normal(tx.x.shape)
     det_idx = receive(y, cfg)
     _, delta, _ = layer_signals(y, cfg, tx, det_idx)
-    probe = layer_noise(cfg, tx, det_idx, probe_bin=256)[2]
+    probe = layer_noise(cfg, tx.sym_idx, det_idx, probe_bin=256)[2]
     np.testing.assert_allclose(probe, np.fft.fft(delta)[..., 256], atol=1e-8)
 
 
@@ -397,7 +398,7 @@ def _pruned_layer(data, kind, candidates):
 
 def _check_folded_frames_and_noiseless_detection(cfg):
     tx = transmit(cfg, np.random.default_rng(0), 4)
-    for spec, idx, s in zip(cfg.layers, tx.sym_idx, layer_frames(cfg, tx.sym_idx, tx.bias)[0]):
+    for spec, idx, s in zip(cfg.layers, tx.sym_idx, layer_frames(cfg, tx.sym_idx)[0]):
         ref = np.fft.ifft(hermitian_embed(layer_loads(spec, idx), spec.bins, cfg.n))
         np.testing.assert_allclose(s, ref.real, rtol=0, atol=1e-12)
     for spec, det, sent in zip(cfg.layers, receive(tx.x, cfg), tx.sym_idx):
@@ -434,20 +435,14 @@ def test_folded_hybrid_layer_with_larger_period_factor(data):
                         ("aco", None), ("dco", None), ("pam", None)]),
        st.integers(2, 24), st.data())
 def test_modulate_over_row_splits_equals_transmit(scheme_layers, frames, data):
-    # frames are modulated row by row, so any split of one draw sends the
-    # same bits as transmitting the whole batch
+    # frames are modulated row by row, a DCO layer clipped at each row's own
+    # bias, so any split of one draw sends the same frames as the whole batch
     cfg = SchemeConfig.uniform(scheme_layers[0], N_PROP, 16, 10.0, scheme_layers[1])
     whole = transmit(cfg, np.random.default_rng(frames), frames)
-    sym_idx = draw_symbols(cfg, np.random.default_rng(frames), frames)
     cuts = sorted(data.draw(st.sets(st.integers(1, frames - 1))))
-    parts = [modulate(cfg, [idx[lo:hi] for idx in sym_idx])
+    parts = [modulate(cfg, [idx[lo:hi] for idx in whole.sym_idx])
              for lo, hi in zip([0] + cuts, cuts + [frames])]
-    np.testing.assert_array_equal(np.concatenate([p.x for p in parts]), whole.x)
-    for j in range(len(cfg.layers)):
-        got = np.concatenate([p.sym_idx[j] for p in parts])
-        np.testing.assert_array_equal(got, whole.sym_idx[j])
-    if whole.bias is not None:
-        np.testing.assert_array_equal(np.concatenate([p.bias for p in parts]), whole.bias)
+    np.testing.assert_array_equal(np.concatenate(parts), whole.x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,5 +466,5 @@ def test_layer_noise_on_one_period_equals_full_length_oracle(scheme, seed, sigma
     det_idx = receive(y, cfg)
     _, delta, _ = layer_signals(y, cfg, tx, det_idx)  # asserts the delta and error powers
     ph = np.exp(-2j * np.pi * probe_bin * np.arange(N_PROP) / N_PROP)
-    probe = layer_noise(cfg, tx, det_idx, probe_bin)[2]
+    probe = layer_noise(cfg, tx.sym_idx, det_idx, probe_bin)[2]
     np.testing.assert_array_equal(probe, [d @ ph for d in delta])
