@@ -8,12 +8,14 @@ channel and colored (per-bin power N/|H(k)|^2) otherwise; a received frame is
 never inverted. A run draws its frames in batches of `DEFAULT_BATCH`: `_batches`
 seeds batch b with child b of `np.random.SeedSequence(seed)`, spawned as the batch
 starts; `_blocks` draws a batch's symbols whole, then modulates and draws the noise of
-one row block of about 512 KiB of frame samples at a time, which `run_point` detects,
-so that a block's signals stay in cache; `multilayer.layer_noise` measures an
-instrumented block's RCN from its sent and detected indices, on each layer's period.
-The generator fills in order and every step is row-independent: results depend on
-the seed only, never on the block. The engine loads no scipy module:
-`rcn_statistics` alone needs `scipy.stats` and imports it when called.
+one row block of about 512 KiB of frame samples at a time, so that a block's signals
+stay in cache. It yields each block's sent indices, frames x and noise v: `run_point`
+adds v into x and detects the sum, and the CLI's frame dump reads frame 0 of the first
+block. `multilayer.layer_noise` measures an instrumented block's RCN from its sent and
+detected indices, on each layer's period. The generator fills in order and every step
+is row-independent: results depend on the seed only, never on the block. The engine
+loads no scipy module: `rcn_statistics` alone needs `scipy.stats` and imports it when
+called.
 """
 from __future__ import annotations
 
@@ -145,8 +147,8 @@ def _batches(frames: int, seed):
 
 
 def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed):
-    """(sent symbol indices per layer, received y) of each row block of a run, in order:
-    the frames that `run_point` detects, y before detection."""
+    """(sent symbol indices per layer, sent frames x, post-equalization noise v) of each row
+    block of a run, in order: `run_point` detects the received frames y = x + v."""
     if profile.n != scheme_cfg.n:
         raise ValueError(f"channel profile has N = {profile.n} but the scheme has N = {scheme_cfg.n}")
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
@@ -154,9 +156,8 @@ def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed
         sym_idx = draw_symbols(scheme_cfg, rng, size)
         for lo in range(0, size, rows):
             sent = [idx[lo:lo + rows] for idx in sym_idx]
-            y = modulate(scheme_cfg, sent)
-            y += post_eq_noise(profile, rng, len(y))
-            yield sent, y
+            x = modulate(scheme_cfg, sent)
+            yield sent, x, post_eq_noise(profile, rng, len(x))
 
 
 def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
@@ -170,8 +171,10 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     """
     instrument = instrument or probe_bin is not None
     frame_err, noise = [], []
-    for sent, y in _blocks(scheme_cfg, profile, frames, seed):
-        det_idx = _detect(y, scheme_cfg)  # y is not read again
+    for sent, x, v in _blocks(scheme_cfg, profile, frames, seed):
+        x += v
+        del v  # the noise block is freed before detection allocates its own arrays
+        det_idx = _detect(x, scheme_cfg)  # x is not read again
         frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, sent)])
         if instrument:
             noise.append(layer_noise(scheme_cfg, sent, det_idx, probe_bin))

@@ -26,7 +26,7 @@ from .allocate import allocate
 from .channel import (ChannelProfile, _blocks, _probed_layers, gamma_to_p_eff,
                       measure_power_relations, rcn_statistics, run_point)
 from .modems import layer_index, layer_kinds, power_relations
-from .multilayer import SchemeConfig, _detect, layer_frames, modulate
+from .multilayer import SchemeConfig, _detect, _synthesize
 from .rcn import worst_case_noise
 from .ser import MODES, evaluate_ser
 
@@ -146,13 +146,14 @@ def cmd_ser(args):
 
 def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, frames: int, seed):
     """(header, rows) of a debug dump of frame 0 of `run_point`'s run of `frames` frames seeded
-    `seed`: time index, transmitted and received signals, and the per-layer frames
-    remodulated from the decisions."""
-    sent, y = next(_blocks(scheme_cfg, channel, frames, seed))
-    x = modulate(scheme_cfg, [idx[:1] for idx in sent])  # frames are row-independent
-    s_hat, _ = layer_frames(scheme_cfg, _detect(y[:1].copy(), scheme_cfg))
+    `seed`, read from the run's first block: time index, the sent frame x, the received frame
+    y = x + v, and each layer's pre-clipping frame remodulated from the decisions on y."""
+    _, x, v = next(_blocks(scheme_cfg, channel, frames, seed))
+    y = x[0] + v[0]
+    s_hat = [np.tile(_synthesize(spec, idx, scheme_cfg.n), spec.fold)[0]
+             for spec, idx in zip(scheme_cfg.layers, _detect(y[None].copy(), scheme_cfg))]
     header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
-    return header, [[i, x[0, i], y[0, i]] + [sh[0, i] for sh in s_hat] for i in range(scheme_cfg.n)]
+    return header, [[i, x[0, i], y[i]] + [sh[i] for sh in s_hat] for i in range(scheme_cfg.n)]
 
 
 def cmd_rcn_stats(args):

@@ -25,16 +25,20 @@ def laco_layers(n: int) -> int:
 
 def layer_kinds(scheme: str, n: int, layers: int | None = None) -> tuple:
     """Clipping behavior of each layer of a scheme; LACO has `layers` layers,
-    at most and by default every layer a length-N frame holds."""
+    at most and by default every layer a length-N frame holds. A fixed-depth
+    scheme takes no layer count but its own."""
     _check_length(n)  # a fixed-depth scheme's kinds do not depend on N, but no frame has N = 4
     scheme = scheme.lower()
     if scheme == "laco":
         if layers is not None and not 1 <= layers <= laco_layers(n):
             raise ValueError(f"laco needs 1 to {laco_layers(n)} layers for N={n}, got {layers}")
         return ("aco",) * (laco_layers(n) if layers is None else layers)
-    if scheme in LAYER_KINDS:
-        return LAYER_KINDS[scheme]
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in LAYER_KINDS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    kinds = LAYER_KINDS[scheme]
+    if layers not in (None, len(kinds)):
+        raise ValueError(f"{scheme} has {len(kinds)} layer{'s' * (len(kinds) > 1)}, got {layers}")
+    return kinds
 
 
 @lru_cache(maxsize=None)

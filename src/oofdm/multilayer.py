@@ -213,18 +213,6 @@ def _detect(resid, config: SchemeConfig) -> list:
     return det_idx
 
 
-def layer_frames(config: SchemeConfig, sym_idx):
-    """Full-length pre-clipping and clipped frames s, x (per layer (F, N)) loading `sym_idx`,
-    each layer clipped as `modulate` clips it."""
-    s_all, x_all = [], []
-    for spec, idx in zip(config.layers, sym_idx):
-        s = _synthesize(spec, idx, config.n)
-        x = np.maximum(s + _dco_bias(s) if spec.kind == "dco" else s, 0.0)
-        s_all.append(np.tile(s, spec.fold))
-        x_all.append(np.tile(x, spec.fold))
-    return s_all, x_all
-
-
 def layer_noise(config: SchemeConfig, sent_idx, det_idx, probe_bin: int | None = None):
     """Per-frame RCN power mean(delta_t^2), error power mean(e_t^2) and RCN sample FFT(delta_t)
     at `probe_bin` (or None) of each layer, as (J, F) arrays, from sent and detected indices.

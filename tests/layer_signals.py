@@ -1,11 +1,23 @@
-"""Test oracles: the complex loads of symbol indices, and the per-layer
-signals of a receive, rebuilt from its decisions, with the per-frame powers
-of `layer_noise` checked against them."""
+"""Test oracles: the complex loads of symbol indices, each layer's full-length
+frames, and the per-layer signals of a receive, rebuilt from its decisions,
+with the per-frame powers of `layer_noise` checked against them."""
 
 import numpy as np
 
 from oofdm.constellation import unit_alphabet
-from oofdm.multilayer import DCO_BIAS, layer_frames, layer_noise
+from oofdm.multilayer import DCO_BIAS, SchemeConfig, _dco_bias, _synthesize, layer_noise
+
+
+def layer_frames(config: SchemeConfig, sym_idx):
+    """Full-length pre-clipping and clipped frames s, x (per layer (F, N)) loading `sym_idx`,
+    each layer clipped as `modulate` clips it."""
+    s_all, x_all = [], []
+    for spec, idx in zip(config.layers, sym_idx):
+        s = _synthesize(spec, idx, config.n)
+        x = np.maximum(s + _dco_bias(s) if spec.kind == "dco" else s, 0.0)
+        s_all.append(np.tile(s, spec.fold))
+        x_all.append(np.tile(x, spec.fold))
+    return s_all, x_all
 
 
 def layer_loads(spec, idx):

@@ -283,12 +283,16 @@ def test_run_point_instrumented_arrays_match_recorded(monkeypatch, name):
         assert np.array_equal(out[key], recorded[f"{name}/{key}"]), key
 
 
-@pytest.mark.parametrize("frames,batch", [(0, 500), (-3, 500)])
-def test_run_point_rejects_empty_runs(monkeypatch, frames, batch):
-    monkeypatch.setattr(channel_module, "DEFAULT_BATCH", batch)
-    cfg = SchemeConfig.uniform("haco", N, 16, 1.0)
+@pytest.mark.parametrize("run,frames", [("run_point", 0), ("run_point", -3),
+                                        ("measure_power_relations", 0),
+                                        ("measure_power_relations", -3)])
+def test_run_point_rejects_empty_runs(run, frames):
     with pytest.raises(ValueError, match="frames must be at least 1"):
-        run_point(cfg, ChannelProfile.flat(N), frames=frames, seed=0)
+        if run == "run_point":
+            run_point(SchemeConfig.uniform("haco", N, 16, 1.0), ChannelProfile.flat(N),
+                      frames=frames, seed=0)
+        else:
+            measure_power_relations("haco", 1.0, n=N, frames=frames)
 
 
 def test_measure_rcn_power_shapes(monkeypatch):

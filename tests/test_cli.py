@@ -15,10 +15,11 @@ import pytest
 import scipy
 from hypothesis import event, given, settings, strategies as st
 
+from layer_signals import layer_frames
 from oofdm.channel import ChannelProfile, gamma_to_p_eff, post_eq_noise, run_point
 from oofdm.cli import _apply_config, _parse_grid, build_parser, main
 from oofdm.modems import layer_kinds
-from oofdm.multilayer import SchemeConfig, draw_symbols, layer_frames, modulate
+from oofdm.multilayer import SchemeConfig, draw_symbols, modulate
 from txrx import receive
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -766,6 +767,18 @@ def test_power_relations_with_impossible_laco_layers_is_an_error(capsys, layers,
     out, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"got {layers}" in err and "P_opt" not in out
+
+
+@pytest.mark.parametrize("scheme,layers,message", [
+    ("ado", "0", "ado has 2 layers, got 0"), ("aco", "5", "aco has 1 layer, got 5"),
+    ("haco", "3", "haco has 2 layers, got 3"), ("pam", "-1", "pam has 1 layer, got -1")])
+def test_power_relations_with_a_layer_count_a_fixed_depth_scheme_ignores_is_an_error(
+        capsys, scheme, layers, message):
+    # a fixed-depth scheme used to ignore --layers and print its own relations
+    rc = main(["power-relations", "--scheme", scheme, "--layers", layers, "--n", "64"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and out == ""
 
 
 def test_rcn_stats_without_clipping_noise_on_a_layer_is_an_error(tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from index_sets import effective_reference
+from layer_signals import layer_frames
 from oofdm.modems import affected_subcarriers, laco_layers, layer_index, laco_ratios, power_relations
-from oofdm.multilayer import SchemeConfig, layer_frames
+from oofdm.multilayer import SchemeConfig
 from txrx import transmit
 
 N = 1024

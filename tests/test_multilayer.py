@@ -9,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from hermitian import hermitian_embed
 from index_sets import effective_reference
-from layer_signals import layer_loads, layer_signals
+from layer_signals import layer_frames, layer_loads, layer_signals
 from oofdm.allocate import allocate
 from oofdm.channel import ChannelProfile
 from oofdm.constellation import unit_alphabet
 from oofdm.modems import laco_layers, layer_index
 from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
-                               layer_frames, layer_noise, modulate)
+                               layer_noise, modulate)
 from txrx import receive, transmit
 
 N = 1024
@@ -50,7 +50,7 @@ def test_uniform_config_ado_and_haco():
 def test_uniform_config_single_layer(scheme, bins, power):
     # `power` is the symbol power sent per bin: the tables load a zero-clipped
     # layer at four times its effective power
-    cfg = SchemeConfig.uniform(scheme, N, 16, 1.0, layers=5)  # layer count ignored
+    cfg = SchemeConfig.uniform(scheme, N, 16, 1.0)
     (spec,) = cfg.layers
     assert spec.kind == scheme and len(spec.bins) == bins
     np.testing.assert_allclose(spec.power, power / (1.0 if scheme == "dco" else 4.0))
@@ -60,6 +60,12 @@ def test_uniform_config_single_layer(scheme, bins, power):
 def test_uniform_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig.uniform("qam", N, 16, 1.0)
+    # a fixed-depth scheme takes its own layer count and no other
+    for scheme, depth in (("aco", 1), ("dco", 1), ("pam", 1), ("ado", 2), ("haco", 2)):
+        assert len(SchemeConfig.uniform(scheme, 64, 16, 1.0, depth).layers) == depth
+        for layers in (0, depth + 1, 5):
+            with pytest.raises(ValueError, match=f"{scheme} has {depth} layers?, got {layers}"):
+                SchemeConfig.uniform(scheme, 64, 16, 1.0, layers)
 
 
 @pytest.mark.parametrize("order", [3, 6, 1, 0])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from layer_signals import layer_loads
+from layer_signals import layer_frames, layer_loads
 from oofdm.modems import affected_subcarriers
-from oofdm.multilayer import SchemeConfig, layer_frames
+from oofdm.multilayer import SchemeConfig
 from oofdm.numerics import qfunc, qfunc_inv
 from txrx import transmit
 
