@@ -2,16 +2,18 @@
 per `run_point` call, the clipping-noise statistics of its probe samples, and
 the measured power relations. The command line runs the SNR grid.
 
-Equalized reception model: y = x + v where v is the post-equalization noise,
-white unit-power Gaussian noise before equalization, so white for a flat
-channel and colored (per-bin power N/|H(k)|^2) otherwise; a received frame is
-never inverted. A run draws its frames in batches of `DEFAULT_BATCH`: `_batches`
-seeds batch b with child b of `np.random.SeedSequence(seed)`, spawned as the batch
-starts; `_blocks` draws a batch's symbols whole, then modulates and draws the noise of
-one row block of about 512 KiB of frame samples at a time, so that a block's signals
-stay in cache. It yields each block's sent indices, frames x and noise v: `run_point`
-adds v into x and detects the sum, and the CLI's frame dump reads frame 0 of the first
-block. `multilayer.layer_noise` measures an instrumented block's RCN from its sent and
+Equalized reception model: y = x + v where v is the post-equalization noise, white
+unit-power Gaussian noise before equalization, so per-bin power N/|H(k)|^2 after it; a
+received frame is never inverted. On a flat channel v is drawn in time, white, and added
+to the sent frames. On a selective channel only its spectrum V(k) at the config's loaded
+bins is drawn, complex Gaussian with per-axis variance N/(2|H(k)|^2), and the receiver adds
+it to each layer's bins: every decision reads only those bins, so noise anywhere else never
+reaches one. A run draws its frames in batches of `DEFAULT_BATCH`: `_batches` seeds batch b
+with child b of `np.random.SeedSequence(seed)`, spawned as the batch starts; `_blocks` draws
+a batch's symbols whole, then modulates and draws the noise of one row block of about
+512 KiB of frame samples at a time, so that a block's signals stay in cache. It yields each
+block's sent indices, frames x and noise v, and the CLI's frame dump reads frame 0 of the
+first block. `multilayer.layer_noise` measures an instrumented block's RCN from its sent and
 detected indices, on each layer's period. The generator fills in order and every step
 is row-independent: results depend on the seed only, never on the block. The engine
 loads no scipy module: `rcn_statistics` alone needs `scipy.stats` and imports it when
@@ -95,32 +97,34 @@ class ChannelProfile:
         return np.ones(self.n) if self.h is None else np.abs(self.h)
 
     @cached_property
-    def _noise_shaping(self) -> np.ndarray:
-        """1/|H(k)| on the half spectrum, each value twice to scale (re, im) pairs; read-only."""
-        shaping = np.repeat(1.0 / self.gain[: self.n // 2 + 1], 2)
-        shaping.flags.writeable = False
-        return shaping
+    def _noise_std(self) -> np.ndarray:
+        """(N/2 + 1, 2) per-axis standard deviation sqrt(N/2)/|H(k)| of the post-equalization
+        noise spectrum on the half spectrum, the same value for re and im; read-only."""
+        std = np.repeat(np.sqrt(self.n / 2) / self.gain[: self.n // 2 + 1, None], 2, axis=1)
+        std.flags.writeable = False
+        return std
 
     def bin_noise_power(self) -> np.ndarray:
         """Post-equalization noise power per bin, P{V(k)} = N/|H(k)|^2."""
         return self.n / self.gain ** 2
 
 
-def post_eq_noise(profile: ChannelProfile, rng, frames: int) -> np.ndarray:
-    """Draw post-equalization noise frames.
+def post_eq_noise(profile: ChannelProfile, rng, frames: int, bins=None) -> np.ndarray:
+    """Draw one block of post-equalization noise from the Generator `rng`.
 
-    White unit-power time-domain Gaussian for a flat channel; otherwise the white noise
-    is shaped by 1/|H(k)| on the half spectrum of a real FFT (only the
-    magnitude affects the post-equalization statistics). `rng` is a Generator.
+    Flat channel: (frames, N) white unit-power Gaussian frames in time; `bins` is not read.
+    Selective channel: the noise spectrum V(k) at `bins` only (every bin in [1, N/2)), as
+    float (re, im) pairs (frames, len(bins), 2), each axis Gaussian with standard deviation
+    sqrt(N/2)/|H(k)|: per-bin power N/|H(k)|^2, as white unit-power time noise has after
+    the equalizer (only |H| affects its statistics). Distinct bins are independent.
     """
-    v0 = rng.standard_normal((frames, profile.n))
     if profile.h is None:
-        return v0
-    # numpy divides complex by real through the reciprocal: this multiply is that division
-    spectrum = np.fft.rfft(v0)
-    pairs = spectrum.view(float)
-    pairs *= profile._noise_shaping
-    return np.fft.irfft(spectrum, profile.n)
+        return rng.standard_normal((frames, profile.n))
+    if bins is None:
+        raise ValueError("a selective channel's noise is drawn at given bins")
+    v = rng.standard_normal((frames, len(bins), 2))
+    v *= profile._noise_std[bins]
+    return v
 
 
 def gamma_to_p_eff(scheme: str, gamma_db: float, noise_power: float = 1.0,
@@ -148,7 +152,7 @@ def _batches(frames: int, seed):
 
 def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed):
     """(sent symbol indices per layer, sent frames x, post-equalization noise v) of each row
-    block of a run, in order: `run_point` detects the received frames y = x + v."""
+    block of a run, in order; v is `post_eq_noise` at the config's loaded bins."""
     if profile.n != scheme_cfg.n:
         raise ValueError(f"channel profile has N = {profile.n} but the scheme has N = {scheme_cfg.n}")
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
@@ -157,7 +161,7 @@ def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed
         for lo in range(0, size, rows):
             sent = [idx[lo:lo + rows] for idx in sym_idx]
             x = modulate(scheme_cfg, sent)
-            yield sent, x, post_eq_noise(profile, rng, len(x))
+            yield sent, x, post_eq_noise(profile, rng, len(x), scheme_cfg.loaded_bins)
 
 
 def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
@@ -172,9 +176,10 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     instrument = instrument or probe_bin is not None
     frame_err, noise = [], []
     for sent, x, v in _blocks(scheme_cfg, profile, frames, seed):
-        x += v
-        del v  # the noise block is freed before detection allocates its own arrays
-        det_idx = _detect(x, scheme_cfg)  # x is not read again
+        if profile.h is None:  # white noise in time; a selective channel's V joins each layer's bins
+            x += v
+            v = None  # the noise block is freed before detection allocates its own arrays
+        det_idx = _detect(x, scheme_cfg, v)  # x is not read again
         frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, sent)])
         if instrument:
             noise.append(layer_noise(scheme_cfg, sent, det_idx, probe_bin))

@@ -147,8 +147,14 @@ def cmd_ser(args):
 def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, frames: int, seed):
     """(header, rows) of a debug dump of frame 0 of `run_point`'s run of `frames` frames seeded
     `seed`, read from the run's first block: time index, the sent frame x, the received frame
-    y = x + v, and each layer's pre-clipping frame remodulated from the decisions on y."""
+    y = x + v, and each layer's pre-clipping frame remodulated from the decisions on y. On a
+    selective channel v is the inverse FFT of the noise spectrum the run drew at the loaded
+    bins, so y carries no noise on unloaded bins, which the detector never reads."""
     _, x, v = next(_blocks(scheme_cfg, channel, frames, seed))
+    if channel.h is not None:
+        half = np.zeros((1, scheme_cfg.n // 2 + 1), dtype=complex)
+        half[0, scheme_cfg.loaded_bins] = v[0].view(complex)[:, 0]
+        v = np.fft.irfft(half, scheme_cfg.n)
     y = x[0] + v[0]
     s_hat = [np.tile(_synthesize(spec, idx, scheme_cfg.n), spec.fold)[0]
              for spec, idx in zip(scheme_cfg.layers, _detect(y[None].copy(), scheme_cfg))]
@@ -195,7 +201,7 @@ def cmd_allocate(args):
             entry = {"gamma_eff_db": gamma_eff, "mode": mode,
                      "iterations": res.iterations, "converged": res.converged,
                      "total_bits": res.total_bits,
-                     "loaded_subcarriers": int(len(res.loaded))}
+                     "loaded_subcarriers": int(len(res.loaded)), "history": res.history}
             if args.validate_runs and res.total_bits:  # an empty loading sends nothing
                 scheme_cfg = SchemeConfig.from_allocation(args.n, res.bits, res.powers)
                 point = run_point(scheme_cfg, channel, args.validate_runs, args.seed)

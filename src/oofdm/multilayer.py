@@ -8,10 +8,10 @@ remodulated on one period from its per-bin tables, its bins written and read
 through one column index: a basic slice when they are equally spaced, as on
 every uniform and RCN-aware layer, else an index array. The receiver only
 detects: it keeps the residual folded onto the current layer's period, takes
-its real FFT, scales the layer's bins by 1/sqrt(P_s) (a zero-clipped layer is
-loaded at 2*sqrt(P_s), and clipping halves its bins), detects them in one
-quantizer call and, but for the last layer, subtracts L times the layer
-remodulated. `layer_noise` measures the RCN from the sent and detected indices on
+its real FFT, adds a selective channel's noise spectrum to the layer's bins,
+scales them by 1/sqrt(P_s) (a zero-clipped layer is loaded at 2*sqrt(P_s), and
+clipping halves its bins), detects them in one quantizer call and, but for the
+last layer, subtracts L times the layer remodulated. `layer_noise` measures the RCN from the sent and detected indices on
 each layer's period too, tiling only the RCN and the squared detection error to
 full length.
 """
@@ -110,6 +110,11 @@ class SchemeConfig:
         """Loaded effective subcarriers counting both Hermitian mirrors."""
         return int(sum(2 * len(sp.bins) for sp in self.layers))
 
+    @cached_property
+    def loaded_bins(self) -> np.ndarray:
+        """Every layer's bins, in layer order: the columns of `_detect`'s per-bin noise."""
+        return np.concatenate([sp.bins for sp in self.layers])
+
     @classmethod
     def uniform(cls, scheme: str, n: int, M: int, p_eff: float,
                 layers: int | None = None) -> "SchemeConfig":
@@ -161,11 +166,14 @@ def _dco_bias(s):
     return DCO_BIAS * np.std(s, axis=-1, keepdims=True)
 
 
-def _observations(spectrum, tables: LayerTables):
-    """The layer's bins as float (re, im) pairs (F, n_j, 2) scaled by `gain`:
-    numpy divides complex by real through the reciprocal, so this is Y/sqrt(P_s).
-    A sliced block is copied, as `view(float)` needs a contiguous last axis."""
+def _observations(spectrum, tables: LayerTables, noise=None):
+    """The layer's bins as float (re, im) pairs (F, n_j, 2), plus `noise` at those bins in
+    the same layout if given, scaled by `gain`: numpy divides complex by real through the
+    reciprocal, so this is (Y + V)/sqrt(P_s). A sliced block is copied, as `view(float)`
+    needs a contiguous last axis."""
     obs = np.ascontiguousarray(spectrum[:, tables.cols]).view(float).reshape(len(spectrum), -1, 2)
+    if noise is not None:
+        obs += noise
     obs *= tables.gain
     return obs
 
@@ -196,15 +204,20 @@ def modulate(config: SchemeConfig, sym_idx) -> np.ndarray:
     return x
 
 
-def _detect(resid, config: SchemeConfig) -> list:
+def _detect(resid, config: SchemeConfig, noise=None) -> list:
     """Detected symbol indices (F, n_j) of each layer of an equalized float (F, N) batch, layer
-    by layer; overwrites the batch with the residual, folded onto each layer's period."""
-    n, frames, det_idx = config.n, resid.shape[0], []
+    by layer, with the post-equalization noise spectrum `noise` (F, len(config.loaded_bins), 2),
+    if given, added to each layer's bins; overwrites the batch with the residual, folded onto
+    each layer's period. The folded residual's spectrum at k/L is the frame's at k, so a
+    noise spectrum added there decides as its inverse FFT added to the batch would."""
+    n, frames, det_idx, lo = config.n, resid.shape[0], [], 0
     for spec in config.layers:
-        tab, L = spec.tables, spec.fold
+        tab, L, hi = spec.tables, spec.fold, lo + len(spec.bins)
         if resid.shape[-1] > n // L:
             resid = resid.reshape(frames, -1, n // L).sum(axis=1)
-        det_idx.append(quantize(_observations(np.fft.rfft(resid), tab), tab.d_min, tab.top, tab.m_q))
+        obs = _observations(np.fft.rfft(resid), tab, None if noise is None else noise[:, lo:hi])
+        det_idx.append(quantize(obs, tab.d_min, tab.top, tab.m_q))
+        lo = hi
         if len(det_idx) == len(config.layers):
             break  # nothing reads the last layer's residual
         x_hat = _synthesize(spec, det_idx[-1], n)

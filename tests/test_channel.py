@@ -13,8 +13,9 @@ import pytest
 import oofdm.channel as channel_module
 from oofdm.channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
                            measure_power_relations, post_eq_noise, run_point)
+from oofdm.allocate import allocate
 from oofdm.modems import affected_subcarriers
-from oofdm.multilayer import SchemeConfig
+from oofdm.multilayer import SchemeConfig, _detect
 from txrx import receive, transmit
 
 N = 1024
@@ -98,29 +99,67 @@ def test_from_csv_keeps_the_magnitude_of_complex_gains(tmp_path):
 
 
 def test_post_eq_noise_power_matches_map():
-    # measured per-bin noise power matches N/|H(k)|^2 within 3%
+    # measured per-bin noise power matches N/|H(k)|^2 within 3%, half of it on each axis
     prof = ChannelProfile.exponential(N)
-    v = post_eq_noise(prof, np.random.default_rng(1), 10_000)
-    per_bin = np.mean(np.abs(np.fft.fft(v)) ** 2, axis=0)
-    ref = prof.bin_noise_power()
+    bins = np.arange(1, N // 2)
+    v = post_eq_noise(prof, np.random.default_rng(1), 10_000, bins)
+    assert v.shape == (10_000, N // 2 - 1, 2)
+    per_axis = np.mean(v ** 2, axis=0)
+    per_bin = per_axis.sum(axis=-1)
+    ref = prof.bin_noise_power()[bins]
     rel = np.abs(per_bin - ref) / ref
     # per-bin estimates fluctuate with ~1% standard error at 10^4 frames, so
     # allow the expected few-per-thousand statistical excursions beyond 3%
     assert np.quantile(rel, 0.99) < 0.03
     assert rel.max() < 0.05
+    assert np.quantile(np.abs(per_axis / (ref[:, None] / 2) - 1.0), 0.99) < 0.045
 
 
-def test_colored_noise_shaping_is_cached_and_unchanged():
-    # one read-only interleaved 1/|H(k)| per profile, scaling the same draws as
-    # the per-block division did, bit for bit
+def test_selective_noise_std_is_cached_and_read_only():
+    # one read-only per-axis sqrt(N/2)/|H(k)| table per profile, scaling one row-major
+    # draw of (frames, bins, (re, im)) normals
     prof = ChannelProfile.exponential(64)
-    shaping = prof._noise_shaping
-    assert prof._noise_shaping is shaping and not shaping.flags.writeable
-    rng = np.random.default_rng(7)
-    spectrum = np.fft.rfft(rng.standard_normal((5, 64)))
-    spectrum /= prof.gain[:33]
-    np.testing.assert_array_equal(post_eq_noise(prof, np.random.default_rng(7), 5),
-                                  np.fft.irfft(spectrum, 64))
+    std = prof._noise_std
+    assert prof._noise_std is std and not std.flags.writeable
+    np.testing.assert_array_equal(std, np.column_stack([np.sqrt(32.0) / prof.gain[:33]] * 2))
+    bins = np.array([5, 1, 31, 8])
+    want = np.random.default_rng(7).standard_normal((5, 4, 2)) * std[bins]
+    np.testing.assert_array_equal(post_eq_noise(prof, np.random.default_rng(7), 5, bins), want)
+    with pytest.raises(ValueError, match="drawn at given bins"):
+        post_eq_noise(prof, np.random.default_rng(7), 5)
+
+
+def _noise_frames(cfg, v, rng=None):
+    """Inverse FFT of the noise spectrum `v` (F, n_loaded, 2) scattered onto the loaded bins,
+    with white noise of the same scale on every other bin of the half spectrum if `rng`."""
+    half = np.zeros((len(v), cfg.n // 2 + 1), dtype=complex)
+    if rng is not None:
+        half[:] = 20.0 * (rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape))
+        half[:, [0, -1]] = half[:, [0, -1]].real  # real DC and Nyquist bins
+    half[:, cfg.loaded_bins] = v[..., 0] + 1j * v[..., 1]
+    return np.fft.irfft(half, cfg.n)
+
+
+@pytest.mark.parametrize("name", ["alloc", "ado", "haco"])
+def test_noise_spectrum_decides_as_its_frames(name):
+    # the receiver adds V at each layer's bins; the same V as time-domain frames, with any
+    # noise on the bins no layer loads, gives the same decisions
+    prof = ChannelProfile.exponential(N)
+    if name == "alloc":
+        res = allocate(prof, 10.0 ** 2.2, 1e-2, mode="rcn_aware")
+        cfg = SchemeConfig.from_allocation(N, res.bits, res.powers)
+    else:
+        cfg = SchemeConfig.uniform(name, N, 16, gamma_to_p_eff(name, 30.0), None)
+    rng = np.random.default_rng(31)
+    tx = transmit(cfg, rng, 40)
+    v = post_eq_noise(prof, rng, 40, cfg.loaded_bins)
+    by_bin = _detect(tx.x.copy(), cfg, v)
+    for frames in (_noise_frames(cfg, v), _noise_frames(cfg, v, rng)):
+        by_frame = receive(tx.x + frames, cfg)
+        for a, b in zip(by_bin, by_frame):
+            np.testing.assert_array_equal(a, b)
+    errors = [np.count_nonzero(d != s) for d, s in zip(by_bin, tx.sym_idx)]
+    assert all(errors) and sum(errors) < 0.2 * 40 * len(cfg.loaded_bins), errors
 
 
 def test_post_eq_noise_flat_is_white():
@@ -260,8 +299,8 @@ def test_run_point_layer_errors_match_recorded(scheme, layers):
 
 
 # Instrumented run_point(cfg, exponential, frames=600, seed=11, probe_bin=4)
-# arrays in batches of 250 frames, recorded before the engine mapped and detected each
-# layer in one call; the file also holds the RCN-aware allocation (18 dB,
+# arrays in batches of 250 frames, recorded when the selective-channel noise became a
+# draw at the loaded bins; the file also holds the RCN-aware allocation (18 dB,
 # p_e = 1e-2) that "alloc" loads. The same random stream must give the same
 # arrays bit for bit, on the same numpy build and CPU family.
 RECORDED_ARRAYS = Path(__file__).parent / "data" / "run_point_exponential.npz"

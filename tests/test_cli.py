@@ -367,7 +367,12 @@ def test_frame_dump_is_frame_0_of_point_0(tmp_path, scheme, selective):
     # a row block at N = 256 holds 256 frames, so the first block is the whole batch
     rng = np.random.default_rng(np.random.SeedSequence((3, 0)).spawn(1)[0])
     x = modulate(cfg, [idx[:256] for idx in draw_symbols(cfg, rng, 100)])
-    y = x + post_eq_noise(profile, rng, len(x))
+    v = post_eq_noise(profile, rng, len(x), cfg.loaded_bins)
+    if selective:  # the noise spectrum at the loaded bins, none on the others
+        half = np.zeros((len(x), 129), dtype=complex)
+        half[:, cfg.loaded_bins] = v[..., 0] + 1j * v[..., 1]
+        v = np.fft.irfft(half, 256)
+    y = x + v
     np.testing.assert_array_equal(frame[:, 0], np.arange(256))
     np.testing.assert_array_equal(frame[:, 1], x[0])
     np.testing.assert_array_equal(frame[:, 2], y[0])
@@ -447,6 +452,21 @@ def test_allocate_command(tmp_path):
     unaware = next(e for e in summary if e["mode"] == "rcn_unaware")
     assert aware["total_bits"] <= unaware["total_bits"]
     assert (tmp_path / "allocation_rcn_aware_18dB.csv").exists()
+
+
+def test_allocation_summary_holds_the_allocator_trace(tmp_path):
+    # AllocationResult.history was built but never written
+    rc = main(["allocate", "--gammas-eff", "14,22", "--n", "256", "--selective",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "allocation_summary.json").read_text())
+    assert max(e["iterations"] for e in summary) > 1
+    for entry in summary:
+        history = entry["history"]
+        assert len(history) == entry["iterations"]
+        assert all(step.keys() == {"total_bits", "phi_size"} for step in history)
+        assert history[-1]["total_bits"] == entry["total_bits"]
+        assert history[-1]["phi_size"] == entry["loaded_subcarriers"]
 
 
 def test_allocate_with_an_underflowing_budget_loads_nothing(tmp_path):
