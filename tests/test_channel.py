@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import oofdm.channel as channel_module
+from oofdm.allocate import allocate
 from oofdm.channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
                            measure_power_relations, post_eq_noise, run_point)
-from oofdm.allocate import allocate
 from oofdm.modems import affected_subcarriers
 from oofdm.multilayer import SchemeConfig, _detect
 from txrx import receive, transmit
@@ -131,7 +131,7 @@ def test_selective_noise_std_is_cached_and_read_only():
 
 def _noise_frames(cfg, v, rng=None):
     """Inverse FFT of the noise spectrum `v` (F, n_loaded, 2) scattered onto the loaded bins,
-    with white noise of the same scale on every other bin of the half spectrum if `rng`."""
+    with Gaussian noise of per-axis std 20, about V's own, on every other bin if `rng`."""
     half = np.zeros((len(v), cfg.n // 2 + 1), dtype=complex)
     if rng is not None:
         half[:] = 20.0 * (rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape))
