@@ -1,23 +1,26 @@
 """Cold-start cost of the package: how long a fresh interpreter takes to import
 it and make a first call, and whether that call loaded `scipy.special`.
 
-    python3 scripts/bench_cold_start.py
+    python3 scripts/bench_cold_start.py [--parent DIR]
 
-Each path runs in 7 fresh interpreters against this checkout's `src/`. A
+Each path runs in REPEATS fresh interpreters against this checkout's `src/` and,
+with --parent, as many against DIR (the `src/` of another checkout), the trees
+taking turns through `bench_model.race` after one warm-up interpreter each. A
 child times its import and first call with `time.perf_counter`, from just
 before `import oofdm.cli` to the return of the call, so interpreter start-up
-is left out. The median and minimum of each path go to BENCH_cold_start.json
-at the repo root, with the Python, numpy and scipy versions and the CPU count.
+is left out. BENCH_cold_start.json at the repo root gets `bench_model`'s record
+of those times (per tree and path the median and minimum ms; with --parent the
+ratios per path), each path's call and whether it loaded `scipy.special`.
 """
 from __future__ import annotations
 
 import json
 import os
-import statistics
 import subprocess
 import sys
+from pathlib import Path
 
-from bench_model import ROOT, environment
+from bench_model import ROOT, commit, race, summary, trees, write
 
 REPEATS = 7
 
@@ -44,32 +47,41 @@ CHILD = """if True:
 """
 
 
-def measure(call: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    walls, loaded = [], set()
-    for _ in range(REPEATS):
-        done = subprocess.run([sys.executable, "-c", CHILD.format(call=call)], env=env,
-                              capture_output=True, text=True, check=True, timeout=300)
-        wall_s, special = json.loads(done.stdout)
-        walls.append(wall_s)
-        loaded.add(special)
-    if len(loaded) != 1:
-        raise RuntimeError(f"scipy.special was loaded in some runs of {call!r} only")
-    return {"call": call or None, "repeats": REPEATS, "median_s": statistics.median(walls),
-            "min_s": min(walls), "scipy_special_loaded": loaded.pop()}
+def child(src: Path, call: str) -> tuple:
+    """The argv and environment of one fresh interpreter that imports the package under
+    `src`, makes `call` and prints its wall time in s and whether `scipy.special` is loaded."""
+    return [sys.executable, "-c", CHILD.format(call=call)], dict(os.environ, PYTHONPATH=str(src))
+
+
+def measure(srcs: dict, repeats: int) -> dict:
+    """Tree -> path -> the (wall_s, scipy.special loaded) reports of `repeats` children, the
+    trees taking turns through `race`; the warm-up child's report is dropped."""
+    reports = {label: {name: [] for name in PATHS} for label in srcs}
+
+    def run(label: str, name: str):
+        argv, env = child(srcs[label], PATHS[name])
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=300)
+        reports[label][name].append(json.loads(done.stdout))
+
+    race({label: {name: (lambda label=label, name=name: run(label, name)) for name in PATHS}
+          for label in srcs}, repeats)
+    return {label: {name: runs[1:] for name, runs in paths.items()} for label, paths in reports.items()}
 
 
 def main() -> int:
-    record = {
-        "environment": environment(),
-        "paths": {name: measure(call) for name, call in PATHS.items()},
-    }
-    out = ROOT / "BENCH_cold_start.json"
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    for name, res in record["paths"].items():
-        print(f"{name}: median {res['median_s'] * 1e3:.0f} ms, min {res['min_s'] * 1e3:.0f} ms,"
-              f" scipy.special loaded: {res['scipy_special_loaded']}")
-    print(f"wrote {out}")
+    srcs = trees(__doc__)
+    labels = {label: commit(src) for label, src in srcs.items()}
+    reports = measure(srcs, REPEATS)
+    walls = {label: {name: [wall_s for wall_s, _ in runs] for name, runs in paths.items()}
+             for label, paths in reports.items()}
+    record = summary(labels, walls, REPEATS)
+    for label, tree in record["trees"].items():
+        for name, res in tree["calls"].items():
+            loaded = {special for _, special in reports[label][name]}
+            if len(loaded) != 1:
+                raise RuntimeError(f"scipy.special was loaded in some {label} runs of {name!r} only")
+            res.update(call=PATHS[name] or None, scipy_special_loaded=loaded.pop())
+    write(ROOT / "BENCH_cold_start.json", record)
     return 0
 
 

@@ -80,24 +80,34 @@ def ratios(change: list, parent: list) -> dict:
             "change_faster_share": sum(c < p for c, p in zip(change, parent)) / len(change)}
 
 
-def ab(doc: str, build, repeats: int) -> tuple:
-    """Parse --parent, race `build(package)` of each tree and return the wall times and the
-    shared record: per tree its commit label (taken before anything is timed or written)
-    and each call's median and minimum ms; with a parent also `ratios` per call."""
+def trees(doc: str) -> dict:
+    """Parse --parent: label -> `src/` of each tree to time, this checkout's ("change") first."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="src/ directory of a checkout to compare with")
     parent = parser.parse_args().parent
-    trees = {"change": ROOT / "src", **({"parent": parent.resolve()} if parent else {})}
-    labels = {label: commit(src) for label, src in trees.items()}
-    walls = race({label: build(load(src, f"oofdm_{label}")) for label, src in trees.items()}, repeats)
+    return {"change": ROOT / "src", **({"parent": parent.resolve()} if parent else {})}
+
+
+def summary(labels: dict, walls: dict, repeats: int) -> dict:
+    """The shared record of `race`'s wall times: per tree its commit label and each call's
+    median and minimum ms; with a parent tree also `ratios` per call."""
     record = {"environment": environment(), "repeats": repeats, "trees": {label: {
         "commit": labels[label],
         "calls": {name: {"median_ms": statistics.median(w) * 1e3, "min_ms": min(w) * 1e3}
-                  for name, w in walls[label].items()}} for label in trees}}
-    if parent:
+                  for name, w in walls[label].items()}} for label in walls}}
+    if "parent" in walls:
         record["change_over_parent"] = {name: ratios(w, walls["parent"][name])
                                         for name, w in walls["change"].items()}
-    return walls, record
+    return record
+
+
+def ab(doc: str, build, repeats: int) -> tuple:
+    """Parse --parent, race `build(package)` of each tree and return the wall times and their
+    `summary`, each tree's commit label taken before anything is timed or written."""
+    srcs = trees(doc)
+    labels = {label: commit(src) for label, src in srcs.items()}
+    walls = race({label: build(load(src, f"oofdm_{label}")) for label, src in srcs.items()}, repeats)
+    return walls, summary(labels, walls, repeats)
 
 
 def write(path: Path, record: dict) -> None:

@@ -62,7 +62,7 @@ class AllocationResult:
     noise: np.ndarray         # (N,) final worst-case total noise (post-eq)
     iterations: int
     converged: bool
-    history: list             # per-iteration dicts: total_bits, phi_size
+    history: list             # per-iteration dicts: total_bits, phi_size (+ noise_change if aware)
     mode: str
 
     @property
@@ -80,8 +80,8 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
 
     Noise bookkeeping is post-equalization throughout: the per-bin channel
     noise is N/|H(k)|^2 and the rate uses P_s(k)/P_z(k) directly, so the
-    water-filling runs on P_z itself. Stops once the noise map converges, or after
-    MAX_ITERS iterations; `history` holds each iteration's total bits and active-set size.
+    water-filling runs on P_z itself. Stops once the noise map converges, or after MAX_ITERS
+    iterations; `history` holds each iteration's total bits, active-set size and noise change.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -111,9 +111,11 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
             break
         loading = SchemeConfig.from_allocation(n, bits, powers)
         p_z_new = worst_case_noise(loading, p_v, rims).p_z
-        # converged once the squared change of the noise map sums to at most
-        # 1e-3 times its mean square
-        converged = float(np.sum((p_z_new - p_z) ** 2)) <= 1e-3 * float(np.sum(p_z ** 2)) / n
+        # noise_change: the noise map's summed squared change over its mean square;
+        # the loop has converged once it is at most 1e-3
+        change, total = float(np.sum((p_z_new - p_z) ** 2)), float(np.sum(p_z ** 2))
+        history[-1]["noise_change"] = change * n / total
+        converged = change <= 1e-3 * total / n
         p_z = p_z_new
         if converged:
             break

@@ -238,8 +238,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """The command-line parser; its `commands` maps each subcommand to its parser."""
     ap = _Parser(prog="oofdm", description="Multi-layer optical OFDM experiments")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices
 
     p = sub.add_parser("power-relations", help="closed-form power relations")
     p.add_argument("--scheme", required=True,
@@ -286,7 +288,7 @@ def build_parser():
 def _apply_config(ap, args, argv):
     """`args` parsed again with each --config JSON entry as its flag, ahead of `argv`'s
     flags so that those win; a key must name an option of the subcommand exactly."""
-    options = ap._subparsers._group_actions[0].choices[args.command]._option_string_actions
+    options = ap.commands[args.command]._option_string_actions
     tokens = []
     with open(args.config) as fh:
         try:  # argv parses alone, so every error here lies in the file or clashes with argv

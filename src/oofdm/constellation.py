@@ -1,6 +1,7 @@
 """Unit-power QAM/PAM alphabets (`unit_alphabet`, built once per kind and order),
-the per-axis ML detector `quantize`, closed-form SER, and the rim-based
-detection-error power model.
+the per-axis ML detector `quantize`, its symbol error rate `grid_ser` (exact on
+every m_i x m_q grid, PAM the m_i = 1 one, as the axes err independently), and
+the rim-based detection-error power model.
 
 The rim model approximates E{|x - xhat|^2} for ML detection of M-QAM in
 complex AWGN from the neighbors in the first three rims around the sent point.
@@ -82,26 +83,16 @@ def min_distance(M, power):
     return np.sqrt(6.0 * np.asarray(power, dtype=float) / (M - 1))
 
 
-def ser_qam(M, eps, sigma2):
-    """Symbol error rate of square M-QAM with average power eps in complex
-    AWGN of power sigma2: 4a*Q(arg)*(1 - a*Q(arg)), a = (sqrt(M)-1)/sqrt(M).
-
-    Approximate for rectangular (odd log2 M) grids.
-    """
-    a = (np.sqrt(M) - 1.0) / np.sqrt(M)
-    with np.errstate(divide="ignore"):  # zero noise: Q(inf) = 0
-        q = qfunc(np.sqrt(3.0 * np.asarray(eps, dtype=float) / ((M - 1) * np.asarray(sigma2, dtype=float))))
-    return 4.0 * a * q * (1.0 - a * q)
-
-
-def ser_pam(M, eps, sigma2):
-    """Symbol error rate of M-PAM with average power eps when only one axis of
-    a complex AWGN of power sigma2 acts on the decision (per-axis variance
-    sigma2/2): 2(M-1)/M * Q(sqrt(6 eps / ((M^2-1) sigma2))).
+def grid_ser(d, m_i, m_q, sigma2):
+    """Symbol error rate of per-axis ML detection on an m_i x m_q grid of minimum
+    distance d in complex AWGN of power sigma2 (zero for zero noise), broadcast: each
+    axis errs with p = 2(1 - 1/m) Q(d / sqrt(2 sigma2)) (variance sigma2/2 against the
+    half distance), the symbol with p_I + p_Q - p_I p_Q. PAM is the m_i = 1 grid.
     """
     with np.errstate(divide="ignore"):  # zero noise: Q(inf) = 0
-        arg = np.sqrt(6.0 * np.asarray(eps, dtype=float) / ((M ** 2 - 1) * np.asarray(sigma2, dtype=float)))
-    return 2.0 * (M - 1.0) / M * qfunc(arg)
+        q = qfunc(d / np.sqrt(2.0 * np.asarray(sigma2, dtype=float)))
+    p_i, p_q = (2.0 * (1.0 - 1.0 / m) * q for m in (m_i, m_q))
+    return p_i + p_q - p_i * p_q
 
 
 @lru_cache(maxsize=None)

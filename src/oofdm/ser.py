@@ -2,7 +2,8 @@
 
 Two modes: "rcn_aware" feeds each layer the worst-case total noise (channel
 noise plus accumulated residual-clipping-noise bounds from earlier layers);
-"rcn_unaware" uses the channel noise alone.
+"rcn_unaware" uses the channel noise alone. `grid_ser` prices each bin on the grid
+its layer's detection tables decide on.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import ser_pam, ser_qam
+from .constellation import grid_ser
 from .multilayer import SchemeConfig
 from .rcn import noise_map, worst_case_noise
 
@@ -27,21 +28,20 @@ def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int =
     """Average symbol error probability over all loaded subcarriers.
 
     p_v: per-bin post-equalization noise power (length N). Every layer is
-    evaluated at its effective power P_s(k) against the per-bin noise.
+    evaluated at its effective power P_s(k) against the per-bin noise, all
+    layers' bins in one `grid_ser` call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     p_v = noise_map(config, p_v)
     noise = worst_case_noise(config, p_v, rims).p_z if mode == "rcn_aware" else p_v
-    # one SER call for every QAM layer's bins; only the last layer may be PAM
-    qam = [spec for spec in config.layers if spec.kind != "pam"]
-    layer_ser = []
-    if qam:
-        M, power, bins = (np.concatenate([getattr(spec, a) for spec in qam]) for a in ("M", "power", "bins"))
-        layer_ser = np.split(ser_qam(M, power, noise[bins]), np.cumsum([spec.bins.size for spec in qam])[:-1])
-    layer_ser += [ser_pam(spec.M, spec.power, noise[spec.bins]) for spec in config.layers[len(qam):]]
+    if not config.layers:
+        return SerReport([], 0.0)
+    d = np.concatenate([spec.tables.d_min[:, 0] * np.sqrt(spec.power) for spec in config.layers])
+    m = np.concatenate([spec.tables.top for spec in config.layers]) + 1.0
+    ser = grid_ser(d, m[:, 0], m[:, 1], noise[config.loaded_bins])
+    layer_ser = np.split(ser, np.cumsum([spec.bins.size for spec in config.layers])[:-1])
     total = 0.0
     for p in layer_ser:  # in layer order
         total += 2.0 * float(np.sum(p))
-    n_prime = config.n_loaded
-    return SerReport(layer_ser, total / n_prime if n_prime else 0.0)
+    return SerReport(layer_ser, total / config.n_loaded)

@@ -6,7 +6,8 @@ its average neighbor count, the counts enumerated on the alphabet's points.
 `exact_error_power` is the untruncated per-axis model: every offset, and the
 edge levels' decision cells with their full tails. `worst_case_noise_oracle`
 and `ser_oracle` run the noise chain and the SER model one layer at a time,
-each layer through the public `detection_error_power` or SER formula.
+each layer through the public `detection_error_power` or the per-axis SER of
+its bins' alphabets.
 """
 
 from functools import lru_cache
@@ -14,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from oofdm.constellation import detection_error_power, min_distance, ser_pam, ser_qam, unit_alphabet
+from oofdm.constellation import detection_error_power, min_distance, unit_alphabet
 from oofdm.modems import affected_subcarriers
 
 # Axis offsets (a, b), a >= b, in d_min units: rim r holds the positions with a = r.
@@ -92,11 +93,19 @@ def worst_case_noise_oracle(config, p_v, rims):
 
 
 def ser_oracle(config, p_v, mode, rims):
-    """(layer_ser, overall) of the SER model, one formula call per layer."""
+    """(layer_ser, overall) of the SER model, one layer at a time: on each axis of a
+    bin's m_i x m_q alphabet, at minimum distance d = d_min sqrt(P_s), an error
+    with p = 2(1 - 1/m) Q(d / sqrt(2 sigma2)), and a symbol error unless neither
+    axis errs, p_I + p_Q - p_I p_Q."""
     noise = worst_case_noise_oracle(config, p_v, rims)[0] if mode == "rcn_aware" else p_v
     layer_ser, total = [], 0.0
     for spec in config.layers:
-        ser = ser_pam if spec.kind == "pam" else ser_qam
-        layer_ser.append(ser(spec.M, spec.power, noise[spec.bins]))
+        grids = [unit_alphabet(spec.kind, int(M)) for M in spec.M]
+        d = np.array([c.d_min for c in grids]) * np.sqrt(spec.power)
+        with np.errstate(divide="ignore"):  # zero noise: Q(inf) = 0
+            q = tail(d / np.sqrt(2.0 * noise[spec.bins]))
+        p_i, p_q = (2.0 * (1.0 - 1.0 / np.array([getattr(c, m) for c in grids])) * q
+                    for m in ("m_i", "m_q"))
+        layer_ser.append(p_i + p_q - p_i * p_q)
         total += 2.0 * float(np.sum(layer_ser[-1]))
     return layer_ser, total / config.n_loaded if config.n_loaded else 0.0

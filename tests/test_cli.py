@@ -60,7 +60,7 @@ def test_readme_flag_table_matches_parser():
     section = README.read_text().split("## Command line", 1)[1]
     rows = dict(re.findall(r"^\| (`[\w-]+`|every one) \| (.*) \|$", section, re.M))
     common = set(re.findall(r"--[\w-]+", rows.pop("every one")))
-    subparsers = build_parser()._subparsers._group_actions[0].choices
+    subparsers = build_parser().commands
     assert {name.strip("`") for name in rows} == set(subparsers)
     for name, flags in rows.items():
         parser = subparsers[name.strip("`")]
@@ -464,9 +464,13 @@ def test_allocation_summary_holds_the_allocator_trace(tmp_path):
     for entry in summary:
         history = entry["history"]
         assert len(history) == entry["iterations"]
-        assert all(step.keys() == {"total_bits", "phi_size"} for step in history)
+        keys = {"total_bits", "phi_size"} | ({"noise_change"} if entry["mode"] == "rcn_aware" else set())
+        assert all(step.keys() == keys for step in history)
         assert history[-1]["total_bits"] == entry["total_bits"]
         assert history[-1]["phi_size"] == entry["loaded_subcarriers"]
+        if entry["mode"] == "rcn_aware":  # the stopping rule reads noise_change
+            assert entry["converged"] and history[-1]["noise_change"] <= 1e-3
+            assert all(step["noise_change"] > 1e-3 for step in history[:-1])
 
 
 def test_allocate_with_an_underflowing_budget_loads_nothing(tmp_path):
@@ -681,7 +685,7 @@ def test_config_file_error_names_the_file(tmp_path, capsys, text):
 def _config_options():
     """(subcommand, option) for every option a --config entry can set: not --help, nor
     --config, nor a required option, which the command line gives and so overrides."""
-    subparsers = build_parser()._subparsers._group_actions[0].choices
+    subparsers = build_parser().commands
     return [(name, action) for name, parser in subparsers.items() for action in parser._actions
             if action.option_strings and action.dest not in ("help", "config")
             and not action.required]
@@ -886,11 +890,11 @@ def _written_files(stdout):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(build_parser()._subparsers._group_actions[0].choices)), st.data())
+@given(st.sampled_from(sorted(build_parser().commands)), st.data())
 def test_any_argv_exits_cleanly(tmp_path_factory, command, data):
     # every option of the subcommand, read from the parser, given a valid value or an edge
     # token: the run succeeds and writes every file it names, or prints one error line
-    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    parser = build_parser().commands[command]
     tmp = tmp_path_factory.mktemp("argv")
     out = tmp / "out"
     argv = [command, f"--out={out}"] if "--out" in parser._option_string_actions else [command]

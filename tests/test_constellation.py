@@ -1,13 +1,13 @@
-"""Tests for constellation geometry, SER closed forms, and the rim model."""
+"""Tests for constellation geometry, the grid SER, and the rim model."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oofdm.constellation import (avg_neighbor_counts, detection_error_power, min_distance,
-                                 quantize, ser_pam, ser_qam, unit_alphabet)
+from oofdm.constellation import (avg_neighbor_counts, detection_error_power, grid_ser, min_distance,
+                                 quantize, unit_alphabet)
 from oofdm.multilayer import LayerSpec
-from oofdm.numerics import qfunc
+from oofdm.numerics import qfunc, qfunc_inv
 from rim_oracle import exact_error_power, nine_position_power
 
 # frozen Monte Carlo oracles (ML detection, 10^6 trials, seed 20240817):
@@ -138,44 +138,75 @@ def test_detect_roundtrip_noiseless():
     np.testing.assert_array_equal(detect(c.points, c), np.arange(64))
 
 
-def test_ser_qam_against_mc_oracle():
+def ser(kind, M, power, sigma2):
+    """`grid_ser` of the order-M alphabet of `kind` sent at `power`."""
+    c = unit_alphabet(kind, M)
+    return grid_ser(c.d_min * np.sqrt(power), c.m_i, c.m_q, sigma2)
+
+
+def test_grid_ser_of_16qam_against_mc_oracle():
     # complex noise power sigma2, eps/sigma2 = 100
-    assert abs(ser_qam(16, 100.0, 1.0) - SER_QAM16_SNR100_MC) <= 3 * SER_QAM16_SNR100_SE
+    assert abs(ser("qam", 16, 100.0, 1.0) - SER_QAM16_SNR100_MC) <= 3 * SER_QAM16_SNR100_SE
 
 
-def test_ser_qam_against_inline_mc():
-    # 10^5 noisy 16-QAM observations at a moderate operating point
-    rng = np.random.default_rng(5)
-    c = unit_alphabet("qam", 16)
-    sigma2 = 0.5
-    nobs = 10 ** 5
-    idx = rng.integers(0, 16, nobs)
-    noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(nobs)
-                                   + 1j * rng.standard_normal(nobs))
-    obs = np.sqrt(10.0) * c.points[idx] + noise  # sent at power 10
-    p_hat = np.mean(detect(obs / np.sqrt(10.0), c) != idx)
-    se = np.sqrt(p_hat * (1 - p_hat) / nobs)
-    assert abs(ser_qam(16, 10.0, sigma2) - p_hat) <= 3 * se
-
-
-def test_ser_pam_against_mc_oracle():
+def test_grid_ser_of_4pam_against_mc_oracle():
     # at eps/sigma2 = 200 a 10^6-trial MC run saw zero errors; the closed form
     # must stay below the rule-of-three upper bound 3/10^6
-    assert ser_pam(4, 200.0, 1.0) <= 3e-6
+    assert ser("pam", 4, 200.0, 1.0) <= 3e-6
 
 
-def test_ser_pam_against_inline_mc():
-    rng = np.random.default_rng(6)
-    c = unit_alphabet("pam", 4)
-    sigma2 = 1.0
+@pytest.mark.parametrize("kind,M,power,sigma2,seed", [("qam", 16, 10.0, 0.5, 5), ("pam", 4, 5.0, 1.0, 6)],
+                         ids=["16qam", "4pam"])
+def test_grid_ser_against_inline_mc(kind, M, power, sigma2, seed):
+    # 10^5 noisy observations at a moderate operating point
+    rng = np.random.default_rng(seed)
+    c = unit_alphabet(kind, M)
     nobs = 10 ** 5
-    idx = rng.integers(0, 4, nobs)
+    idx = rng.integers(0, M, nobs)
     noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(nobs)
                                    + 1j * rng.standard_normal(nobs))
-    obs = np.sqrt(5.0) * c.points[idx] + noise  # sent at power 5
-    p_hat = np.mean(detect(obs / np.sqrt(5.0), c) != idx)
+    obs = np.sqrt(power) * c.points[idx] + noise
+    p_hat = np.mean(detect(obs / np.sqrt(power), c) != idx)
     se = np.sqrt(p_hat * (1 - p_hat) / nobs)
-    assert abs(ser_pam(4, 5.0, sigma2) - p_hat) <= 3 * se
+    assert abs(ser(kind, M, power, sigma2) - p_hat) <= 3 * se
+
+
+@pytest.mark.parametrize("kind,M", [("qam", 4), ("qam", 16), ("qam", 64), ("qam", 256), ("qam", 1024),
+                                    ("pam", 2), ("pam", 4), ("pam", 16)])
+def test_grid_ser_is_the_square_qam_and_pam_formula(kind, M):
+    # square M-QAM: 4aQ(1 - aQ), a = 1 - 1/sqrt(M), Q at sqrt(3 eps / ((M - 1) sigma2));
+    # M-PAM, one axis of the complex noise: 2(1 - 1/M) Q(sqrt(6 eps / ((M^2 - 1) sigma2)))
+    eps, sigma2 = 10.0 ** np.linspace(-1.0, 4.0, 60), 1.0
+    if kind == "qam":
+        a, q = 1.0 - 1.0 / np.sqrt(M), qfunc(np.sqrt(3.0 * eps / ((M - 1) * sigma2)))
+        want = 4.0 * a * q * (1.0 - a * q)
+    else:
+        want = 2.0 * (1.0 - 1.0 / M) * qfunc(np.sqrt(6.0 * eps / ((M ** 2 - 1) * sigma2)))
+    got = ser(kind, M, eps, sigma2)
+    keep = want > 1e-300
+    np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
+
+
+GRID_ORDERS = [("qam", 2 ** b) for b in range(1, 9)] + [("pam", 2 ** b) for b in range(1, 5)]
+
+
+def test_grid_ser_matches_ml_detection_on_every_order():
+    # 4*10^5 unit-power symbols per order through the engine's detector, at the
+    # noise power where the axes' first-order error rate sum_axis 2(1 - 1/m) Q is
+    # 10^-2; the model must lie within 4 binomial standard errors of the count
+    rng = np.random.default_rng(200207)
+    nobs = 4 * 10 ** 5
+    for kind, M in GRID_ORDERS:
+        c = unit_alphabet(kind, M)
+        x = qfunc_inv(1e-2 / (2.0 * (1.0 - 1.0 / c.m_i) + 2.0 * (1.0 - 1.0 / c.m_q)))
+        sigma2 = c.d_min ** 2 / (2.0 * x ** 2)
+        model = grid_ser(c.d_min, c.m_i, c.m_q, sigma2)
+        idx = rng.integers(0, M, nobs)
+        obs = c.points[idx] + np.sqrt(sigma2 / 2) * (rng.standard_normal(nobs)
+                                                    + 1j * rng.standard_normal(nobs))
+        errors = np.count_nonzero(detect(obs, c) != idx)
+        z = (errors / nobs - model) / np.sqrt(model * (1.0 - model) / nobs)
+        assert abs(z) <= 4.0, f"{kind} {M}: z = {z:.2f}, model {model:.4g}"
 
 
 @pytest.mark.parametrize("M", [2 ** b for b in range(1, 9)])

@@ -239,13 +239,13 @@ def _pruned_allocation():
                          ids=["laco", "ado", "haco", "pam", "pruned"])
 def test_one_q_function_call_per_layer(qfunc_calls, cfg, rims):
     # the chain evaluates each zero-clipped layer's tails in one call, and the
-    # unaware SER model each layer kind (QAM, PAM) in one call over its bins
+    # unaware SER model every layer's bins, QAM and PAM, in one call
     p_v = ChannelProfile.exponential(N).bin_noise_power()
     worst_case_noise(cfg, p_v, rims)
     assert len(qfunc_calls) == sum(spec.kind == "aco" for spec in cfg.layers)
     qfunc_calls.clear()
     evaluate_ser(cfg, p_v, "rcn_unaware", rims)
-    assert len(qfunc_calls) == len({spec.kind == "pam" for spec in cfg.layers})
+    assert len(qfunc_calls) == 1
 
 
 def test_worst_case_noise_skips_non_qam_layers():

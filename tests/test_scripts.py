@@ -1,4 +1,5 @@
-"""Tests for the bench scripts' shared A/B harness in `scripts/bench_model.py`."""
+"""Tests for the bench scripts: the shared A/B harness in `scripts/bench_model.py`, and
+the fresh interpreters of `scripts/bench_cold_start.py`."""
 
 import importlib
 import subprocess
@@ -62,3 +63,26 @@ def test_commit_label_is_dirty_only_when_src_differs(tmp_path):
     assert bench_model.commit(src) == sha
     (src / "module.py").write_text("x = 2\n")
     assert bench_model.commit(src) == f"{sha}-dirty"
+
+
+def test_cold_start_runs_each_tree_in_its_own_interpreters(monkeypatch, tmp_path):
+    # no child is started: a stand-in for subprocess.run records each command and
+    # reports a fixed time, the parent tree's twice the change's
+    bench_cold_start = importlib.import_module("bench_cold_start")
+    srcs = {"change": tmp_path / "change" / "src", "parent": tmp_path / "parent" / "src"}
+    commands = []
+
+    def run(argv, env, **kwargs):
+        commands.append((argv, env["PYTHONPATH"]))
+        wall_s = 2.0 if env["PYTHONPATH"] == str(srcs["parent"]) else 1.0
+        return subprocess.CompletedProcess(argv, 0, stdout=f"[{wall_s}, false]\n")
+    monkeypatch.setattr(bench_cold_start.subprocess, "run", run)
+    reports = bench_cold_start.measure(srcs, 3)
+    rounds = [("change", "parent")] * 2 + [("parent", "change"), ("change", "parent")]
+    expected = [(bench_cold_start.PATHS[name], str(srcs[label]))
+                for name in bench_cold_start.PATHS for rnd in rounds for label in rnd]
+    assert [(argv[2], path) for argv, path in commands] == [
+        (bench_cold_start.CHILD.format(call=call), path) for call, path in expected]
+    assert all(argv[:2] == [sys.executable, "-c"] for argv, _ in commands)
+    assert reports == {label: {name: [[wall_s, False]] * 3 for name in bench_cold_start.PATHS}
+                       for label, wall_s in (("change", 1.0), ("parent", 2.0))}
