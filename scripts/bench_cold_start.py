@@ -22,7 +22,7 @@ from pathlib import Path
 
 from bench_model import ROOT, commit, race, summary, trees, write
 
-REPEATS = 7
+REPEATS = 21
 
 # Each path's first call, made after importing oofdm.cli.
 PATHS = {
