@@ -81,10 +81,13 @@ def ratios(change: list, parent: list) -> dict:
 
 
 def trees(doc: str) -> dict:
-    """Parse --parent: label -> `src/` of each tree to time, this checkout's ("change") first."""
+    """Parse --parent: label -> `src/` of each tree to time, this checkout's ("change") first.
+    Exits with one line if the parent is not inside a git checkout, as no commit could label it."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="src/ directory of a checkout to compare with")
     parent = parser.parse_args().parent
+    if parent and commit(parent) is None:
+        sys.exit(f"--parent {parent} is not inside a git checkout: clone the parent commit instead")
     return {"change": ROOT / "src", **({"parent": parent.resolve()} if parent else {})}
 
 

@@ -14,10 +14,10 @@ a batch's symbols whole, then modulates and draws the noise of one row block of 
 512 KiB of frame samples at a time, so that a block's signals stay in cache. It yields each
 block's sent indices, frames x and noise v, and the CLI's frame dump reads frame 0 of the
 first block. `multilayer.layer_noise` measures an instrumented block's RCN from its sent and
-detected indices, on each layer's period. The generator fills in order and every step
-is row-independent: results depend on the seed only, never on the block. The engine
-loads no scipy module: `rcn_statistics` alone needs `scipy.stats` and imports it when
-called.
+detected indices, on each layer's period; only zero-clipped layers are instrumented. The
+generator fills in order and every step is row-independent: results depend on the seed
+only, never on the block. The engine loads no scipy module: `rcn_statistics` imports
+`scipy.special` when called, for the normal CDF of its KS distances.
 """
 from __future__ import annotations
 
@@ -40,8 +40,9 @@ _BLOCK_ELEMS = 1 << 16
 class ChannelProfile:
     """Per-subcarrier gain H(k); the pre-equalization noise is white with unit power.
 
-    A real frame sees |H(k)| = |H(N-k)|, and equalization needs a finite,
-    nonzero H(k); a profile that breaks either is rejected when it is built.
+    A real frame sees |H(k)| = |H(N-k)|, and equalization needs a finite, positive noise
+    power N/|H(k)|^2 (|H(k)|^2 neither overflows nor underflows to zero); a profile that
+    breaks either is rejected when it is built.
     """
     n: int
     h: np.ndarray | None = None   # None means flat (H = 1)
@@ -51,8 +52,11 @@ class ChannelProfile:
         if self.h is not None and np.shape(self.h) != (self.n,):
             raise ValueError(f"channel gain must have shape ({self.n},), got {np.shape(self.h)}")
         g = self.gain
-        if not np.all(np.isfinite(g) & (g != 0.0)):
-            raise ValueError("channel gain must be finite and nonzero on all bins")
+        with np.errstate(over="ignore", divide="ignore"):
+            noise = self.bin_noise_power()
+        if not np.all((noise > 0.0) & (noise < np.inf)):  # a NaN gain fails both
+            raise ValueError("channel gain must be finite, with a finite positive noise power"
+                             " N/|H(k)|^2, on all bins")
         if not np.allclose(g, np.roll(g[::-1], 1)):
             raise ValueError("channel magnitude must satisfy |H(k)| = |H(N-k)|")
 
@@ -171,9 +175,12 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     Returns a dict with per-layer error counts, overall and per-layer SER with
     their standard errors (sample SD of the per-frame SER over sqrt(frames);
     nan for one frame), and (when instrumented) per-frame delta/error powers
-    and probe-bin clipping-noise samples per layer. A probe bin implies instrumentation.
+    and probe-bin clipping-noise samples per layer. A probe bin implies instrumentation,
+    which measures zero-clipped layers only: it rejects a config with a DCO layer.
     """
     instrument = instrument or probe_bin is not None
+    if instrument and any(sp.kind == "dco" for sp in scheme_cfg.layers):
+        raise ValueError("an instrumented run measures zero-clipped layers only, not a DCO layer")
     frame_err, noise = [], []
     for sent, x, v in _blocks(scheme_cfg, profile, frames, seed):
         if profile.h is None:  # white noise in time; a selective channel's V joins each layer's bins
@@ -213,10 +220,11 @@ def rcn_statistics(probe: np.ndarray, gamma_db: float):
     the layers whose affected sets hold the bin. Normalizes real/imaginary
     parts by the standard deviation of their combined sample set and returns
     the normalized covariance matrix `rho` and Kolmogorov-Smirnov distances
-    `ks` to N(0,1), with the normalized samples.
+    `ks` to N(0,1), with the normalized samples. The KS distance of sorted samples
+    x_(1..n) is max_i max(i/n - Phi(x_(i)), Phi(x_(i)) - (i-1)/n), as `scipy.stats.kstest`
+    forms it; `scipy.stats` itself would more than double the process's start-up.
     """
-    # scipy.stats alone more than doubles the package's import time and memory
-    from scipy import stats
+    from scipy.special import ndtr
 
     centered = probe - probe.mean(axis=1, keepdims=True)
     var = np.mean(np.abs(centered) ** 2, axis=1)
@@ -227,9 +235,11 @@ def rcn_statistics(probe: np.ndarray, gamma_db: float):
     rho /= np.sqrt(np.outer(var, var))
     sd = np.std(np.concatenate([probe.real, probe.imag], axis=1), axis=1, keepdims=True)
     norm_re, norm_im = probe.real / sd, probe.imag / sd
-    ks = [(stats.kstest(re, "norm").statistic, stats.kstest(im, "norm").statistic)
-          for re, im in zip(norm_re, norm_im)]
-    return {"rho": rho, "ks": ks, "normalized_re": norm_re, "normalized_im": norm_im}
+    cdf = ndtr(np.sort(np.stack([norm_re, norm_im], axis=1), axis=-1))  # (T, 2, frames)
+    steps = np.arange(probe.shape[1] + 1) / probe.shape[1]
+    ks = np.maximum((steps[1:] - cdf).max(axis=-1), (cdf - steps[:-1]).max(axis=-1))
+    return {"rho": rho, "ks": [tuple(pair) for pair in ks], "normalized_re": norm_re,
+            "normalized_im": norm_im}
 
 
 def _probed_layers(n: int, probe_bin: int) -> int:

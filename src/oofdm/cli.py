@@ -287,8 +287,9 @@ def build_parser():
 
 def _apply_config(ap, args, argv):
     """`args` parsed again with each --config JSON entry as its flag, ahead of `argv`'s
-    flags so that those win; a key must name an option of the subcommand exactly."""
-    options = ap.commands[args.command]._option_string_actions
+    flags so that those win; a key must name an option of the subcommand exactly, and an
+    option whose parsed value is a bool is a switch."""
+    parsed = {dest: value for dest, value in vars(args).items() if dest not in ("command", "func")}
     tokens = []
     with open(args.config) as fh:
         try:  # argv parses alone, so every error here lies in the file or clashes with argv
@@ -296,10 +297,10 @@ def _apply_config(ap, args, argv):
             if not isinstance(entries, dict):
                 raise ValueError("expected a JSON object of option defaults")
             for key, value in entries.items():
-                flag = "--" + key.replace("_", "-")
-                if flag not in options or flag == "--help":
+                dest = key.replace("-", "_")
+                if dest not in parsed:
                     raise ValueError(f"unknown {args.command} option {key}")
-                switch = options[flag].nargs == 0
+                flag, switch = "--" + key.replace("_", "-"), isinstance(parsed[dest], bool)
                 if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
                     kind = "true or false" if switch else "a string or number"
                     raise ValueError(f"{key}: expected {kind}, got {json.dumps(value)}")

@@ -11,9 +11,9 @@ detects: it keeps the residual folded onto the current layer's period, takes
 its real FFT, adds a selective channel's noise spectrum to the layer's bins,
 scales them by 1/sqrt(P_s) (a zero-clipped layer is loaded at 2*sqrt(P_s), and
 clipping halves its bins), detects them in one quantizer call and, but for the
-last layer, subtracts L times the layer remodulated. `layer_noise` measures the RCN from the sent and detected indices on
-each layer's period too, tiling only the RCN and the squared detection error to
-full length.
+last layer, subtracts L times the layer remodulated. `layer_noise` measures the RCN of
+zero-clipped (ACO and PAM) layers from the sent and detected indices on each layer's
+period too, tiling only the RCN and the squared detection error to full length.
 """
 from __future__ import annotations
 
@@ -160,12 +160,6 @@ def _synthesize(spec: LayerSpec, idx, n: int):
     return np.fft.irfft(half, n // L)
 
 
-def _dco_bias(s):
-    """Per-frame DCO clipping level (F, 1): DCO_BIAS standard deviations of the
-    layer's own pre-clipping frames `s`."""
-    return DCO_BIAS * np.std(s, axis=-1, keepdims=True)
-
-
 def _observations(spectrum, tables: LayerTables, noise=None):
     """The layer's bins as float (re, im) pairs (F, n_j, 2), plus `noise` at those bins in
     the same layout if given, scaled by `gain`: numpy divides complex by real through the
@@ -194,8 +188,8 @@ def modulate(config: SchemeConfig, sym_idx) -> np.ndarray:
     n, parts = config.n, []
     for spec, idx in zip(config.layers, sym_idx):
         s = _synthesize(spec, idx, n)
-        if spec.kind == "dco":  # the last layer, clipped at a per-frame bias
-            s += _dco_bias(s)
+        if spec.kind == "dco":  # the last layer, biased by DCO_BIAS SDs of its own frame
+            s += DCO_BIAS * np.std(s, axis=-1, keepdims=True)
         parts.append(np.maximum(s, 0.0, out=s))
     x = parts[0] if parts[0].shape[-1] == n else np.tile(parts[0], n // parts[0].shape[-1])
     for x_j in parts[1:]:
@@ -229,22 +223,16 @@ def _detect(resid, config: SchemeConfig, noise=None) -> list:
 def layer_noise(config: SchemeConfig, sent_idx, det_idx, probe_bin: int | None = None):
     """Per-frame RCN power mean(delta_t^2), error power mean(e_t^2) and RCN sample FFT(delta_t)
     at `probe_bin` (or None) of each layer, as (J, F) arrays, from sent and detected indices.
-    delta_t and e_t^2 are formed on one period and then tiled: elementwise steps commute with
-    tiling, so the results equal those of full-length frames bit for bit."""
+    Every layer is taken as zero-clipped (ACO or PAM), so delta_t = (|s_t| - |s_t + e_t|)/2;
+    `run_point` rejects a config with a DCO layer. delta_t and e_t^2 are formed on one
+    period and then tiled: elementwise steps commute with tiling, so the results equal
+    those of full-length frames bit for bit."""
     ph = None if probe_bin is None else np.exp(-2j * np.pi * probe_bin * np.arange(config.n) / config.n)
     delta_power, err_power, probe = [], [], []
     for spec, sent, det in zip(config.layers, sent_idx, det_idx):  # one layer's frames at a time
         s, s_hat = (_synthesize(spec, idx, config.n) for idx in (sent, det))
         e = s_hat - s
-        if spec.kind == "dco":
-            # bias-clipped layer, both frames at the sent bias: residual after
-            # subtraction, shifted so that the three-term decomposition stays exact
-            bias = _dco_bias(s)
-            x, x_hat = (np.maximum(v + bias, 0.0) for v in (s, s_hat))
-            delta = x - x_hat + 0.5 * e
-        else:
-            delta = 0.5 * (np.abs(s) - np.abs(s + e))
-        delta = np.tile(delta, spec.fold)
+        delta = np.tile(0.5 * (np.abs(s) - np.abs(s + e)), spec.fold)
         delta_power.append(np.mean(delta ** 2, axis=-1))
         err_power.append(np.mean(np.tile(e ** 2, spec.fold), axis=-1))
         probe.append(None if ph is None else delta @ ph)

@@ -13,7 +13,7 @@ import pytest
 import oofdm.channel as channel_module
 from oofdm.allocate import allocate
 from oofdm.channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
-                           measure_power_relations, post_eq_noise, run_point)
+                           measure_power_relations, post_eq_noise, rcn_statistics, run_point)
 from oofdm.modems import affected_subcarriers
 from oofdm.multilayer import SchemeConfig, _detect
 from txrx import receive, transmit
@@ -187,6 +187,16 @@ def test_profile_rejects_bad_gains_when_built(k, gain):
         ChannelProfile(N, h)
 
 
+@pytest.mark.parametrize("gain", [1e200, 1e-200])
+def test_profile_rejects_a_gain_whose_noise_power_is_not_positive_and_finite(gain):
+    # |H|^2 overflowed to inf (noise power 0) or underflowed to 0 (noise power inf),
+    # and the allocator left the best bins empty
+    h = np.ones(N)
+    h[[3, N - 3]] = gain
+    with pytest.raises(ValueError, match=r"finite positive noise power N/\|H\(k\)\|\^2"):
+        ChannelProfile(N, h)
+
+
 def test_profile_accepts_a_phase_on_one_mirror():
     h = np.ones(N, dtype=complex)
     h[5] = -1j  # |H(5)| = |H(N-5)| still holds
@@ -266,19 +276,23 @@ def test_run_point_stderr_of_one_frame_is_nan():
 @pytest.mark.parametrize("scheme,layers,channel", [("laco", 9, "flat"), ("ado", None, "exp"),
                                                    ("haco", None, "exp")])
 def test_run_point_results_do_not_depend_on_the_block(monkeypatch, scheme, layers, channel):
-    # 7-row blocks divide neither the 150-frame batches nor the 40-frame tail
+    # 7-row blocks divide neither the 150-frame batches nor the 40-frame tail; the DCO
+    # layer of ADO cannot be instrumented, so that run compares the error counts only
     cfg = SchemeConfig.uniform(scheme, N, 16, gamma_to_p_eff(scheme, 14.0, 1.0, layers), layers)
     prof = ChannelProfile.flat(N) if channel == "flat" else ChannelProfile.exponential(N)
     monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 150)
+    probe_bin = None if scheme == "ado" else 4
 
     def run():
-        return run_point(cfg, prof, frames=340, seed=3, instrument=True, probe_bin=4)
+        return run_point(cfg, prof, frames=340, seed=3, probe_bin=probe_bin)
     default = run()
     monkeypatch.setattr(channel_module, "_BLOCK_ELEMS", 7 * N)
     blocked = run()
     assert default["ser"] == blocked["ser"] and default["stderr"] == blocked["stderr"]
+    assert blocked.keys() == default.keys()
     for key in ("layer_errors", "delta_power", "err_power", "probe", "layer_stderr"):
-        np.testing.assert_array_equal(blocked[key], default[key])
+        if key in default:
+            np.testing.assert_array_equal(blocked[key], default[key])
 
 
 # Per-layer error counts of run_point(cfg, flat, frames=500, seed=0) at 18 dB
@@ -306,7 +320,7 @@ def test_run_point_layer_errors_match_recorded(scheme, layers):
 RECORDED_ARRAYS = Path(__file__).parent / "data" / "run_point_exponential.npz"
 
 
-@pytest.mark.parametrize("name", ["laco", "ado", "haco", "alloc"])
+@pytest.mark.parametrize("name", ["laco", "haco", "alloc"])
 def test_run_point_instrumented_arrays_match_recorded(monkeypatch, name):
     with np.load(RECORDED_ARRAYS) as rec:
         recorded = dict(rec)
@@ -343,6 +357,19 @@ def test_measure_rcn_power_shapes(monkeypatch):
     assert out["delta_power"][0].mean() == pytest.approx(0.427, rel=0.10)
 
 
+@pytest.mark.parametrize("scheme", ["ado", "dco"])
+@pytest.mark.parametrize("kw", [{"instrument": True}, {"probe_bin": 4}], ids=["instrument", "probe"])
+def test_instrumented_run_rejects_a_dco_layer(monkeypatch, scheme, kw):
+    # the zero-clipped RCN does not describe a bias-clipped layer; the run fails before
+    # its first block is drawn
+    def no_blocks(*args):
+        raise AssertionError("a frame was drawn")
+    monkeypatch.setattr(channel_module, "_blocks", no_blocks)
+    cfg = SchemeConfig.uniform(scheme, N, 16, 1.0)
+    with pytest.raises(ValueError, match="zero-clipped layers only, not a DCO layer"):
+        run_point(cfg, ChannelProfile.flat(N), frames=10, seed=0, **kw)
+
+
 def test_probe_bin_implies_instrumentation():
     # a probe bin without instrument=True was dropped without an error
     cfg = SchemeConfig.uniform("laco", N, 16, gamma_to_p_eff("laco", 14.0, 1.0, 9, True), 9)
@@ -375,12 +402,19 @@ def test_measure_power_relations_multi_layer():
     assert mc["p_elec"] == pytest.approx(2.0 + 2.0 / np.pi, rel=0.05)
 
 
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this checkout's package; assert it exits 0."""
+    src = str(Path(channel_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_package_use_leaves_scipy_stats_unloaded():
-    # scipy.stats more than doubles the start-up of every process; only
-    # rcn_statistics may load it. The engine and the power relations load no
-    # scipy at all; the first Q-function call (here the allocator's) loads
-    # scipy.special alone
-    code = """if True:
+    # scipy.stats more than doubles the start-up of every process. The engine and
+    # the power relations load no scipy at all; the first Q-function call (here
+    # the allocator's) loads scipy.special alone
+    _run_fresh("""if True:
         import sys
         import oofdm, oofdm.cli
         from oofdm import (ChannelProfile, SchemeConfig, allocate, measure_power_relations,
@@ -394,8 +428,30 @@ def test_package_use_leaves_scipy_stats_unloaded():
         allocate(ChannelProfile.exponential(64), 100.0, 1e-2)
         assert "scipy.special" in sys.modules, "allocate ran without scipy.special"
         assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
-    """
-    src = str(Path(channel_module.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    """)
+
+
+def test_rcn_statistics_leaves_scipy_stats_unloaded():
+    # its KS distances imported scipy.stats, which alone doubled the start-up time
+    _run_fresh("""if True:
+        import sys
+        import numpy as np
+        from oofdm.channel import rcn_statistics
+        rng = np.random.default_rng(0)
+        rcn_statistics(rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50)), 0.0)
+        assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+    """)
+
+
+@pytest.mark.parametrize("frames", [2, 3, 50, 1001])
+def test_rcn_statistics_ks_distances_equal_kstest(frames):
+    from scipy import stats
+
+    rng = np.random.default_rng(frames)
+    probe = rng.standard_normal((3, frames)) + 1j * rng.standard_normal((3, frames))
+    probe[1] = probe[1] ** 3  # heavy tails, far from N(0, 1)
+    probe[2] = np.round(probe[2], 1)  # tied samples
+    res = rcn_statistics(probe, 0.0)
+    expected = [(stats.kstest(re, "norm").statistic, stats.kstest(im, "norm").statistic)
+                for re, im in zip(res["normalized_re"], res["normalized_im"])]
+    assert res["ks"] == expected

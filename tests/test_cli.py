@@ -620,6 +620,19 @@ def test_allocate_on_asymmetric_channel_is_an_error(tmp_path, capsys):
     assert not list(tmp_path.glob("allocation_*.csv"))
 
 
+def test_allocate_on_a_channel_whose_gain_squared_overflows_is_an_error(tmp_path, capsys):
+    # |H|^2 = inf gave bins 1 and 15 zero noise: a cast warning, both left empty, exit 0
+    path = tmp_path / "h.csv"
+    path.write_text("k,h\n1,1e200\n15,1e200\n")
+    rc = main(["allocate", "--n", "16", "--channel", str(path), "--gammas-eff", "10",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "noise power" in err
+    assert not list(tmp_path.glob("allocation_*"))
+
+
 @pytest.mark.parametrize("argv", [["ser", "--gammas", "4000", "--runs", "5"],
                                   ["rcn-power", "--gammas-eff", "1e308", "--runs", "5"],
                                   ["rcn-stats", "--gammas-eff", "4000", "--runs", "5", "--bin", "4"],

@@ -452,12 +452,13 @@ def test_modulate_over_row_splits_equals_transmit(scheme_layers, frames, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["haco", "aco", "dco", "pam", "allocation"]), st.integers(0, 2 ** 32 - 1),
+@given(st.sampled_from(["haco", "aco", "pam", "allocation"]), st.integers(0, 2 ** 32 - 1),
        st.floats(0.05, 1.0), st.integers(0, N_PROP - 1))
 def test_layer_noise_on_one_period_equals_full_length_oracle(scheme, seed, sigma, probe_bin):
     # the per-period delta and error powers and probe equal those of the full-length
-    # frames of the oracle bit for bit, for a PAM layer, the single-layer schemes,
-    # and an allocation whose odd bins are empty, so that its first layer has period N/2
+    # frames of the oracle bit for bit, for a PAM layer, the zero-clipped single-layer
+    # schemes, and an allocation whose odd bins are empty, so that its first layer has
+    # period N/2
     rng = np.random.default_rng(seed)
     if scheme == "allocation":
         bits = rng.integers(0, 7, N_PROP)

@@ -65,6 +65,21 @@ def test_commit_label_is_dirty_only_when_src_differs(tmp_path):
     assert bench_model.commit(src) == f"{sha}-dirty"
 
 
+def test_ab_refuses_a_parent_outside_a_git_checkout(monkeypatch, tmp_path, capsys):
+    # a git archive export was timed and recorded as "commit": null
+    def never(*args):
+        raise AssertionError("a tree was loaded or timed")
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    monkeypatch.setattr(bench_model, "load", never)
+    monkeypatch.setattr(bench_model, "race", never)
+    parent = tmp_path / "export" / "src"
+    parent.mkdir(parents=True)
+    monkeypatch.setattr(sys, "argv", ["bench_model.py", "--parent", str(parent)])
+    with pytest.raises(SystemExit) as exc:
+        bench_model.ab(bench_model.__doc__, never, 1)
+    assert exc.value.code == f"--parent {parent} is not inside a git checkout: clone the parent commit instead"
+
+
 def test_cold_start_runs_each_tree_in_its_own_interpreters(monkeypatch, tmp_path):
     # no child is started: a stand-in for subprocess.run records each command and
     # reports a fixed time, the parent tree's twice the change's
