@@ -97,8 +97,9 @@ def allocate(channel: ChannelProfile, p_eff: float, p_e: float,
         phi = loadable
         while True:
             powers = waterfill(p_z, phi, budget)
-            rate = np.log2(1.0 + powers[phi] / (gamma_gap * p_z[phi]))
-            b = np.minimum(np.floor(rate).astype(np.int64), max_bits)
+            with np.errstate(over="ignore"):  # a huge gain overflows the rate to inf, clamped below
+                rate = np.log2(1.0 + powers[phi] / (gamma_gap * p_z[phi]))
+            b = np.floor(np.minimum(rate, max_bits)).astype(np.int64)
             bits = np.zeros(n, dtype=np.int64)
             bits[phi] = b
             if np.all(b > 0) or not np.any(b > 0):

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .modems import layer_index, power_relations
+from .modems import PowerPair, layer_index, power_relations
 from .multilayer import SchemeConfig, _detect, draw_symbols, layer_noise, modulate
 from .numerics import _check_length
 
@@ -204,7 +204,6 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
         "layer_errors": err_counts,
         "layer_ser": [e / (frames * nb) for e, nb in zip(err_counts, n_bins)],
         "layer_stderr": se[1:].tolist(),
-        "frames": frames,
     }
     for key, parts in zip(("delta_power", "err_power", "probe"), zip(*noise)):
         if parts[0] is not None:  # no probe without a probe bin
@@ -251,7 +250,7 @@ def _probed_layers(n: int, probe_bin: int) -> int:
 
 
 def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 64,
-                            frames: int = 1000, seed: int = 0, layers: int | None = None):
+                            frames: int = 1000, seed: int = 0, layers: int | None = None) -> PowerPair:
     """Monte Carlo estimate of (P_elec, P_opt) of a transmitter at the given
     effective power, for comparison against the closed forms."""
     cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers)
@@ -263,4 +262,4 @@ def measure_power_relations(scheme: str, p_eff: float, n: int = 1024, M: int = 6
             mean_sum += float(np.sum(x))
     if not np.isfinite(sq_sum + mean_sum):
         raise ValueError(f"the transmitted power overflows at P_eff = {p_eff:g}")
-    return {"p_elec": sq_sum / (frames * n), "p_opt": mean_sum / (frames * n)}
+    return PowerPair(sq_sum / (frames * n), mean_sum / (frames * n))

@@ -101,10 +101,10 @@ def cmd_power_relations(args):
         mc = measure_power_relations(args.scheme, args.peff, n=args.n, M=args.m,
                                      frames=args.validate, seed=args.seed,
                                      layers=layers)
-        rel_e = abs(mc["p_elec"] - closed.p_elec) / closed.p_elec
-        rel_o = abs(mc["p_opt"] - closed.p_opt) / closed.p_opt
-        lines.append(f"monte carlo ({args.validate} frames): P_elec={mc['p_elec']:.6g} "
-                     f"({rel_e:.2%}) P_opt={mc['p_opt']:.6g} ({rel_o:.2%})")
+        rel_e = abs(mc.p_elec - closed.p_elec) / closed.p_elec
+        rel_o = abs(mc.p_opt - closed.p_opt) / closed.p_opt
+        lines.append(f"monte carlo ({args.validate} frames): P_elec={mc.p_elec:.6g} "
+                     f"({rel_e:.2%}) P_opt={mc.p_opt:.6g} ({rel_o:.2%})")
     print("\n".join(lines))  # only once every input has passed its check
     return 0
 
@@ -171,9 +171,8 @@ def cmd_rcn_stats(args):
     cov_rows, cdf_rows = [], []
     for gamma, _, point in _points(args, channel, "laco", gammas, effective=True, probe_bin=args.bin):
         res = rcn_statistics(point["probe"][:t_max], gamma)
-        t_count = res["rho"].shape[0]
-        for t1 in range(t_count):
-            for t2 in range(t_count):
+        for t1 in range(t_max):
+            for t2 in range(t_max):
                 cov_rows.append([gamma, t1 + 1, t2 + 1, abs(res["rho"][t1, t2])])
             ks_re, ks_im = res["ks"][t1]
             for part, samples, ks in (("re", res["normalized_re"][t1], ks_re),

@@ -33,7 +33,6 @@ def _axis_levels(m: int):
 class Constellation:
     """One unit-power alphabet: an m_i x m_q QAM grid, or purely imaginary 1 x M
     PAM. Point index order is row-major over (I level, Q level); `points` is read-only."""
-    M: int
     points: np.ndarray
     d_min: float
     m_i: int
@@ -57,7 +56,7 @@ def unit_alphabet(kind: str, M: int) -> Constellation:
     scale = np.sqrt(3.0 / (m_i ** 2 + m_q ** 2 - 2))
     points = (_axis_levels(m_i)[:, None] + 1j * _axis_levels(m_q)[None, :]).ravel() * scale
     points.flags.writeable = False
-    return Constellation(M, points, 2.0 * scale, m_i, m_q)
+    return Constellation(points, 2.0 * scale, m_i, m_q)
 
 
 def quantize(pairs, d_min, top, m_q):
@@ -89,8 +88,8 @@ def grid_ser(d, m_i, m_q, sigma2):
     axis errs with p = 2(1 - 1/m) Q(d / sqrt(2 sigma2)) (variance sigma2/2 against the
     half distance), the symbol with p_I + p_Q - p_I p_Q. PAM is the m_i = 1 grid.
     """
-    with np.errstate(divide="ignore"):  # zero noise: Q(inf) = 0
-        q = qfunc(d / np.sqrt(2.0 * np.asarray(sigma2, dtype=float)))
+    with np.errstate(divide="ignore"):  # zero noise (+ 0.0 turns -0.0 into 0.0): Q(inf) = 0
+        q = qfunc(d / np.sqrt(2.0 * np.asarray(sigma2, dtype=float) + 0.0))
     p_i, p_q = (2.0 * (1.0 - 1.0 / m) * q for m in (m_i, m_q))
     return p_i + p_q - p_i * p_q
 

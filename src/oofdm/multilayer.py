@@ -48,7 +48,7 @@ class LayerSpec:
         """Per-bin mapping and detection tables, built on first use."""
         orders, pos = np.unique(self.M, return_inverse=True)
         alphabets = [unit_alphabet(self.kind, int(order)) for order in orders]
-        start = np.cumsum([0] + [c.M for c in alphabets])[:-1]
+        start = np.cumsum([0] + [c.points.size for c in alphabets])[:-1]
         d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
                            for a in ("d_min", "m_i", "m_q"))
         root = np.sqrt(self.power)

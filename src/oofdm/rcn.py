@@ -69,6 +69,5 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
         f = _rim_power(d[lo:hi], p_z[spec.bins], counts[..., lo:hi], rims)
         bin_powers[i] = 2.0 * float(np.sum(f)) / k_t  # both Hermitian mirrors
         delta_powers[i] = bin_powers[i] * k_t / n ** 2
-        if bin_powers[i] > 0.0:
-            p_z[affected_subcarriers(L.bit_length(), n)] += bin_powers[i]
+        p_z[affected_subcarriers(L.bit_length(), n)] += bin_powers[i]
     return NoiseProfile(p_z, bin_powers, delta_powers)

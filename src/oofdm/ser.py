@@ -33,8 +33,7 @@ def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int =
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    p_v = noise_map(config, p_v)
-    noise = worst_case_noise(config, p_v, rims).p_z if mode == "rcn_aware" else p_v
+    noise = worst_case_noise(config, p_v, rims).p_z if mode == "rcn_aware" else noise_map(config, p_v)
     if not config.layers:
         return SerReport([], 0.0)
     d = np.concatenate([spec.tables.d_min[:, 0] * np.sqrt(spec.power) for spec in config.layers])

@@ -142,6 +142,17 @@ def test_history_records_each_iteration():
     assert res.history[-1]["total_bits"] == res.total_bits
 
 
+@pytest.mark.parametrize("mode", ["rcn_aware", "rcn_unaware"])
+def test_an_overflowing_rate_loads_the_most_bits(mode):
+    # |H(k)|^2 = 1e308 on bins 1 and 15: P_s/P_z overflowed to inf, whose cast to int64
+    # warned and left the two best bins empty
+    h = np.ones(16)
+    h[[1, 15]] = 1e154
+    res = allocate(ChannelProfile(16, h), 10.0, 1e-2, mode=mode)
+    assert res.bits[1] == res.bits[15] == 8
+    assert np.all(res.bits <= 8) and np.all(np.isfinite(res.powers))
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         allocate(ChannelProfile.flat(N), 1.0, 1e-2, mode="genie")

@@ -393,13 +393,13 @@ def test_probed_layers_match_affected_set_membership():
 
 def test_measure_power_relations_single_layer():
     mc = measure_power_relations("aco", 1.0, n=N, M=16, frames=400, seed=3)
-    assert mc["p_elec"] == pytest.approx(2.0, rel=0.05)
-    assert mc["p_opt"] == pytest.approx(np.sqrt(2.0 / np.pi), rel=0.05)
+    assert mc.p_elec == pytest.approx(2.0, rel=0.05)
+    assert mc.p_opt == pytest.approx(np.sqrt(2.0 / np.pi), rel=0.05)
 
 
 def test_measure_power_relations_multi_layer():
     mc = measure_power_relations("haco", 1.0, n=N, M=16, frames=400, seed=4)
-    assert mc["p_elec"] == pytest.approx(2.0 + 2.0 / np.pi, rel=0.05)
+    assert mc.p_elec == pytest.approx(2.0 + 2.0 / np.pi, rel=0.05)
 
 
 def _run_fresh(code):

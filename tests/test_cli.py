@@ -480,6 +480,19 @@ def test_allocate_with_an_underflowing_budget_loads_nothing(tmp_path):
     assert len(summary) == 2 and all(entry["total_bits"] == 0 for entry in summary)
 
 
+def test_allocate_with_an_overflowing_rate_loads_the_best_bins(tmp_path):
+    # a gain of 1e154 overflowed the rate, which warned and left bins 1 and 15 empty
+    path = tmp_path / "h.csv"
+    path.write_text("k,h\n1,1e154\n15,1e154\n")
+    rc = main(["allocate", "--n", "16", "--gammas-eff", "10", "--channel", str(path),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    for mode in ("rcn_aware", "rcn_unaware"):
+        with open(tmp_path / f"allocation_{mode}_10dB.csv") as fh:
+            bits = {int(row["k"]): int(row["bits"]) for row in csv.DictReader(fh)}
+        assert bits[1] == bits[15] == 8, mode
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scheme": "haco", "peff": 2.0}))

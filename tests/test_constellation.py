@@ -54,6 +54,12 @@ def test_min_distance_matches_pairwise_enumeration():
     assert abs(d.min() - c.d_min) < 1e-12
 
 
+@pytest.mark.parametrize("M", [1, 0, -4])
+def test_min_distance_rejects_orders_below_two(M):
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        min_distance(np.array([4, M]), 1.0)
+
+
 def test_rectangular_qam_geometry():
     c = unit_alphabet("qam", 8)
     assert (c.m_i, c.m_q) == (4, 2)
@@ -185,6 +191,12 @@ def test_grid_ser_is_the_square_qam_and_pam_formula(kind, M):
     got = ser(kind, M, eps, sigma2)
     keep = want > 1e-300  # a tail's relative rounding grows as the square of its argument
     np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind,M", [("qam", 16), ("pam", 4)])
+def test_grid_ser_at_negative_zero_noise_is_zero(kind, M):
+    # sqrt(2 * -0.0) is -0.0, so the Q argument was -inf and a 16-QAM symbol erred at 0.75
+    assert ser(kind, M, 1.0, -0.0) == ser(kind, M, 1.0, 0.0) == 0.0
 
 
 def test_grid_ser_matches_ml_detection_on_every_order():

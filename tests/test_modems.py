@@ -208,6 +208,11 @@ def test_laco_power_relations():
         power_relations("laco", 1.0)
 
 
+def test_power_relations_rejects_an_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown scheme 'qam'"):
+        power_relations("QAM", 1.0)
+
+
 def test_power_relations_scale_linearly():
     t1 = power_relations("haco", 1.0)
     t4 = power_relations("haco", 4.0)

@@ -78,6 +78,14 @@ def test_config_rejects_orders_off_the_grid(order):
         SchemeConfig(64, [aco, mixed])
 
 
+@pytest.mark.parametrize("bins", [[], [0, 1], [1, 32], [1, 40]], ids=["none", "dc", "nyquist", "mirror"])
+def test_config_rejects_a_layer_without_bins_in_the_half_spectrum(bins):
+    bins = np.array(bins, dtype=np.int64)
+    spec = LayerSpec("aco", bins, np.full(bins.shape, 16), np.ones(bins.shape))
+    with pytest.raises(ValueError, match=r"independent bins in \[1, n/2\)"):
+        SchemeConfig(64, [spec])
+
+
 def test_config_rejects_decreasing_fold_factors():
     laco = SchemeConfig.uniform("laco", N, 16, 1.0, layers=3)
     SchemeConfig(N, [laco.layers[0], laco.layers[2]])  # a pruned, nested config

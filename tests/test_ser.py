@@ -89,6 +89,13 @@ def test_noise_map_must_be_non_negative(mode, bad):
 
 
 @pytest.mark.parametrize("mode", ["rcn_aware", "rcn_unaware"])
+def test_negative_zero_noise_gives_zero_ser(mode):
+    # -0.0 passes the non-negative check, but its sqrt is -0.0 and Q(-inf) = 1: SER 0.75
+    cfg = SchemeConfig.uniform("laco", 64, 16, 100.0, 3)
+    assert evaluate_ser(cfg, np.full(64, -0.0), mode).overall == 0.0
+
+
+@pytest.mark.parametrize("mode", ["rcn_aware", "rcn_unaware"])
 @pytest.mark.parametrize("scheme,layers", [("laco", 3), ("haco", None)])
 def test_zero_noise_on_a_loaded_bin_gives_zero_ser(mode, scheme, layers):
     # Q(inf) = 0; a zero noise power used to warn "divide by zero" on its way there.
