@@ -4,20 +4,20 @@ the measured power relations. The command line runs the SNR grid.
 
 Equalized reception model: y = x + v where v is the post-equalization noise, white
 unit-power Gaussian noise before equalization, so per-bin power N/|H(k)|^2 after it; a
-received frame is never inverted. On a flat channel v is drawn in time, white, and added
-to the sent frames. On a selective channel only its spectrum V(k) at the config's loaded
-bins is drawn, complex Gaussian with per-axis variance N/(2|H(k)|^2), and the receiver adds
-it to each layer's bins: every decision reads only those bins, so noise anywhere else never
-reaches one. A run draws its frames in batches of `DEFAULT_BATCH`: `_batches` seeds batch b
-with child b of `np.random.SeedSequence(seed)`, spawned as the batch starts; `_blocks` draws
-a batch's symbols whole, then modulates and draws the noise of one row block of about
-512 KiB of frame samples at a time, so that a block's signals stay in cache. It yields each
-block's sent indices, frames x and noise v, and the CLI's frame dump reads frame 0 of the
-first block. `multilayer.layer_noise` measures an instrumented block's RCN from its sent and
-detected indices, on each layer's period; only zero-clipped layers are instrumented. The
-generator fills in order and every step is row-independent: results depend on the seed
-only, never on the block. The engine loads no scipy module: `rcn_statistics` imports
-`scipy.special` when called, for the normal CDF of its KS distances.
+received frame is never inverted. On a flat channel v is drawn in time, white. On a
+selective channel only its spectrum V(k) at the config's loaded bins is drawn, complex
+Gaussian with per-axis variance N/(2|H(k)|^2): every decision reads only those bins, so
+noise anywhere else never reaches one. A run draws its frames in batches of
+`DEFAULT_BATCH`: `_batches` seeds batch b with child b of `np.random.SeedSequence(seed)`,
+spawned as the batch starts; `_blocks` draws a batch's symbols whole, then the noise of one
+row block of about 512 KiB of frame samples at a time, so that a block's arrays stay in
+cache. It yields each block's sent indices and noise v, which `multilayer._detect` decides
+in the bin domain: `run_point` never forms the frames x, which only the CLI's frame dump
+(frame 0 of the first block) and `measure_power_relations` modulate. `layer_noise` measures
+an instrumented block's RCN from its sent and detected indices, on each layer's period;
+only zero-clipped layers are instrumented. The generator fills in order and every step is
+row-independent: results depend on the seed only, never on the block. The engine loads no
+scipy module: `rcn_statistics` imports `scipy.special` when called, for its KS distances.
 """
 from __future__ import annotations
 
@@ -155,8 +155,8 @@ def _batches(frames: int, seed):
 
 
 def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed):
-    """(sent symbol indices per layer, sent frames x, post-equalization noise v) of each row
-    block of a run, in order; v is `post_eq_noise` at the config's loaded bins."""
+    """(sent symbol indices per layer, post-equalization noise v) of each row block of a run,
+    in order; v is `post_eq_noise` at the config's loaded bins."""
     if profile.n != scheme_cfg.n:
         raise ValueError(f"channel profile has N = {profile.n} but the scheme has N = {scheme_cfg.n}")
     rows = max(1, _BLOCK_ELEMS // scheme_cfg.n)
@@ -164,8 +164,7 @@ def _blocks(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed
         sym_idx = draw_symbols(scheme_cfg, rng, size)
         for lo in range(0, size, rows):
             sent = [idx[lo:lo + rows] for idx in sym_idx]
-            x = modulate(scheme_cfg, sent)
-            yield sent, x, post_eq_noise(profile, rng, len(x), scheme_cfg.loaded_bins)
+            yield sent, post_eq_noise(profile, rng, len(sent[0]), scheme_cfg.loaded_bins)
 
 
 def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, seed,
@@ -182,11 +181,8 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     if instrument and any(sp.kind == "dco" for sp in scheme_cfg.layers):
         raise ValueError("an instrumented run measures zero-clipped layers only, not a DCO layer")
     frame_err, noise = [], []
-    for sent, x, v in _blocks(scheme_cfg, profile, frames, seed):
-        if profile.h is None:  # white noise in time; a selective channel's V joins each layer's bins
-            x += v
-            v = None  # the noise block is freed before detection allocates its own arrays
-        det_idx = _detect(x, scheme_cfg, v)  # x is not read again
+    for sent, v in _blocks(scheme_cfg, profile, frames, seed):
+        det_idx = _detect(scheme_cfg, sent, v)
         frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, sent)])
         if instrument:
             noise.append(layer_noise(scheme_cfg, sent, det_idx, probe_bin))

@@ -2,9 +2,9 @@
 
 power-relations prints the closed-form power relations (and a Monte Carlo check).
 rcn-power, rcn-stats, ser and allocate build plot-ready CSV tables (allocate also a
-JSON summary), written only once the whole run has succeeded, with a JSON manifest
-(resolved configuration, seed, the oofdm, Python, numpy and scipy versions, output
-paths) that reproduces the run bit-exactly; one printed line names every file written.
+JSON summary), written only once the whole run has succeeded, with a JSON manifest (resolved
+configuration, seed, the oofdm, Python, numpy and scipy versions, output paths, argv and
+wall time) that reproduces the run bit-exactly; one printed line names every file written.
 
 Configuration precedence: command-line flags > --config JSON file > defaults.
 The default output directory can be set with the OOFDM_OUT environment variable.
@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .allocate import allocate
 from .channel import (ChannelProfile, _blocks, _probed_layers, gamma_to_p_eff,
                       measure_power_relations, rcn_statistics, run_point)
 from .modems import layer_index, layer_kinds, power_relations
-from .multilayer import SchemeConfig, _detect, _synthesize
+from .multilayer import SchemeConfig, _detect, _synthesize, modulate
 from .rcn import worst_case_noise
 from .ser import MODES, evaluate_ser
 
@@ -66,10 +67,10 @@ def _points(args, channel: ChannelProfile, scheme: str, gammas, effective: bool,
         yield gamma, scheme_cfg, run_point(scheme_cfg, channel, args.runs, (args.seed, i), **run_kw)
 
 
-def _write_outputs(args, outputs: dict) -> int:
-    """Write a finished run's outputs (file name -> a CSV's (header, rows), or the list
-    in allocation_summary.json) and its manifest into --out, else $OOFDM_OUT, else the
-    working directory, and print one line naming every file."""
+def _write_outputs(args, outputs: dict, argv: list, start: float):
+    """Write a finished run's outputs (file name -> a CSV's (header, rows), or the list in
+    allocation_summary.json) and its manifest, timed from the perf_counter reading `start`,
+    into --out, else $OOFDM_OUT, else the working directory; print a line naming each file."""
     from importlib import metadata  # 20 ms to import; reads a version without importing scipy
     out_dir = Path(args.out or os.environ.get("OOFDM_OUT", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -87,9 +88,9 @@ def _write_outputs(args, outputs: dict) -> int:
                    "config": {key: value for key, value in vars(args).items() if key != "func"},
                    "version": __version__, "python": platform.python_version(),
                    "numpy": np.__version__, "scipy": metadata.version("scipy"),
-                   "outputs": [str(p) for p in paths]}, fh, indent=2)
+                   "outputs": [str(p) for p in paths], "argv": list(argv),
+                   "wall_s": time.perf_counter() - start}, fh, indent=2)
     print(f"wrote {', '.join(map(str, paths))} and {manifest}")
-    return 0
 
 
 def cmd_power_relations(args):
@@ -106,7 +107,6 @@ def cmd_power_relations(args):
         lines.append(f"monte carlo ({args.validate} frames): P_elec={mc.p_elec:.6g} "
                      f"({rel_e:.2%}) P_opt={mc.p_opt:.6g} ({rel_o:.2%})")
     print("\n".join(lines))  # only once every input has passed its check
-    return 0
 
 
 def cmd_rcn_power(args):
@@ -123,7 +123,7 @@ def cmd_rcn_power(args):
                          estimates[3][t], err[t]])
     header = ["gamma_eff_db", "layer", "measured_delta_power", "estimated_1rim",
               "estimated_2rims", "estimated_3rims", "err_power"]
-    return _write_outputs(args, {"rcn_power.csv": (header, rows)})
+    return {"rcn_power.csv": (header, rows)}
 
 
 def cmd_ser(args):
@@ -141,25 +141,27 @@ def cmd_ser(args):
             if args.dump_frames and i == 0:
                 outputs[f"frame_{scheme}.csv"] = _dump_frame(scheme_cfg, channel, args.runs, (args.seed, i))
     header = ["gamma_db", "scheme", "simulated", "stderr", "rcn_aware", "rcn_unaware"]
-    return _write_outputs(args, {**outputs, "ser.csv": (header, rows)})
+    return {**outputs, "ser.csv": (header, rows)}
 
 
 def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, frames: int, seed):
     """(header, rows) of a debug dump of frame 0 of `run_point`'s run of `frames` frames seeded
     `seed`, read from the run's first block: time index, the sent frame x, the received frame
-    y = x + v, and each layer's pre-clipping frame remodulated from the decisions on y. On a
+    y = x + v, and each layer's pre-clipping frame remodulated from the run's decisions. On a
     selective channel v is the inverse FFT of the noise spectrum the run drew at the loaded
-    bins, so y carries no noise on unloaded bins, which the detector never reads."""
-    _, x, v = next(_blocks(scheme_cfg, channel, frames, seed))
+    bins, so y carries no noise on unloaded bins, which the receiver never reads."""
+    sent, v = next(_blocks(scheme_cfg, channel, frames, seed))
+    sent, v = [idx[:1] for idx in sent], v[:1]  # every step of the run treats rows alone
+    s_hat = [np.tile(_synthesize(spec, idx, scheme_cfg.n), spec.fold)[0]  # v is kept for y
+             for spec, idx in zip(scheme_cfg.layers, _detect(scheme_cfg, sent, v.copy()))]
     if channel.h is not None:
         half = np.zeros((1, scheme_cfg.n // 2 + 1), dtype=complex)
         half[0, scheme_cfg.loaded_bins] = v[0].view(complex)[:, 0]
         v = np.fft.irfft(half, scheme_cfg.n)
-    y = x[0] + v[0]
-    s_hat = [np.tile(_synthesize(spec, idx, scheme_cfg.n), spec.fold)[0]
-             for spec, idx in zip(scheme_cfg.layers, _detect(y[None].copy(), scheme_cfg))]
+    x = modulate(scheme_cfg, sent)[0]
+    y = x + v[0]
     header = ["n", "x", "y"] + [f"s_hat_{j + 1}" for j in range(len(s_hat))]
-    return header, [[i, x[0, i], y[i]] + [sh[i] for sh in s_hat] for i in range(scheme_cfg.n)]
+    return header, [[i, x[i], y[i]] + [sh[i] for sh in s_hat] for i in range(scheme_cfg.n)]
 
 
 def cmd_rcn_stats(args):
@@ -181,8 +183,7 @@ def cmd_rcn_stats(args):
                 cdf_rows.append([gamma, t1 + 1, part, ks] + list(qs))
     cov_header = ["gamma_eff_db", "t1", "t2", "abs_rho"]
     cdf_header = ["gamma_eff_db", "layer", "part", "ks_distance"] + [f"q{p:02d}" for p in range(1, 100)]
-    return _write_outputs(args, {"rcn_covariance.csv": (cov_header, cov_rows),
-                                 "rcn_cdf.csv": (cdf_header, cdf_rows)})
+    return {"rcn_covariance.csv": (cov_header, cov_rows), "rcn_cdf.csv": (cdf_header, cdf_rows)}
 
 
 def cmd_allocate(args):
@@ -208,7 +209,7 @@ def cmd_allocate(args):
                 entry["predicted_ser"] = evaluate_ser(scheme_cfg, p_v, "rcn_aware", args.rims).overall
             summary.append(entry)
     outputs["allocation_summary.json"] = summary
-    return _write_outputs(args, outputs)
+    return outputs
 
 
 def _add_common(p, *groups):
@@ -311,6 +312,7 @@ def _apply_config(ap, args, argv):
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     try:
@@ -320,7 +322,10 @@ def main(argv=None) -> int:
         for flag, low in (("seed", 0), ("runs", 1), ("validate", 0), ("validate_runs", 0)):
             if getattr(args, flag, low) < low:  # a subcommand without the flag passes
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}")
-        return args.func(args)
+        outputs = args.func(args)  # None from power-relations, which only prints
+        if outputs is not None:
+            _write_outputs(args, outputs, argv, start)
+        return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,19 +1,18 @@
-"""Multi-layer optical OFDM: one superposition transmitter for every scheme, a
-detect-only iterative receiver, and the residual clipping noise (RCN) of its decisions.
+"""Multi-layer optical OFDM: one superposition transmitter for every scheme, a bin-domain
+iterative receiver, and the residual clipping noise (RCN) of its decisions.
 
-A layer whose bins are all multiples of L has a frame of period N/L; a
-config's layers have nested periods (L never decreases from layer to layer),
-and only the last may be DCO or PAM. Each layer is synthesized, clipped and
-remodulated on one period from its per-bin tables, its bins written and read
-through one column index: a basic slice when they are equally spaced, as on
-every uniform and RCN-aware layer, else an index array. The receiver only
-detects: it keeps the residual folded onto the current layer's period, takes
-its real FFT, adds a selective channel's noise spectrum to the layer's bins,
-scales them by 1/sqrt(P_s) (a zero-clipped layer is loaded at 2*sqrt(P_s), and
-clipping halves its bins), detects them in one quantizer call and, but for the
-last layer, subtracts L times the layer remodulated. `layer_noise` measures the RCN of
-zero-clipped (ACO and PAM) layers from the sent and detected indices on each layer's
-period too, tiling only the RCN and the squared detection error to full length.
+A layer whose bins are all multiples of L has a frame of period N/L; a config's layers have
+nested periods (L at least doubles from layer to layer, and an ACO layer loads odd multiples
+of its L only), and only the last may be DCO or PAM. Each layer is synthesized and clipped on
+one period from its per-bin tables, its bins written and read through one column index: a
+basic slice when they are equally spaced, as on every uniform and RCN-aware layer, else an
+index array. `modulate` sends frames, but the receiver never forms them: a layer observes its
+own sent symbols plus the spectrum of the noise and of the clipping residue of each earlier
+layer's wrong decisions, so only the rows that erred are remodulated, on half a period. Its
+bins, scaled by 1/sqrt(P_s) (a zero-clipped layer is loaded at 2*sqrt(P_s), and clipping
+halves its bins), are detected in one quantizer call. `layer_noise` measures the RCN of
+zero-clipped (ACO and PAM) layers from the sent and detected indices on each layer's period
+too, tiling only the RCN and the squared detection error to full length.
 """
 from __future__ import annotations
 
@@ -100,8 +99,10 @@ class SchemeConfig:
         if not (power.min() >= 0.0 and power.max() < np.inf):  # a NaN makes the minimum NaN
             raise ValueError("per-bin effective power must be finite and non-negative")
         folds = [sp.fold for sp in self.layers]
-        if folds != sorted(folds):
-            raise ValueError(f"layer periods must be nested: fold factors {folds} decrease")
+        if folds != sorted(set(folds)):
+            raise ValueError(f"layer periods must be nested: fold factors {folds} do not increase")
+        if any(sp.kind == "aco" and np.any((sp.bins & sp.fold) == 0) for sp in self.layers):
+            raise ValueError("an ACO layer loads odd multiples of its fold factor only")
         if any(sp.kind != "aco" for sp in self.layers[:-1]):
             raise ValueError("only the last layer may be a DCO or PAM layer")
 
@@ -112,7 +113,7 @@ class SchemeConfig:
 
     @cached_property
     def loaded_bins(self) -> np.ndarray:
-        """Every layer's bins, in layer order: the columns of `_detect`'s per-bin noise."""
+        """Every layer's bins, in layer order."""
         return np.concatenate([sp.bins for sp in self.layers])
 
     @classmethod
@@ -156,20 +157,9 @@ def _synthesize(spec: LayerSpec, idx, n: int):
     division of the load scale by L is exact as L is a power of two."""
     tab, L = spec.tables, spec.fold
     half = np.zeros((len(idx), n // (2 * L) + 1), dtype=complex)
-    half[:, tab.cols] = tab.alphabet[idx + tab.offset] * tab.amp
+    half[:, tab.cols] = tab.alphabet[idx + tab.offset]
+    half[:, tab.cols] *= tab.amp  # in place: no second load-sized temporary
     return np.fft.irfft(half, n // L)
-
-
-def _observations(spectrum, tables: LayerTables, noise=None):
-    """The layer's bins as float (re, im) pairs (F, n_j, 2), plus `noise` at those bins in
-    the same layout if given, scaled by `gain`: numpy divides complex by real through the
-    reciprocal, so this is (Y + V)/sqrt(P_s). A sliced block is copied, as `view(float)`
-    needs a contiguous last axis."""
-    obs = np.ascontiguousarray(spectrum[:, tables.cols]).view(float).reshape(len(spectrum), -1, 2)
-    if noise is not None:
-        obs += noise
-    obs *= tables.gain
-    return obs
 
 
 def draw_symbols(config: SchemeConfig, rng, frames: int) -> list:
@@ -198,26 +188,47 @@ def modulate(config: SchemeConfig, sym_idx) -> np.ndarray:
     return x
 
 
-def _detect(resid, config: SchemeConfig, noise=None) -> list:
-    """Detected symbol indices (F, n_j) of each layer of an equalized float (F, N) batch, layer
-    by layer, with the post-equalization noise spectrum `noise` (F, len(config.loaded_bins), 2),
-    if given, added to each layer's bins; overwrites the batch with the residual, folded onto
-    each layer's period. The folded residual's spectrum at k/L is the frame's at k, so a
-    noise spectrum added there decides as its inverse FFT added to the batch would."""
-    n, frames, det_idx, lo = config.n, resid.shape[0], [], 0
-    for spec in config.layers:
-        tab, L, hi = spec.tables, spec.fold, lo + len(spec.bins)
-        if resid.shape[-1] > n // L:
-            resid = resid.reshape(frames, -1, n // L).sum(axis=1)
-        obs = _observations(np.fft.rfft(resid), tab, None if noise is None else noise[:, lo:hi])
-        det_idx.append(quantize(obs, tab.d_min, tab.top, tab.m_q))
-        lo = hi
+def _detect(config: SchemeConfig, sent_idx, noise) -> list:
+    """Detected symbol indices (F, n_j) of each layer of a block that sent `sent_idx`, with the
+    noise as `channel.post_eq_noise` draws it: white (F, N) frames, overwritten, or V(k).
+    A layer observes its own symbols plus the spectrum acc, on the multiples of `step` not yet
+    read, of the noise and of each earlier layer's clipping residue on its rows that erred: a
+    zero-clipped frame is s/2 + |s|/2 (|s|/2 is real at PAM bins), and (|s| - |s_hat|)/2 has
+    period N/(2L); a DCO frame is s + b less min(s + b, 0), which joins the noise. So the
+    decisions are those on the frames x + v, up to rounding."""
+    n, frames, det_idx, last, step = config.n, len(noise), [], config.layers[-1], 1
+    if last.kind == "dco":  # its clipping residue, biased as `modulate` biases it
+        clip = _synthesize(last, sent_idx[-1], n)
+        clip = np.minimum(clip + DCO_BIAS * np.std(clip, axis=-1, keepdims=True), 0.0)
+    if noise.ndim == 2:  # in time, where the DCO residue joins before the one FFT
+        if last.kind == "dco":
+            noise.reshape(frames, last.fold, -1)[:] -= clip[:, None]
+        acc = np.fft.rfft(noise)
+    else:
+        acc = np.zeros((frames, n // 2 + 1), dtype=complex)
+        acc[:, config.loaded_bins] = noise.view(complex)[..., 0]
+        if last.kind == "dco":
+            acc[:, ::last.fold] -= last.fold * np.fft.rfft(clip)
+    clip = None  # freed before the layers allocate theirs
+    for spec, sent in zip(config.layers, sent_idx):
+        det_idx.append(_decide(acc[:, ::spec.fold // step], spec.tables, sent))
         if len(det_idx) == len(config.layers):
-            break  # nothing reads the last layer's residual
-        x_hat = _synthesize(spec, det_idx[-1], n)
-        np.maximum(x_hat, 0.0, out=x_hat)  # zero-clipped: only the last layer may be DCO
-        resid -= x_hat if L == 1 else L * x_hat  # resid holds the sum of L periods
+            break  # nothing reads the last layer's residue
+        rows = (det_idx[-1] != sent).any(axis=1)
+        rows = slice(None) if rows.all() else np.flatnonzero(rows)  # a view beats a gather
+        acc, step = np.ascontiguousarray(acc[:, ::2 * spec.fold // step]), 2 * spec.fold
+        resid = np.abs(_synthesize(spec, sent[rows], n)[:, :n // step])  # one period at a time
+        resid -= np.abs(_synthesize(spec, det_idx[-1][rows], n)[:, :n // step])
+        acc[rows] += spec.fold * np.fft.rfft(resid)
     return det_idx
+
+
+def _decide(band, tab: LayerTables, sent):
+    """Decisions on the sent unit symbols plus the layer's bins of `band` scaled by `gain`."""
+    obs = np.ascontiguousarray(band[:, tab.cols]).view(float).reshape(len(band), -1, 2)
+    obs *= tab.gain
+    obs += tab.alphabet[sent + tab.offset].view(float).reshape(obs.shape)
+    return quantize(obs, tab.d_min, tab.top, tab.m_q)
 
 
 def layer_noise(config: SchemeConfig, sent_idx, det_idx, probe_bin: int | None = None):

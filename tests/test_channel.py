@@ -16,7 +16,7 @@ from oofdm.channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
                            measure_power_relations, post_eq_noise, rcn_statistics, run_point)
 from oofdm.modems import affected_subcarriers
 from oofdm.multilayer import SchemeConfig, _detect
-from txrx import receive, transmit
+from txrx import noise_frames, receive, transmit
 
 N = 1024
 
@@ -129,21 +129,10 @@ def test_selective_noise_std_is_cached_and_read_only():
         post_eq_noise(prof, np.random.default_rng(7), 5)
 
 
-def _noise_frames(cfg, v, rng=None):
-    """Inverse FFT of the noise spectrum `v` (F, n_loaded, 2) scattered onto the loaded bins,
-    with Gaussian noise of per-axis std 20, about V's own, on every other bin if `rng`."""
-    half = np.zeros((len(v), cfg.n // 2 + 1), dtype=complex)
-    if rng is not None:
-        half[:] = 20.0 * (rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape))
-        half[:, [0, -1]] = half[:, [0, -1]].real  # real DC and Nyquist bins
-    half[:, cfg.loaded_bins] = v[..., 0] + 1j * v[..., 1]
-    return np.fft.irfft(half, cfg.n)
-
-
 @pytest.mark.parametrize("name", ["alloc", "ado", "haco"])
 def test_noise_spectrum_decides_as_its_frames(name):
-    # the receiver adds V at each layer's bins; the same V as time-domain frames, with any
-    # noise on the bins no layer loads, gives the same decisions
+    # the receiver adds V at each layer's bins; the waveform oracle, given the same V as
+    # time-domain frames with any noise on the bins no layer loads, decides alike
     prof = ChannelProfile.exponential(N)
     if name == "alloc":
         res = allocate(prof, 10.0 ** 2.2, 1e-2, mode="rcn_aware")
@@ -153,8 +142,8 @@ def test_noise_spectrum_decides_as_its_frames(name):
     rng = np.random.default_rng(31)
     tx = transmit(cfg, rng, 40)
     v = post_eq_noise(prof, rng, 40, cfg.loaded_bins)
-    by_bin = _detect(tx.x.copy(), cfg, v)
-    for frames in (_noise_frames(cfg, v), _noise_frames(cfg, v, rng)):
+    by_bin = _detect(cfg, tx.sym_idx, v)
+    for frames in (noise_frames(cfg, v), noise_frames(cfg, v, rng)):
         by_frame = receive(tx.x + frames, cfg)
         for a, b in zip(by_bin, by_frame):
             np.testing.assert_array_equal(a, b)

@@ -305,19 +305,19 @@ def test_rcn_power_command(tmp_path):
 
 
 def test_manifests_of_identical_runs_are_equal(tmp_path):
-    # the manifest holds the resolved options only: no handler repr, whose
-    # address changes from process to process
+    # the manifest holds the resolved options, not a handler repr, whose address changes
+    # from process to process: two identical runs differ in their wall time only
+    argv = ["ser", "--schemes", "aco", "--gammas", "10", "--runs", "20", "--n", "64",
+            "--out", str(tmp_path)]
     texts = []
-    for run in ("a", "b"):
-        out = tmp_path / run
-        rc = main(["ser", "--schemes", "aco", "--gammas", "10", "--runs", "20",
-                   "--n", "64", "--out", str(out)])
-        assert rc == 0
-        texts.append((out / "ser_manifest.json").read_text())
+    for _ in range(2):
+        assert main(list(argv)) == 0
+        texts.append((tmp_path / "ser_manifest.json").read_text())
     assert not any("<function" in text for text in texts)
     a, b = (json.loads(text) for text in texts)
     for m in (a, b):
-        del m["config"]["out"], m["outputs"]
+        assert m.pop("argv") == argv
+        assert 0.0 < m.pop("wall_s") < 60.0
     assert a == b
     # provenance: the versions of the interpreter and libraries that ran it
     assert (a["python"], a["numpy"], a["scipy"]) == (platform.python_version(),
@@ -354,7 +354,8 @@ def test_ser_command_with_frame_dump(tmp_path):
 
 @pytest.mark.parametrize("scheme, selective", [("haco", False), ("ado", True)])
 def test_frame_dump_is_frame_0_of_point_0(tmp_path, scheme, selective):
-    # the dump drew its own frame from default_rng(--seed): no frame of the run
+    # the dump is frame 0 of point 0's first block, and its s_hat columns are the waveform
+    # oracle's decisions on its y, remodulated
     argv = ["ser", "--schemes", scheme, "--gammas", "20,25", "--runs", "100", "--n", "256",
             "--seed", "3", "--dump-frames", "--out", str(tmp_path)] + ["--selective"] * selective
     assert main(argv) == 0

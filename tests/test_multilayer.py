@@ -11,12 +11,11 @@ from hermitian import hermitian_embed
 from index_sets import effective_reference
 from layer_signals import layer_frames, layer_loads, layer_signals
 from oofdm.allocate import allocate
-from oofdm.channel import ChannelProfile
-from oofdm.constellation import unit_alphabet
+from oofdm.channel import ChannelProfile, post_eq_noise
+from oofdm.constellation import quantize, unit_alphabet
 from oofdm.modems import laco_layers, layer_index
-from oofdm.multilayer import (LayerSpec, SchemeConfig, _observations, draw_symbols,
-                               layer_noise, modulate)
-from txrx import receive, transmit
+from oofdm.multilayer import LayerSpec, SchemeConfig, _decide, _detect, draw_symbols, layer_noise, modulate
+from txrx import noise_frames, observations, receive, transmit
 
 N = 1024
 
@@ -96,6 +95,19 @@ def test_config_rejects_decreasing_fold_factors():
         SchemeConfig(N, ado.layers[::-1])
 
 
+def test_config_rejects_equal_fold_factors_and_even_multiples_on_an_aco_layer():
+    # the receiver reads an ACO layer's clipping residue only at multiples of twice its L
+    def layer(kind, bins):
+        return LayerSpec(kind, np.array(bins), np.full(len(bins), 16), np.ones(len(bins)))
+    with pytest.raises(ValueError, match=r"nested: fold factors \[1, 1\] do not increase"):
+        SchemeConfig(64, [layer("aco", [1, 3]), layer("aco", [5, 7])])
+    with pytest.raises(ValueError, match="odd multiples of its fold factor only"):
+        SchemeConfig(64, [layer("aco", [1, 2])])
+    with pytest.raises(ValueError, match="odd multiples of its fold factor only"):
+        SchemeConfig(64, [layer("aco", [1, 3]), layer("aco", [2, 4])])
+    SchemeConfig(64, [layer("aco", [1, 3]), layer("pam", [2, 4])])  # any bins on the last layer
+
+
 def test_layer_alphabets_are_built_once():
     bits = np.full(N, 2)
     bits[3::4] = 3  # layer 1 mixes 4-QAM and 8-QAM
@@ -122,17 +134,22 @@ def test_layer_alphabets_are_built_once():
 
 @pytest.mark.parametrize("scheme", ["laco", "ado", "haco"])
 def test_observations_equal_scaled_spectrum_exactly(scheme):
-    # one real multiply of the (re, im) pairs by 1/sqrt(P_s) is exactly the
-    # complex scaling Y / sqrt(P_s), on every kind of layer
+    # one real multiply of the (re, im) pairs by 1/sqrt(P_s) is exactly the complex
+    # scaling Y / sqrt(P_s), on every kind of layer: in the waveform oracle's observations,
+    # and in the receiver's, which add the sent unit symbols before deciding
     rng = np.random.default_rng(12)
     cfg = SchemeConfig.uniform(scheme, N, 16, 3.0, 9 if scheme == "laco" else None)
     for spec in cfg.layers:
         power = spec.power * rng.uniform(0.1, 10.0, spec.power.shape)
         spec = LayerSpec(spec.kind, spec.bins, spec.M, power)
+        tab = spec.tables
         Y = np.fft.rfft(rng.standard_normal((5, N // spec.fold)))
         ref = Y[:, spec.bins // spec.fold] / np.sqrt(power)
-        obs = _observations(Y, spec.tables)
+        obs = observations(Y, tab)
         assert np.array_equal(obs[..., 0], ref.real) and np.array_equal(obs[..., 1], ref.imag)
+        sent = (rng.random(ref.shape) * spec.M).astype(np.int64)
+        pairs = (ref + tab.alphabet[sent + tab.offset]).view(float).reshape(obs.shape)
+        assert np.array_equal(_decide(Y, tab, sent), quantize(pairs, tab.d_min, tab.top, tab.m_q))
 
 
 def test_config_without_layers_has_nothing_to_transmit():
@@ -354,6 +371,9 @@ def test_sliced_columns_equal_the_index_array_bit_for_bit(name, arg):
     y = x + 0.3 * np.std(x) * np.random.default_rng(4).standard_normal(x.shape)
     det_idx, det_twin = receive(y, cfg), receive(y, twin)
     assert all(np.array_equal(a, b) for a, b in zip(det_idx, det_twin))
+    v = y - x
+    det_bins, det_twin = _detect(cfg, sym_idx, v.copy()), _detect(twin, sym_idx, v.copy())
+    assert all(np.array_equal(a, b) for a, b in zip(det_bins, det_twin))
     probe_bin = cfg.n // 4 + 1
     for a, b in zip(layer_noise(cfg, sym_idx, det_idx, probe_bin),
                     layer_noise(twin, sym_idx, det_idx, probe_bin)):
@@ -415,8 +435,9 @@ def _check_folded_frames_and_noiseless_detection(cfg):
     for spec, idx, s in zip(cfg.layers, tx.sym_idx, layer_frames(cfg, tx.sym_idx)[0]):
         ref = np.fft.ifft(hermitian_embed(layer_loads(spec, idx), spec.bins, cfg.n))
         np.testing.assert_allclose(s, ref.real, rtol=0, atol=1e-12)
-    for spec, det, sent in zip(cfg.layers, receive(tx.x, cfg), tx.sym_idx):
-        assert np.array_equal(det, sent), f"{spec.kind} layer on bins {spec.bins}"
+    for det_idx in (receive(tx.x, cfg), _detect(cfg, tx.sym_idx, np.zeros(tx.x.shape))):
+        for spec, det, sent in zip(cfg.layers, det_idx, tx.sym_idx):
+            assert np.array_equal(det, sent), f"{spec.kind} layer on bins {spec.bins}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,3 +504,31 @@ def test_layer_noise_on_one_period_equals_full_length_oracle(scheme, seed, sigma
     ph = np.exp(-2j * np.pi * probe_bin * np.arange(N_PROP) / N_PROP)
     probe = layer_noise(cfg, tx.sym_idx, det_idx, probe_bin)[2]
     np.testing.assert_array_equal(probe, [d @ ph for d in delta])
+
+
+ORACLE_SCHEMES = ([("laco", j) for j in range(1, 10)]
+                  + [(name, None) for name in ("aco", "dco", "pam", "ado", "haco", "allocation")])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ORACLE_SCHEMES), st.sampled_from([64, 256, 1024]), st.sampled_from([4, 16, 64]),
+       st.floats(-10.0, 45.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_receiver_decides_as_the_waveform_oracle(scheme_layers, n, M, gamma_db, selective, seed):
+    # run_point's bin-domain receiver, given the sent indices and the noise as drawn, returns
+    # the waveform oracle's decisions on x + v bit for bit, from SNRs at which every row errs
+    # to error-free ones; a selective channel's frames are the inverse FFT of its V
+    scheme, layers = scheme_layers
+    rng = np.random.default_rng(seed)
+    p_eff = 10.0 ** (gamma_db / 10.0)
+    if scheme == "allocation":  # pruned, with every order from 2 to 256 and uneven powers
+        bits = rng.integers(0, 9, n) * (rng.random(n) < 0.7)
+        bits[1] = 1
+        cfg = SchemeConfig.from_allocation(n, bits, n * p_eff * rng.uniform(0.5, 2.0, n))
+    else:
+        cfg = SchemeConfig.uniform(scheme, n, M, p_eff, layers and min(layers, laco_layers(n)))
+    profile = ChannelProfile.exponential(n) if selective else ChannelProfile.flat(n)
+    tx = transmit(cfg, rng, 16)
+    v = post_eq_noise(profile, rng, 16, cfg.loaded_bins)
+    want = receive(tx.x + (noise_frames(cfg, v) if selective else v), cfg)
+    for got, ref in zip(_detect(cfg, tx.sym_idx, v), want):
+        np.testing.assert_array_equal(got, ref)
