@@ -146,10 +146,9 @@ def cmd_ser(args):
 
 def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, frames: int, seed):
     """(header, rows) of a debug dump of frame 0 of `run_point`'s run of `frames` frames seeded
-    `seed`, read from the run's first block: time index, the sent frame x, the received frame
-    y = x + v, and each layer's pre-clipping frame remodulated from the run's decisions. On a
-    selective channel v is the inverse FFT of the noise spectrum the run drew at the loaded
-    bins, so y carries no noise on unloaded bins, which the receiver never reads."""
+    `seed`: time index, the sent frame x, the received frame y = x + v, and each layer's
+    pre-clipping frame remodulated from the run's decisions. On a selective channel v is the
+    inverse FFT of the noise spectrum the run drew at the loaded bins, all the receiver reads."""
     sent, v = next(_blocks(scheme_cfg, channel, frames, seed))
     sent, v = [idx[:1] for idx in sent], v[:1]  # every step of the run treats rows alone
     s_hat = [np.tile(_synthesize(spec, idx, scheme_cfg.n), spec.fold)[0]  # v is kept for y

@@ -6,8 +6,8 @@ nested periods (L at least doubles from layer to layer, and an ACO layer loads o
 of its L only), and only the last may be DCO or PAM. Each layer is synthesized and clipped on
 one period from its per-bin tables, its bins written and read through one column index: a
 basic slice when they are equally spaced, as on every uniform and RCN-aware layer, else an
-index array. `modulate` sends frames, but the receiver never forms them: a layer observes its
-own sent symbols plus the spectrum of the noise and of the clipping residue of each earlier
+index array. `modulate` sends frames x; the receiver never forms x: a layer observes its own
+sent symbols plus the spectrum of the noise and of the clipping residue of each earlier
 layer's wrong decisions, so only the rows that erred are remodulated, on half a period. Its
 bins, scaled by 1/sqrt(P_s) (a zero-clipped layer is loaded at 2*sqrt(P_s), and clipping
 halves its bins), are detected in one quantizer call. `layer_noise` measures the RCN of
@@ -157,8 +157,7 @@ def _synthesize(spec: LayerSpec, idx, n: int):
     division of the load scale by L is exact as L is a power of two."""
     tab, L = spec.tables, spec.fold
     half = np.zeros((len(idx), n // (2 * L) + 1), dtype=complex)
-    half[:, tab.cols] = tab.alphabet[idx + tab.offset]
-    half[:, tab.cols] *= tab.amp  # in place: no second load-sized temporary
+    half[:, tab.cols] = tab.alphabet[idx + tab.offset] * tab.amp
     return np.fft.irfft(half, n // L)
 
 
@@ -190,28 +189,29 @@ def modulate(config: SchemeConfig, sym_idx) -> np.ndarray:
 
 def _detect(config: SchemeConfig, sent_idx, noise) -> list:
     """Detected symbol indices (F, n_j) of each layer of a block that sent `sent_idx`, with the
-    noise as `channel.post_eq_noise` draws it: white (F, N) frames, overwritten, or V(k).
-    A layer observes its own symbols plus the spectrum acc, on the multiples of `step` not yet
-    read, of the noise and of each earlier layer's clipping residue on its rows that erred: a
-    zero-clipped frame is s/2 + |s|/2 (|s|/2 is real at PAM bins), and (|s| - |s_hat|)/2 has
-    period N/(2L); a DCO frame is s + b less min(s + b, 0), which joins the noise. So the
-    decisions are those on the frames x + v, up to rounding."""
+    noise as `channel.post_eq_noise` draws it: white (F, N) frames, overwritten, or V(k). A
+    layer observes its own symbols plus the spectrum acc, on the multiples of `step` not yet
+    read, of the noise and of each earlier layer's clipping residue (|s| - |s_hat|)/2, of
+    period N/(2L), on its rows that erred; a DCO frame joins the noise whole. So the decisions
+    are those on the frames x + v, up to rounding (|s|/2 is real at a PAM layer's bins)."""
     n, frames, det_idx, last, step = config.n, len(noise), [], config.layers[-1], 1
-    if last.kind == "dco":  # its clipping residue, biased as `modulate` biases it
-        clip = _synthesize(last, sent_idx[-1], n)
-        clip = np.minimum(clip + DCO_BIAS * np.std(clip, axis=-1, keepdims=True), 0.0)
-    if noise.ndim == 2:  # in time, where the DCO residue joins before the one FFT
+    if last.kind == "dco":  # sent as `modulate` sends it
+        frame = _synthesize(last, sent_idx[-1], n)
+        frame += DCO_BIAS * np.std(frame, axis=-1, keepdims=True)
+        np.maximum(frame, 0.0, out=frame)
+    if noise.ndim == 2:  # in time, where the DCO frame joins before the one FFT
         if last.kind == "dco":
-            noise.reshape(frames, last.fold, -1)[:] -= clip[:, None]
+            noise.reshape(frames, last.fold, -1)[:] += frame[:, None]
         acc = np.fft.rfft(noise)
     else:
         acc = np.zeros((frames, n // 2 + 1), dtype=complex)
         acc[:, config.loaded_bins] = noise.view(complex)[..., 0]
         if last.kind == "dco":
-            acc[:, ::last.fold] -= last.fold * np.fft.rfft(clip)
-    clip = None  # freed before the layers allocate theirs
+            acc[:, ::last.fold] += last.fold * np.fft.rfft(frame)
+    frame = None  # freed before the layers allocate theirs
     for spec, sent in zip(config.layers, sent_idx):
-        det_idx.append(_decide(acc[:, ::spec.fold // step], spec.tables, sent))
+        own = None if spec.kind == "dco" else sent  # a DCO layer's own term is in acc
+        det_idx.append(_decide(acc[:, ::spec.fold // step], spec.tables, own))
         if len(det_idx) == len(config.layers):
             break  # nothing reads the last layer's residue
         rows = (det_idx[-1] != sent).any(axis=1)
@@ -224,10 +224,11 @@ def _detect(config: SchemeConfig, sent_idx, noise) -> list:
 
 
 def _decide(band, tab: LayerTables, sent):
-    """Decisions on the sent unit symbols plus the layer's bins of `band` scaled by `gain`."""
+    """Decisions on the layer's bins of `band` scaled by `gain`, plus the unit symbols `sent`."""
     obs = np.ascontiguousarray(band[:, tab.cols]).view(float).reshape(len(band), -1, 2)
     obs *= tab.gain
-    obs += tab.alphabet[sent + tab.offset].view(float).reshape(obs.shape)
+    if sent is not None:  # None when `band` holds the layer's own term
+        obs += tab.alphabet[sent + tab.offset].view(float).reshape(obs.shape)
     return quantize(obs, tab.d_min, tab.top, tab.m_q)
 
 
