@@ -182,8 +182,8 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
         raise ValueError("an instrumented run measures zero-clipped layers only, not a DCO layer")
     frame_err, noise = [], []
     for sent, v in _blocks(scheme_cfg, profile, frames, seed):
-        det_idx = _detect(scheme_cfg, sent, v)
-        frame_err.append([np.count_nonzero(d != s, axis=1) for d, s in zip(det_idx, sent)])
+        det_idx, errors = _detect(scheme_cfg, sent, v)
+        frame_err.append(errors)
         if instrument:
             noise.append(layer_noise(scheme_cfg, sent, det_idx, probe_bin))
     frame_err = np.concatenate(frame_err, axis=1)          # (J, frames)

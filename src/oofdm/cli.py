@@ -152,7 +152,7 @@ def _dump_frame(scheme_cfg: SchemeConfig, channel: ChannelProfile, frames: int, 
     sent, v = next(_blocks(scheme_cfg, channel, frames, seed))
     sent, v = [idx[:1] for idx in sent], v[:1]  # every step of the run treats rows alone
     s_hat = [np.tile(_synthesize(spec, idx, scheme_cfg.n), spec.fold)[0]  # v is kept for y
-             for spec, idx in zip(scheme_cfg.layers, _detect(scheme_cfg, sent, v.copy()))]
+             for spec, idx in zip(scheme_cfg.layers, _detect(scheme_cfg, sent, v.copy())[0])]
     if channel.h is not None:
         half = np.zeros((1, scheme_cfg.n // 2 + 1), dtype=complex)
         half[0, scheme_cfg.loaded_bins] = v[0].view(complex)[:, 0]

@@ -24,11 +24,6 @@ import numpy as np
 
 from .numerics import qfunc
 
-def _axis_levels(m: int):
-    # odd-integer levels -(m-1), ..., (m-1)
-    return 2.0 * np.arange(m) - (m - 1)
-
-
 @dataclass(frozen=True)
 class Constellation:
     """One unit-power alphabet: an m_i x m_q QAM grid, or purely imaginary 1 x M
@@ -54,24 +49,22 @@ def unit_alphabet(kind: str, M: int) -> Constellation:
     """The unit-power alphabet of order M on a layer of `kind`, built once per process."""
     m_i, m_q = _grid(kind, M)
     scale = np.sqrt(3.0 / (m_i ** 2 + m_q ** 2 - 2))
-    points = (_axis_levels(m_i)[:, None] + 1j * _axis_levels(m_q)[None, :]).ravel() * scale
+    level_i, level_q = (2.0 * np.arange(m) - (m - 1) for m in (m_i, m_q))  # odd integers
+    points = (level_i[:, None] + 1j * level_q[None, :]).ravel() * scale
     points.flags.writeable = False
     return Constellation(points, 2.0 * scale, m_i, m_q)
 
 
-def quantize(pairs, d_min, top, m_q):
-    """Per-axis ML decisions on float (re, im) pairs (..., 2), overwriting them:
-    level x / d_min + top / 2 (bit for bit (x / (d_min/2) + top) / 2), rounded
-    into [0, top], top = (m_i - 1, m_q - 1); returns the index i * m_q + q.
-    The parameters broadcast against `pairs`, so one call detects bins of
-    different orders; a PAM alphabet is the m_i = 1 grid.
+def quantize(levels, top, m_q):
+    """Per-axis ML decisions on float (re, im) pairs (..., 2) in level units, x / d_min + top / 2
+    for an observation x of a unit-power alphabet, overwriting them: each is rounded into [0, top],
+    top = (m_i - 1, m_q - 1); returns the index i * m_q + q. The parameters broadcast against
+    `levels`, so one call detects bins of different orders; a PAM alphabet is the m_i = 1 grid.
     """
-    pairs /= d_min
-    pairs += np.multiply(top, 0.5)
-    np.rint(pairs, out=pairs)
-    np.maximum(pairs, 0.0, out=pairs)  # np.clip with array bounds is twice as slow
-    np.minimum(pairs, top, out=pairs)
-    return (pairs[..., 0] * m_q + pairs[..., 1]).astype(np.int64)
+    np.rint(levels, out=levels)
+    np.maximum(levels, 0.0, out=levels)  # np.clip with array bounds is twice as slow
+    np.minimum(levels, top, out=levels)
+    return (levels[..., 0] * m_q + levels[..., 1]).astype(np.int64)
 
 
 def min_distance(M, power):

@@ -8,16 +8,17 @@ one period from its per-bin tables, its bins written and read through one column
 basic slice when they are equally spaced, as on every uniform and RCN-aware layer, else an
 index array. `modulate` sends frames x; the receiver never forms x: a layer observes its own
 sent symbols plus the spectrum of the noise and of the clipping residue of each earlier
-layer's wrong decisions, so only the rows that erred are remodulated, on half a period. Its
-bins, scaled by 1/sqrt(P_s) (a zero-clipped layer is loaded at 2*sqrt(P_s), and clipping
-halves its bins), are detected in one quantizer call. `layer_noise` measures the RCN of
-zero-clipped (ACO and PAM) layers from the sent and detected indices on each layer's period
-too, tiling only the RCN and the squared detection error to full length.
+layer's wrong decisions. Its bins, scaled by 1/(sqrt(P_s) d_min) (a zero-clipped layer is
+loaded at 2*sqrt(P_s), and clipping halves its bins) plus the sent symbols in these level
+units, are rounded in one quantizer call. Only the rows that erred are remodulated, by one
+complex inverse FFT of half a period. `layer_noise` measures the RCN of zero-clipped (ACO and
+PAM) layers from the sent and detected indices on each layer's period too, tiling only the
+RCN and the squared detection error to full length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,15 +49,18 @@ class LayerSpec:
         orders, pos = np.unique(self.M, return_inverse=True)
         alphabets = [unit_alphabet(self.kind, int(order)) for order in orders]
         start = np.cumsum([0] + [c.points.size for c in alphabets])[:-1]
-        d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
+        d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)
                            for a in ("d_min", "m_i", "m_q"))
+        centre = 0.5 * (m_i - 1) + 0.5j * (m_q - 1)  # per order: the lowest level is 0
         root = np.sqrt(self.power)
-        amp = (1.0 if self.kind == "dco" else 2.0) * root / self.fold
-        gain = 1.0 / root
-        return LayerTables(_columns(self.bins // self.fold),
-                           np.concatenate([c.points for c in alphabets]), start[pos], amp,
-                           np.column_stack((gain, gain)), np.column_stack((d_min, d_min)),
-                           np.column_stack((m_i - 1, m_q - 1)), m_q)
+        half = _columns(self.bins // self.fold // 2)  # (c - 1)/2 of odd c: `_residue`'s columns
+        return LayerTables(_columns(self.bins // self.fold), np.concatenate([c.points for c in alphabets]),
+                           start[pos], (1.0 if self.kind == "dco" else 2.0) * root / self.fold,
+                           1.0 / root / d_min[pos],
+                           np.concatenate([c.points / c.d_min + z for c, z in zip(alphabets, centre)]),
+                           centre[pos], d_min[pos], np.column_stack((m_i - 1, m_q - 1))[pos], m_q[pos], half,
+                           slice(-1 - half.start, -1 - half.stop, -half.step) if isinstance(half, slice)
+                           else -1 - half)
 
 
 def _columns(cols: np.ndarray):
@@ -76,10 +80,14 @@ class LayerTables:
     alphabet: np.ndarray   # unit-power alphabets of the layer's orders, concatenated
     offset: np.ndarray     # start of each bin's alphabet in `alphabet`
     amp: np.ndarray        # load scale 2*sqrt(P_s)/L, sqrt(P_s)/L for DCO
-    gain: np.ndarray       # (n_j, 2) observation scale 1/sqrt(P_s)
-    d_min: np.ndarray      # (n_j, 2) minimum distance of the unit alphabet
+    scale: np.ndarray      # observation scale to level units, 1/(sqrt(P_s) d_min)
+    shifted: np.ndarray    # `alphabet` in level units, point/d_min + centre, concatenated alike
+    centre: np.ndarray     # per bin (m_i - 1)/2 + i (m_q - 1)/2, the level of the zero symbol
+    d_min: np.ndarray      # minimum distance of the unit alphabet
     top: np.ndarray        # (n_j, 2) highest level index per axis, (m_i - 1, m_q - 1)
     m_q: np.ndarray        # levels on the Q axis
+    pos: slice | np.ndarray  # an ACO layer's odd column c at (c - 1)/2 in `_residue`'s transform,
+    neg: slice | np.ndarray  # its negative at -1 - (c - 1)/2, in bin order (a slice runs down)
 
 
 @dataclass(frozen=True)
@@ -187,14 +195,14 @@ def modulate(config: SchemeConfig, sym_idx) -> np.ndarray:
     return x
 
 
-def _detect(config: SchemeConfig, sent_idx, noise) -> list:
-    """Detected symbol indices (F, n_j) of each layer of a block that sent `sent_idx`, with the
-    noise as `channel.post_eq_noise` draws it: white (F, N) frames, overwritten, or V(k). A
-    layer observes its own symbols plus the spectrum acc, on the multiples of `step` not yet
-    read, of the noise and of each earlier layer's clipping residue (|s| - |s_hat|)/2, of
-    period N/(2L), on its rows that erred; a DCO frame joins the noise whole. So the decisions
-    are those on the frames x + v, up to rounding (|s|/2 is real at a PAM layer's bins)."""
-    n, frames, det_idx, last, step = config.n, len(noise), [], config.layers[-1], 1
+def _detect(config: SchemeConfig, sent_idx, noise):
+    """Detected symbol indices (F, n_j) and symbol errors per row (F,) of each layer of a block
+    that sent `sent_idx`, with the noise as `channel.post_eq_noise` draws it: white (F, N) frames,
+    overwritten, or V(k). A layer observes its own symbols plus the spectrum acc, on the multiples
+    of `step` not yet read, of the noise and of each earlier layer's clipping residue
+    (|s| - |s_hat|)/2, of period N/(2L), on its rows that erred; a DCO frame joins the noise
+    whole. So the decisions are those on x + v, up to rounding (|s|/2 is real at PAM bins)."""
+    n, frames, det_idx, errors, last, step = config.n, len(noise), [], [], config.layers[-1], 1
     if last.kind == "dco":  # sent as `modulate` sends it
         frame = _synthesize(last, sent_idx[-1], n)
         frame += DCO_BIAS * np.std(frame, axis=-1, keepdims=True)
@@ -210,26 +218,50 @@ def _detect(config: SchemeConfig, sent_idx, noise) -> list:
             acc[:, ::last.fold] += last.fold * np.fft.rfft(frame)
     frame = None  # freed before the layers allocate theirs
     for spec, sent in zip(config.layers, sent_idx):
-        own = None if spec.kind == "dco" else sent  # a DCO layer's own term is in acc
-        det_idx.append(_decide(acc[:, ::spec.fold // step], spec.tables, own))
+        det = _decide(acc[:, ::spec.fold // step], spec.tables, None if spec.kind == "dco" else sent)
+        det_idx.append(det)
+        errors.append(np.count_nonzero(det != sent, axis=1))
         if len(det_idx) == len(config.layers):
             break  # nothing reads the last layer's residue
-        rows = (det_idx[-1] != sent).any(axis=1)
-        rows = slice(None) if rows.all() else np.flatnonzero(rows)  # a view beats a gather
         acc, step = np.ascontiguousarray(acc[:, ::2 * spec.fold // step]), 2 * spec.fold
-        resid = np.abs(_synthesize(spec, sent[rows], n)[:, :n // step])  # one period at a time
-        resid -= np.abs(_synthesize(spec, det_idx[-1][rows], n)[:, :n // step])
-        acc[rows] += spec.fold * np.fft.rfft(resid)
-    return det_idx
+        erred = np.flatnonzero(errors[-1])
+        if erred.size:  # a layer without errors leaves no residue
+            rows = slice(None) if erred.size == frames else erred  # a view beats a gather
+            acc[rows] += np.fft.rfft(_residue(spec, sent[rows], det[rows], n))
+    return det_idx, errors
+
+
+@lru_cache(maxsize=None)
+def _twiddle(p: int) -> np.ndarray:
+    """exp(2 pi i m / p) on the half period m < p/2, read-only; one per period length."""
+    w = np.exp(2j * np.pi * np.arange(p // 2) / p)
+    w.flags.writeable = False
+    return w
+
+
+def _residue(spec: LayerSpec, sent, det, n: int):
+    """L (|s| - |s_hat|) on the half period m < P/2 of an ACO layer's frames of period P = n/L
+    loading `sent` and `det`, from one complex inverse FFT of length P/2: on odd harmonics
+    c < P/2 alone, s + i s_hat = w^m IDFT(Y)(m)/2, w = exp(2 pi i/P), where Y holds a + i a_hat
+    at (c - 1)/2 and conj(a - i a_hat) at -1 - (c - 1)/2. With the factor L and the 1/2 the loads
+    are amp L/2 = sqrt(P_s), exact as L is a power of two."""
+    tab, L = spec.tables, spec.fold
+    a, b = (tab.alphabet[idx + tab.offset] for idx in (sent, det))
+    a *= tab.amp * (L / 2)
+    b *= tab.amp * (0.5j * L)
+    y = np.zeros((len(sent), n // (2 * L)), dtype=complex)
+    y[:, tab.pos] = a + b
+    y[:, tab.neg] = np.conjugate(np.subtract(a, b, out=a), out=a)
+    np.multiply(np.fft.ifft(y, out=y), _twiddle(n // L), out=y)
+    parts = np.abs(y.view(float), out=y.view(float)).reshape(len(y), -1, 2)
+    return parts[..., 0] - parts[..., 1]
 
 
 def _decide(band, tab: LayerTables, sent):
-    """Decisions on the layer's bins of `band` scaled by `gain`, plus the unit symbols `sent`."""
-    obs = np.ascontiguousarray(band[:, tab.cols]).view(float).reshape(len(band), -1, 2)
-    obs *= tab.gain
-    if sent is not None:  # None when `band` holds the layer's own term
-        obs += tab.alphabet[sent + tab.offset].view(float).reshape(obs.shape)
-    return quantize(obs, tab.d_min, tab.top, tab.m_q)
+    """Decisions on the layer's bins of `band` in level units, plus the symbols `sent` if given."""
+    level = np.multiply(band[:, tab.cols], tab.scale, order="C")
+    level += tab.centre if sent is None else tab.shifted[sent + tab.offset]
+    return quantize(level.view(float).reshape(len(band), -1, 2), tab.top, tab.m_q)
 
 
 def layer_noise(config: SchemeConfig, sent_idx, det_idx, probe_bin: int | None = None):

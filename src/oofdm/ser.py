@@ -36,7 +36,7 @@ def evaluate_ser(config: SchemeConfig, p_v, mode: str = "rcn_aware", rims: int =
     noise = worst_case_noise(config, p_v, rims).p_z if mode == "rcn_aware" else noise_map(config, p_v)
     if not config.layers:
         return SerReport([], 0.0)
-    d = np.concatenate([spec.tables.d_min[:, 0] * np.sqrt(spec.power) for spec in config.layers])
+    d = np.concatenate([spec.tables.d_min * np.sqrt(spec.power) for spec in config.layers])
     m = np.concatenate([spec.tables.top for spec in config.layers]) + 1.0
     ser = grid_ser(d, m[:, 0], m[:, 1], noise[config.loaded_bins])
     layer_ser = np.split(ser, np.cumsum([spec.bins.size for spec in config.layers])[:-1])

@@ -265,8 +265,9 @@ def test_criterion_7_oracle_equivalence():
         idx = rng.integers(0, M, nobs)
         noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(nobs)
                                        + 1j * rng.standard_normal(nobs))
-        obs = (c.points[idx] + noise)[..., None].view(float)
-        det = quantize(obs, d, (c.m_i - 1, c.m_q - 1), c.m_q)
+        top = np.array([c.m_i - 1, c.m_q - 1], dtype=float)
+        levels = ((c.points[idx] + noise) / d)[..., None].view(float) + top / 2
+        det = quantize(levels, top, c.m_q)
         mc = np.mean(np.abs(c.points[det] - c.points[idx]) ** 2)
         est = detection_error_power(d, sigma2, M, rims=3)
         worst_rel = max(worst_rel, abs(est - mc) / mc)

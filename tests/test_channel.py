@@ -142,12 +142,14 @@ def test_noise_spectrum_decides_as_its_frames(name):
     rng = np.random.default_rng(31)
     tx = transmit(cfg, rng, 40)
     v = post_eq_noise(prof, rng, 40, cfg.loaded_bins)
-    by_bin = _detect(cfg, tx.sym_idx, v)
+    by_bin, row_errors = _detect(cfg, tx.sym_idx, v)
     for frames in (noise_frames(cfg, v), noise_frames(cfg, v, rng)):
         by_frame = receive(tx.x + frames, cfg)
         for a, b in zip(by_bin, by_frame):
             np.testing.assert_array_equal(a, b)
-    errors = [np.count_nonzero(d != s) for d, s in zip(by_bin, tx.sym_idx)]
+    for got, d, s in zip(row_errors, by_bin, tx.sym_idx):
+        np.testing.assert_array_equal(got, np.count_nonzero(d != s, axis=1))
+    errors = [int(e.sum()) for e in row_errors]
     assert all(errors) and sum(errors) < 0.2 * 40 * len(cfg.loaded_bins), errors
 
 

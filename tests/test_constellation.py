@@ -32,8 +32,9 @@ def ml_detect(observation, points):
 
 def detect(obs, c):
     """Indices of the engine's per-axis decisions on observations `obs` of alphabet `c`."""
-    pairs = np.array(obs, dtype=complex)[..., None].view(float)
-    return quantize(pairs, c.d_min, (c.m_i - 1, c.m_q - 1), c.m_q)
+    top = np.array([c.m_i - 1, c.m_q - 1], dtype=float)
+    levels = (np.array(obs, dtype=complex) / c.d_min)[..., None].view(float) + top / 2
+    return quantize(levels, top, c.m_q)
 
 
 def test_qam_power_and_geometry():
@@ -129,7 +130,8 @@ def test_layer_detector_is_brute_force_ml_per_bin(kind, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     obs = rng.uniform(-2.0, 2.0, (50, len(M))) + 1j * rng.uniform(-2.0, 2.0, (50, len(M)))
     tables = spec.tables
-    det = quantize(obs.copy()[..., None].view(float), tables.d_min, tables.top, tables.m_q)
+    levels = obs * tables.scale + tables.centre  # unit power: scale is 1/d_min
+    det = quantize(levels[..., None].view(float), tables.top, tables.m_q)
     for b, order in enumerate(M):
         c = unit_alphabet(kind, int(order))
         np.testing.assert_array_equal(det[:, b], detect(obs[:, b], c))

@@ -14,7 +14,8 @@ from oofdm.allocate import allocate
 from oofdm.channel import ChannelProfile, post_eq_noise
 from oofdm.constellation import quantize, unit_alphabet
 from oofdm.modems import laco_layers, layer_index
-from oofdm.multilayer import LayerSpec, SchemeConfig, _decide, _detect, draw_symbols, layer_noise, modulate
+from oofdm.multilayer import (LayerSpec, SchemeConfig, _decide, _detect, _residue, _synthesize, draw_symbols,
+                              layer_noise, modulate)
 from txrx import noise_frames, observations, receive, transmit
 
 N = 1024
@@ -134,22 +135,25 @@ def test_layer_alphabets_are_built_once():
 
 @pytest.mark.parametrize("scheme", ["laco", "ado", "haco"])
 def test_observations_equal_scaled_spectrum_exactly(scheme):
-    # one real multiply of the (re, im) pairs by 1/sqrt(P_s) is exactly the complex
-    # scaling Y / sqrt(P_s), on every kind of layer: in the waveform oracle's observations,
-    # and in the receiver's, which add the sent unit symbols before deciding
+    # the waveform oracle's observations are exactly the layer's bins of Y scaled by
+    # 1/(sqrt(P_s) d_min) and shifted by top/2, the quantizer's level units, on every kind
+    # of layer; the receiver's, which add the sent symbols in level units, decide alike
     rng = np.random.default_rng(12)
     cfg = SchemeConfig.uniform(scheme, N, 16, 3.0, 9 if scheme == "laco" else None)
     for spec in cfg.layers:
         power = spec.power * rng.uniform(0.1, 10.0, spec.power.shape)
         spec = LayerSpec(spec.kind, spec.bins, spec.M, power)
         tab = spec.tables
+        d_min = np.array([unit_alphabet(spec.kind, int(m)).d_min for m in spec.M])
+        assert np.array_equal(tab.scale, 1.0 / np.sqrt(power) / d_min)
         Y = np.fft.rfft(rng.standard_normal((5, N // spec.fold)))
-        ref = Y[:, spec.bins // spec.fold] / np.sqrt(power)
+        ref = Y[:, spec.bins // spec.fold] * tab.scale + 0.5 * (tab.top[:, 0] + 1j * tab.top[:, 1])
         obs = observations(Y, tab)
         assert np.array_equal(obs[..., 0], ref.real) and np.array_equal(obs[..., 1], ref.imag)
+        assert np.array_equal(_decide(Y, tab, None), quantize(obs, tab.top, tab.m_q))
         sent = (rng.random(ref.shape) * spec.M).astype(np.int64)
-        pairs = (ref + tab.alphabet[sent + tab.offset]).view(float).reshape(obs.shape)
-        assert np.array_equal(_decide(Y, tab, sent), quantize(pairs, tab.d_min, tab.top, tab.m_q))
+        pairs = (ref + tab.alphabet[sent + tab.offset] / d_min).view(float).reshape(obs.shape)
+        assert np.array_equal(_decide(Y, tab, sent), quantize(pairs, tab.top, tab.m_q))
 
 
 def test_config_without_layers_has_nothing_to_transmit():
@@ -372,7 +376,7 @@ def test_sliced_columns_equal_the_index_array_bit_for_bit(name, arg):
     det_idx, det_twin = receive(y, cfg), receive(y, twin)
     assert all(np.array_equal(a, b) for a, b in zip(det_idx, det_twin))
     v = y - x
-    det_bins, det_twin = _detect(cfg, sym_idx, v.copy()), _detect(twin, sym_idx, v.copy())
+    det_bins, det_twin = _detect(cfg, sym_idx, v.copy())[0], _detect(twin, sym_idx, v.copy())[0]
     assert all(np.array_equal(a, b) for a, b in zip(det_bins, det_twin))
     probe_bin = cfg.n // 4 + 1
     for a, b in zip(layer_noise(cfg, sym_idx, det_idx, probe_bin),
@@ -435,7 +439,7 @@ def _check_folded_frames_and_noiseless_detection(cfg):
     for spec, idx, s in zip(cfg.layers, tx.sym_idx, layer_frames(cfg, tx.sym_idx)[0]):
         ref = np.fft.ifft(hermitian_embed(layer_loads(spec, idx), spec.bins, cfg.n))
         np.testing.assert_allclose(s, ref.real, rtol=0, atol=1e-12)
-    for det_idx in (receive(tx.x, cfg), _detect(cfg, tx.sym_idx, np.zeros(tx.x.shape))):
+    for det_idx in (receive(tx.x, cfg), _detect(cfg, tx.sym_idx, np.zeros(tx.x.shape))[0]):
         for spec, det, sent in zip(cfg.layers, det_idx, tx.sym_idx):
             assert np.array_equal(det, sent), f"{spec.kind} layer on bins {spec.bins}"
 
@@ -506,6 +510,30 @@ def test_layer_noise_on_one_period_equals_full_length_oracle(scheme, seed, sigma
     np.testing.assert_array_equal(probe, [d @ ph for d in delta])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 10), st.booleans(), st.floats(0.02, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_packed_residue_equals_the_synthesized_half_period(log_n, uniform, density, seed):
+    # the receiver's residue of an ACO layer, from one complex inverse FFT of half a period,
+    # is L (|s| - |s_hat|) of the two synthesized periods on their first half: on every
+    # uniform LACO layer down to period 4, and on pruned allocation layers, whose columns
+    # are index arrays or single bins as often as slices
+    n, rng = 2 ** log_n, np.random.default_rng(seed)
+    if uniform:
+        cfg = SchemeConfig.uniform("laco", n, int(rng.choice([4, 16, 64])), 1.0, laco_layers(n))
+    else:
+        bits = rng.integers(1, 9, n) * (rng.random(n) < density)
+        bits[rng.integers(1, n // 2)] = 1 + rng.integers(8)
+        cfg = SchemeConfig.from_allocation(n, bits, n * rng.uniform(0.5, 2.0, n))
+    sent, det = draw_symbols(cfg, rng, 4), draw_symbols(cfg, rng, 4)
+    for spec, s_idx, d_idx in zip(cfg.layers, sent, det):
+        s, s_hat = _synthesize(spec, s_idx, n), _synthesize(spec, d_idx, n)
+        half = n // (2 * spec.fold)
+        want = np.abs(s[:, :half]) - np.abs(s_hat[:, :half])
+        got = _residue(spec, s_idx, d_idx, n)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got / spec.fold, want, rtol=0, atol=1e-13 * np.abs(s).max())
+
+
 ORACLE_SCHEMES = ([("laco", j) for j in range(1, 10)]
                   + [(name, None) for name in ("aco", "dco", "pam", "ado", "haco", "allocation")])
 
@@ -530,5 +558,5 @@ def test_receiver_decides_as_the_waveform_oracle(scheme_layers, n, M, gamma_db, 
     tx = transmit(cfg, rng, 16)
     v = post_eq_noise(profile, rng, 16, cfg.loaded_bins)
     want = receive(tx.x + (noise_frames(cfg, v) if selective else v), cfg)
-    for got, ref in zip(_detect(cfg, tx.sym_idx, v), want):
+    for got, ref in zip(_detect(cfg, tx.sym_idx, v)[0], want):
         np.testing.assert_array_equal(got, ref)

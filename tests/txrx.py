@@ -35,12 +35,10 @@ def noise_frames(config, v, rng=None):
 
 
 def observations(spectrum, tables):
-    """The layer's bins of `spectrum` as float (re, im) pairs (F, n_j, 2) scaled by `gain`:
-    numpy divides complex by real through the reciprocal, so this is Y/sqrt(P_s). A sliced
-    block is copied, as `view(float)` needs a contiguous last axis."""
-    obs = np.ascontiguousarray(spectrum[:, tables.cols]).view(float).reshape(len(spectrum), -1, 2)
-    obs *= tables.gain
-    return obs
+    """The layer's bins of `spectrum` in the quantizer's level units, Y/(sqrt(P_s) d_min) plus
+    the centre (m_i - 1)/2 + i (m_q - 1)/2, as float (re, im) pairs (F, n_j, 2)."""
+    level = np.multiply(spectrum[:, tables.cols], tables.scale, order="C") + tables.centre
+    return level.view(float).reshape(len(spectrum), -1, 2)
 
 
 def receive(y, config) -> list:
@@ -55,7 +53,7 @@ def receive(y, config) -> list:
         if resid.shape[-1] > n // L:
             resid = resid.reshape(frames, -1, n // L).sum(axis=1)
         obs = observations(np.fft.rfft(resid), tab)
-        det_idx.append(quantize(obs, tab.d_min, tab.top, tab.m_q))
+        det_idx.append(quantize(obs, tab.top, tab.m_q))
         if len(det_idx) == len(config.layers):
             break  # nothing reads the last layer's residual
         x_hat = _synthesize(spec, det_idx[-1], n)
