@@ -26,9 +26,10 @@ from .numerics import qfunc
 
 @dataclass(frozen=True)
 class Constellation:
-    """One unit-power alphabet: an m_i x m_q QAM grid, or purely imaginary 1 x M
-    PAM. Point index order is row-major over (I level, Q level); `points` is read-only."""
+    """One unit-power alphabet: an m_i x m_q QAM grid, or purely imaginary 1 x M PAM, and each
+    point's levels i + 1j q in `quantize`'s units, row-major over (i, q); both read-only."""
     points: np.ndarray
+    levels: np.ndarray
     d_min: float
     m_i: int
     m_q: int
@@ -49,10 +50,11 @@ def unit_alphabet(kind: str, M: int) -> Constellation:
     """The unit-power alphabet of order M on a layer of `kind`, built once per process."""
     m_i, m_q = _grid(kind, M)
     scale = np.sqrt(3.0 / (m_i ** 2 + m_q ** 2 - 2))
-    level_i, level_q = (2.0 * np.arange(m) - (m - 1) for m in (m_i, m_q))  # odd integers
-    points = (level_i[:, None] + 1j * level_q[None, :]).ravel() * scale
-    points.flags.writeable = False
-    return Constellation(points, 2.0 * scale, m_i, m_q)
+    i, q = np.divmod(np.arange(M, dtype=float), m_q)
+    points = ((2.0 * i - (m_i - 1)) + 1j * (2.0 * q - (m_q - 1))) * scale  # odd integers, scaled
+    levels = i + 1j * q
+    points.flags.writeable = levels.flags.writeable = False
+    return Constellation(points, levels, 2.0 * scale, m_i, m_q)
 
 
 def quantize(levels, top, m_q):

@@ -49,16 +49,14 @@ class LayerSpec:
         orders, pos = np.unique(self.M, return_inverse=True)
         alphabets = [unit_alphabet(self.kind, int(order)) for order in orders]
         start = np.cumsum([0] + [c.points.size for c in alphabets])[:-1]
-        d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)
+        d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
                            for a in ("d_min", "m_i", "m_q"))
-        centre = 0.5 * (m_i - 1) + 0.5j * (m_q - 1)  # per order: the lowest level is 0
-        root = np.sqrt(self.power)
+        top, root = np.column_stack((m_i - 1, m_q - 1)), np.sqrt(self.power)
         half = _columns(self.bins // self.fold // 2)  # (c - 1)/2 of odd c: `_residue`'s columns
         return LayerTables(_columns(self.bins // self.fold), np.concatenate([c.points for c in alphabets]),
                            start[pos], (1.0 if self.kind == "dco" else 2.0) * root / self.fold,
-                           1.0 / root / d_min[pos],
-                           np.concatenate([c.points / c.d_min + z for c, z in zip(alphabets, centre)]),
-                           centre[pos], d_min[pos], np.column_stack((m_i - 1, m_q - 1))[pos], m_q[pos], half,
+                           1.0 / root / d_min, np.concatenate([c.levels for c in alphabets]),
+                           0.5 * top.view(complex)[:, 0], d_min, top, m_q, half,
                            slice(-1 - half.start, -1 - half.stop, -half.step) if isinstance(half, slice)
                            else -1 - half)
 
@@ -81,8 +79,8 @@ class LayerTables:
     offset: np.ndarray     # start of each bin's alphabet in `alphabet`
     amp: np.ndarray        # load scale 2*sqrt(P_s)/L, sqrt(P_s)/L for DCO
     scale: np.ndarray      # observation scale to level units, 1/(sqrt(P_s) d_min)
-    shifted: np.ndarray    # `alphabet` in level units, point/d_min + centre, concatenated alike
-    centre: np.ndarray     # per bin (m_i - 1)/2 + i (m_q - 1)/2, the level of the zero symbol
+    shifted: np.ndarray    # `alphabet` in level units (each point's `levels`), concatenated alike
+    centre: np.ndarray     # (m_i - 1)/2 + i (m_q - 1)/2, the origin in level units
     d_min: np.ndarray      # minimum distance of the unit alphabet
     top: np.ndarray        # (n_j, 2) highest level index per axis, (m_i - 1, m_q - 1)
     m_q: np.ndarray        # levels on the Q axis

@@ -144,6 +144,11 @@ def test_layer_detector_is_brute_force_ml_per_bin(kind, data):
 def test_detect_roundtrip_noiseless():
     c = unit_alphabet("qam", 64)
     np.testing.assert_array_equal(detect(c.points, c), np.arange(64))
+    # each point's levels are its level-unit coordinates, which decide as the point
+    centre = ((c.m_i - 1) + 1j * (c.m_q - 1)) / 2
+    np.testing.assert_allclose(c.levels, c.points / c.d_min + centre, rtol=0, atol=1e-12)
+    levels = c.levels.copy()[..., None].view(float)
+    np.testing.assert_array_equal(quantize(levels, (c.m_i - 1, c.m_q - 1), c.m_q), np.arange(64))
 
 
 def ser(kind, M, power, sigma2):
