@@ -53,12 +53,11 @@ class LayerSpec:
                            for a in ("d_min", "m_i", "m_q"))
         top, root = np.column_stack((m_i - 1, m_q - 1)), np.sqrt(self.power)
         half = _columns(self.bins // self.fold // 2)  # (c - 1)/2 of odd c: `_residue`'s columns
+        neg = slice(-1 - half.start, -1 - half.stop, -half.step) if isinstance(half, slice) else -1 - half
         return LayerTables(_columns(self.bins // self.fold), np.concatenate([c.points for c in alphabets]),
                            start[pos], (1.0 if self.kind == "dco" else 2.0) * root / self.fold,
                            1.0 / root / d_min, np.concatenate([c.levels for c in alphabets]),
-                           0.5 * top.view(complex)[:, 0], d_min, top, m_q, half,
-                           slice(-1 - half.start, -1 - half.stop, -half.step) if isinstance(half, slice)
-                           else -1 - half)
+                           0.5 * top.view(complex)[:, 0], d_min, top, m_q, half, neg)
 
 
 def _columns(cols: np.ndarray):
@@ -247,9 +246,9 @@ def _residue(spec: LayerSpec, sent, det, n: int):
     a, b = (tab.alphabet[idx + tab.offset] for idx in (sent, det))
     a *= tab.amp * (L / 2)
     b *= tab.amp * (0.5j * L)
+    a, b = a + b, np.conjugate(np.subtract(a, b, out=a), out=a)  # b's buffer freed before y exists
     y = np.zeros((len(sent), n // (2 * L)), dtype=complex)
-    y[:, tab.pos] = a + b
-    y[:, tab.neg] = np.conjugate(np.subtract(a, b, out=a), out=a)
+    y[:, tab.pos], y[:, tab.neg], a, b = a, b, None, None  # and both before the transform
     np.multiply(np.fft.ifft(y, out=y), _twiddle(n // L), out=y)
     parts = np.abs(y.view(float), out=y.view(float)).reshape(len(y), -1, 2)
     return parts[..., 0] - parts[..., 1]
