@@ -1,4 +1,4 @@
-"""Per-call time of the closed-form model (the rim kernel, the worst-case noise
+"""Per-call time of the closed-form model (the grid SER, the worst-case noise
 chain, the SER model and the allocator), and the A/B harness of the bench scripts.
 
     python3 scripts/bench_model.py [--parent DIR]
@@ -132,17 +132,19 @@ def calls(pkg) -> dict:
     import numpy as np
 
     rng = np.random.default_rng(17)
-    # 256 bins of orders 2..1024 at SNRs around the allocator's operating points
-    M = 2 ** rng.integers(1, 11, 256)
+    # 256 bins of orders 2..1024 on their m_i x m_q QAM grids, at SNRs around the
+    # allocator's operating points
+    b = rng.integers(1, 11, 256)
+    m_i, m_q, M = 2.0 ** ((b + 1) // 2), 2.0 ** (b // 2), 2 ** b
     d = pkg.min_distance(M, 10.0 ** rng.uniform(0.0, 3.0, 256))
     sigma2 = 10.0 ** rng.uniform(-1.0, 1.0, 256)
     # LACO, 16-QAM, flat channel, 20 dB electrical SNR
-    laco = pkg.SchemeConfig.uniform("laco", N, M_QAM, pkg.gamma_to_p_eff("laco", 20.0, 1.0, LACO_LAYERS),
+    laco = pkg.SchemeConfig.uniform("laco", N, M_QAM, pkg.gamma_to_p_eff("laco", 20.0, layers=LACO_LAYERS),
                                     LACO_LAYERS)
     p_v = np.full(N, float(N))
     channel = pkg.ChannelProfile.exponential(N)
     out = {
-        "detection_error_power_256_bins": lambda: pkg.detection_error_power(d, sigma2, M),
+        "grid_ser_256_bins": lambda: pkg.constellation.grid_ser(d, m_i, m_q, sigma2),
         f"worst_case_noise_laco{LACO_LAYERS}": lambda: pkg.worst_case_noise(laco, p_v),
         f"evaluate_ser_laco{LACO_LAYERS}": lambda: pkg.evaluate_ser(laco, p_v, "rcn_aware"),
     }

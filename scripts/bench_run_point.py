@@ -31,7 +31,7 @@ def points(pkg) -> dict:
     out = {}
     for scheme, gamma in MC_POINTS:
         layers = LACO_LAYERS if scheme == "laco" else None
-        cfg = pkg.SchemeConfig.uniform(scheme, N, M_QAM, pkg.gamma_to_p_eff(scheme, gamma, 1.0, layers),
+        cfg = pkg.SchemeConfig.uniform(scheme, N, M_QAM, pkg.gamma_to_p_eff(scheme, gamma, layers=layers),
                                        layers)
         out[f"mc_{scheme}_{gamma:g}dB"] = lambda cfg=cfg: run_point(cfg, flat, MC_FRAMES, SEED)
     for snr in SNRS_DB:

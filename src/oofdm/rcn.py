@@ -8,8 +8,9 @@ are used:
   P_t = (1/|K_t|) * sum_{k in K_t} f(d_t(k), P{Z_{t-1}(k)}, M_t(k)),
 * time-domain bound on P{delta_t}: |K_t| * P_t / N^2,
 
-where f is the rim-model detection-error power and d_t(k) the minimum
-distance of the constellation at the layer's effective power P_s(k).
+where f is the rim-model detection-error power (`constellation._rim_power` on
+per-axis `_neighbors` weights) and d_t(k) the minimum distance of the
+constellation at the layer's effective power P_s(k).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import _neighbor_table, _rim_power, min_distance
+from .constellation import _CELLS, _grid, _neighbors, _rim_power, min_distance
 from .modems import affected_subcarriers
 from .multilayer import SchemeConfig
 
@@ -51,7 +52,7 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
     2^t, excluding N/2), which contain the subcarriers of all later layers.
     Only zero-clipped layers are modeled (a DCO or PAM layer is last and feeds
     nothing), each by one rim-kernel call against the noise earlier layers
-    left, on minimum distances and neighbor counts formed once for all bins.
+    left, on minimum distances and `_neighbors` weights formed once for all bins.
     """
     n = config.n
     p_z = noise_map(config, p_v).copy()
@@ -61,12 +62,12 @@ def worst_case_noise(config: SchemeConfig, p_v, rims: int = 3) -> NoiseProfile:
         return NoiseProfile(p_z, bin_powers, delta_powers)
     M = np.concatenate([spec.M for spec in aco])
     d = min_distance(M, np.concatenate([spec.power for spec in aco]))
-    counts = _neighbor_table(M)
+    weights = _neighbors(np.array(_grid("qam", M), dtype=float)[:, None], _CELLS)
     bounds = np.cumsum([0] + [spec.bins.size for spec in aco])
     for i, (spec, lo, hi) in enumerate(zip(aco, bounds, bounds[1:])):
         L = spec.fold  # 2^(t-1)
         k_t = n // (2 * L)
-        f = _rim_power(d[lo:hi], p_z[spec.bins], counts[..., lo:hi], rims)
+        f = _rim_power(d[lo:hi], p_z[spec.bins], weights[..., lo:hi], rims)
         bin_powers[i] = 2.0 * float(np.sum(f)) / k_t  # both Hermitian mirrors
         delta_powers[i] = bin_powers[i] * k_t / n ** 2
         p_z[affected_subcarriers(L.bit_length(), n)] += bin_powers[i]

@@ -4,10 +4,11 @@
 positions (a, b) of d^2 (a^2 + b^2) times the position's hit probability and
 its average neighbor count, the counts enumerated on the alphabet's points.
 `exact_error_power` is the untruncated per-axis model: every offset, and the
-edge levels' decision cells with their full tails. `worst_case_noise_oracle`
-and `ser_oracle` run the noise chain and the SER model one layer at a time,
-each layer through the public `detection_error_power` or the per-axis SER of
-its bins' alphabets.
+edge levels' decision cells with their full tails. `rim_power` calls the
+package's rim kernel on broadcast bins, each weighted by its `_grid`'s
+`_neighbors`. `worst_case_noise_oracle` and `ser_oracle` run the noise chain
+and the SER model one layer at a time, each layer through `rim_power` or the
+per-axis SER of its bins' alphabets.
 """
 
 from functools import lru_cache
@@ -15,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from oofdm.constellation import detection_error_power, min_distance, unit_alphabet
+from oofdm.constellation import _CELLS, _grid, _neighbors, _rim_power, min_distance, unit_alphabet
 from oofdm.modems import affected_subcarriers
 
 # Axis offsets (a, b), a >= b, in d_min units: rim r holds the positions with a = r.
@@ -36,6 +37,14 @@ def neighbor_counts(M):
     pts = c.points / c.d_min  # grid with unit spacing
     dist2 = np.round(np.abs(pts[:, None] - pts[None, :]) ** 2).astype(int)
     return {(a, b): np.count_nonzero(dist2 == a * a + b * b) / M for a, b in RIM_OFFSETS}
+
+
+def rim_power(d, sigma2, M, rims=3):
+    """The rim kernel's detection-error power of ML detection of M-QAM with minimum
+    distance d in complex AWGN of power sigma2, broadcast over d, sigma2 and M."""
+    d, sigma2, M = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(sigma2, dtype=float), M)
+    weights = _neighbors(np.array(_grid("qam", M.ravel()), dtype=float)[:, None], _CELLS)
+    return _rim_power(d.ravel(), sigma2.ravel(), weights, rims).reshape(M.shape)[()]
 
 
 def nine_position_power(d, sigma2, M, rims):
@@ -84,7 +93,7 @@ def worst_case_noise_oracle(config, p_v, rims):
         if spec.kind != "aco":
             continue
         k_t = n // (2 * spec.fold)
-        f = detection_error_power(min_distance(spec.M, spec.power), p_z[spec.bins], spec.M, rims)
+        f = rim_power(min_distance(spec.M, spec.power), p_z[spec.bins], spec.M, rims)
         bin_powers[i] = 2.0 * float(np.sum(f)) / k_t
         delta_powers[i] = bin_powers[i] * k_t / n ** 2
         if bin_powers[i] > 0.0:

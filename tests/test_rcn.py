@@ -7,13 +7,13 @@ from hypothesis.extra.numpy import arrays
 
 import oofdm.constellation as constellation
 from oofdm.channel import ChannelProfile
-from oofdm.constellation import detection_error_power, min_distance
+from oofdm.constellation import min_distance
 from oofdm.modems import affected_subcarriers, layer_index
 from oofdm.multilayer import SchemeConfig
 from oofdm.numerics import qfunc
 from oofdm.rcn import worst_case_noise
 from oofdm.ser import MODES, evaluate_ser
-from rim_oracle import nine_position_power, ser_oracle, worst_case_noise_oracle
+from rim_oracle import nine_position_power, rim_power, ser_oracle, worst_case_noise_oracle
 
 N = 1024
 
@@ -94,7 +94,7 @@ def test_layer_number_comes_from_the_bins():
     np.testing.assert_array_equal(extra[2::4], 0.0)
     assert np.all(extra[affected_subcarriers(2, N)] > 0)
     spec = cfg.layers[0]
-    f = detection_error_power(min_distance(spec.M, spec.power), p_v[spec.bins], spec.M)
+    f = rim_power(min_distance(spec.M, spec.power), p_v[spec.bins], spec.M)
     assert prof.bin_powers[0] == pytest.approx(2.0 * np.sum(f) / (N // 4))
     assert prof.delta_powers[0] == pytest.approx(prof.bin_powers[0] / (4 * N))
 
@@ -110,7 +110,7 @@ def test_chain_uses_accumulated_noise():
 
 def _layer_error_power(M, power, noise_power, rims=3):
     # per-bin detection-error power of a layer at effective power P_s(k) and total noise P_z(k)
-    return detection_error_power(min_distance(M, power), noise_power, M, rims)
+    return rim_power(min_distance(M, power), noise_power, M, rims)
 
 
 def test_layer_error_power_matches_scalar_evaluation():
@@ -189,7 +189,7 @@ def _assert_chain_matches_oracle(cfg, p_v, rims):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2 ** b for b in range(4, 11)]), st.integers(1, 3), st.data())
 def test_chain_equals_the_per_layer_oracle_on_pruned_loadings(n, rims, data):
-    # the stacked chain and SER model against one detection_error_power or SER
+    # the stacked chain and SER model against one rim-kernel or SER
     # formula call per layer, bit for bit, on a random pruned LACO loading
     bits = data.draw(arrays(np.int64, n, elements=st.integers(0, 8)))
     powers = data.draw(arrays(float, n, elements=st.floats(1e-2, 1e4)))

@@ -1,5 +1,6 @@
-"""Tests for the bench scripts: the shared A/B harness in `scripts/bench_model.py`, and
-the fresh interpreters of `scripts/bench_cold_start.py`."""
+"""Tests for the bench scripts: the shared A/B harness in `scripts/bench_model.py`, the
+fresh interpreters of `scripts/bench_cold_start.py`, and what the benchmark workloads in
+`perfbench/workloads.py` and `bench_model`'s calls use of the package."""
 
 import importlib
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import oofdm
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 bench_model = importlib.import_module("bench_model")
+workloads = importlib.import_module("workloads")  # bench_model puts perfbench/ on sys.path
 
 
 @pytest.mark.parametrize("script", ["bench_model", "bench_run_point", "bench_cold_start"])
@@ -18,6 +22,22 @@ def test_scripts_import(script):
     # each A/B script imports its operating points from perfbench/workloads.py,
     # so a renamed constant there fails here
     assert importlib.import_module(script).REPEATS >= 1
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_runs_one_checked_op(name):
+    # the benchmark runs the committed package: a deleted function or a parameter its
+    # workloads pass positionally fails the run, so one op of each must pass its check
+    workload = workloads.WORKLOADS[name](seed=5)
+    workload.warm_up()
+    out = workload.op(0)
+    assert workload.check(0, out) is None
+
+
+def test_bench_model_calls_run():
+    # every call `bench_model.py` times, on this checkout's package
+    for call in bench_model.calls(oofdm).values():
+        call()
 
 
 def test_race_warms_up_once_then_alternates_the_trees():
