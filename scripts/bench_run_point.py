@@ -1,6 +1,7 @@
 """Monte Carlo frames/s of `run_point` at the points of the two benchmark
 workloads: the uniform points of `mc_uniform_flat` (flat channel) and the
-RCN-aware allocations of `closed_loop_selective` (exponential channel).
+RCN-aware allocations of `closed_loop_selective` (exponential channel); and of
+instrumented LACO runs, which neither workload makes.
 
     python3 scripts/bench_run_point.py [--parent DIR]
 
@@ -9,7 +10,9 @@ harness; the points and frame counts come from `perfbench/workloads.py`, and
 each tree builds its own configs. BENCH_run_point.json gets `bench_model`'s
 record plus each call's frames and median and best frames/s; with --parent
 also, per workload cycle (the sum of its points' times in one round), the
-ratios that `bench_model.ratios` gives per call.
+ratios that `bench_model.ratios` gives per call. The instrumented calls, LACO at
+effective 16-QAM 20 dB and 64-QAM 10 dB on the flat channel, each with
+instrument=True and with probe bin 256, are in no cycle.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ REPEATS = 31
 SEED = (20, 1)
 # workload -> (prefix of its calls, frames per call)
 CYCLES = {"mc_uniform_flat": ("mc_", MC_FRAMES), "closed_loop_selective": ("closed_loop_", CL_FRAMES)}
+INSTRUMENTED = ("instrumented_", 1000)
 
 
 def points(pkg) -> dict:
@@ -38,6 +42,13 @@ def points(pkg) -> dict:
         res = pkg.allocate(selective, 10.0 ** (snr / 10.0), P_E, mode="rcn_aware")
         cfg = pkg.SchemeConfig.from_allocation(N, res.bits, res.powers)
         out[f"closed_loop_{snr:g}dB"] = lambda cfg=cfg: run_point(cfg, selective, CL_FRAMES, SEED)
+    prefix, frames = INSTRUMENTED
+    for m, gamma in ((16, 20.0), (64, 10.0)):
+        p_eff = pkg.gamma_to_p_eff("laco", gamma, layers=LACO_LAYERS, effective=True)
+        cfg = pkg.SchemeConfig.uniform("laco", N, m, p_eff, LACO_LAYERS)
+        for label, kw in (("", {"instrument": True}), ("_probe256", {"probe_bin": 256})):
+            out[f"{prefix}laco_{m}qam_{gamma:g}dB{label}"] = lambda cfg=cfg, kw=kw: run_point(
+                cfg, flat, frames, SEED, **kw)
     return out
 
 
@@ -45,7 +56,7 @@ if __name__ == "__main__":
     walls, record = ab(__doc__, points, REPEATS)
     for tree in record["trees"].values():
         for name, call in tree["calls"].items():
-            frames = next(f for prefix, f in CYCLES.values() if name.startswith(prefix))
+            frames = next(f for prefix, f in (*CYCLES.values(), INSTRUMENTED) if name.startswith(prefix))
             call.update(frames=frames, median_frames_per_s=frames * 1e3 / call["median_ms"],
                         best_frames_per_s=frames * 1e3 / call["min_ms"])
     if "parent" in walls:

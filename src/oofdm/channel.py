@@ -14,8 +14,8 @@ row block of about 512 KiB of frame samples at a time, so that a block's arrays 
 cache. It yields each block's sent indices and noise v, which `multilayer._detect` decides
 in the bin domain: `run_point` never forms the frames x, which only the CLI's frame dump
 (frame 0 of the first block) and `measure_power_relations` modulate. `layer_noise` measures
-an instrumented block's RCN from its sent and detected indices, on each layer's period;
-only zero-clipped layers are instrumented. The generator fills in order and every step is
+an instrumented block's RCN from its sent and detected indices, on each layer's half period;
+only ACO layers are instrumented. The generator fills in order and every step is
 row-independent: results depend on the seed only, never on the block. The engine loads no
 scipy module: `rcn_statistics` imports `scipy.special` when called, for its KS distances.
 """
@@ -175,11 +175,11 @@ def run_point(scheme_cfg: SchemeConfig, profile: ChannelProfile, frames: int, se
     their standard errors (sample SD of the per-frame SER over sqrt(frames);
     nan for one frame), and (when instrumented) per-frame delta/error powers
     and probe-bin clipping-noise samples per layer. A probe bin implies instrumentation,
-    which measures zero-clipped layers only: it rejects a config with a DCO layer.
+    which measures ACO layers only: it rejects a config with a DCO or PAM layer.
     """
     instrument = instrument or probe_bin is not None
-    if instrument and any(sp.kind == "dco" for sp in scheme_cfg.layers):
-        raise ValueError("an instrumented run measures zero-clipped layers only, not a DCO layer")
+    if instrument and any(sp.kind != "aco" for sp in scheme_cfg.layers):
+        raise ValueError("an instrumented run measures ACO layers only, not a DCO or PAM layer")
     frame_err, noise = [], []
     for sent, v in _blocks(scheme_cfg, profile, frames, seed):
         det_idx, errors = _detect(scheme_cfg, sent, v)

@@ -11,9 +11,8 @@ sent symbols plus the spectrum of the noise and of the clipping residue of each 
 layer's wrong decisions. Its bins, scaled by 1/(sqrt(P_s) d_min) (a zero-clipped layer is
 loaded at 2*sqrt(P_s), and clipping halves its bins) plus the sent symbols in these level
 units, are rounded in one quantizer call. Only the rows that erred are remodulated, by one
-complex inverse FFT of half a period. `layer_noise` measures the RCN of zero-clipped (ACO and
-PAM) layers from the sent and detected indices on each layer's period too, tiling only the
-RCN and the squared detection error to full length.
+complex inverse FFT of half a period (`_pair`), from which `layer_noise` measures the RCN of an
+instrumented run's ACO layers too.
 """
 from __future__ import annotations
 
@@ -52,7 +51,7 @@ class LayerSpec:
         d_min, m_i, m_q = (np.array([getattr(c, a) for c in alphabets], dtype=float)[pos]
                            for a in ("d_min", "m_i", "m_q"))
         top, root = np.column_stack((m_i - 1, m_q - 1)), np.sqrt(self.power)
-        half = _columns(self.bins // self.fold // 2)  # (c - 1)/2 of odd c: `_residue`'s columns
+        half = _columns(self.bins // self.fold // 2)  # (c - 1)/2 of odd c: `_pair`'s columns
         neg = slice(-1 - half.start, -1 - half.stop, -half.step) if isinstance(half, slice) else -1 - half
         return LayerTables(_columns(self.bins // self.fold), np.concatenate([c.points for c in alphabets]),
                            start[pos], (1.0 if self.kind == "dco" else 2.0) * root / self.fold,
@@ -83,7 +82,7 @@ class LayerTables:
     d_min: np.ndarray      # minimum distance of the unit alphabet
     top: np.ndarray        # (n_j, 2) highest level index per axis, (m_i - 1, m_q - 1)
     m_q: np.ndarray        # levels on the Q axis
-    pos: slice | np.ndarray  # an ACO layer's odd column c at (c - 1)/2 in `_residue`'s transform,
+    pos: slice | np.ndarray  # an ACO layer's odd column c at (c - 1)/2 in `_pair`'s transform,
     neg: slice | np.ndarray  # its negative at -1 - (c - 1)/2, in bin order (a slice runs down)
 
 
@@ -224,7 +223,9 @@ def _detect(config: SchemeConfig, sent_idx, noise):
         erred = np.flatnonzero(errors[-1])
         if erred.size:  # a layer without errors leaves no residue
             rows = slice(None) if erred.size == frames else erred  # a view beats a gather
-            acc[rows] += np.fft.rfft(_residue(spec, sent[rows], det[rows], n))
+            y = _pair(spec, sent[rows], det[rows], n)
+            parts = np.abs(y.view(float), out=y.view(float)).reshape(len(y), -1, 2)
+            acc[rows] += np.fft.rfft(parts[..., 0] - parts[..., 1])  # of L (|s| - |s_hat|)
     return det_idx, errors
 
 
@@ -236,8 +237,8 @@ def _twiddle(p: int) -> np.ndarray:
     return w
 
 
-def _residue(spec: LayerSpec, sent, det, n: int):
-    """L (|s| - |s_hat|) on the half period m < P/2 of an ACO layer's frames of period P = n/L
+def _pair(spec: LayerSpec, sent, det, n: int):
+    """y = L (s + i s_hat) on the half period m < P/2 of an ACO layer's frames of period P = n/L
     loading `sent` and `det`, from one complex inverse FFT of length P/2: on odd harmonics
     c < P/2 alone, s + i s_hat = w^m IDFT(Y)(m)/2, w = exp(2 pi i/P), where Y holds a + i a_hat
     at (c - 1)/2 and conj(a - i a_hat) at -1 - (c - 1)/2. With the factor L and the 1/2 the loads
@@ -249,9 +250,7 @@ def _residue(spec: LayerSpec, sent, det, n: int):
     a, b = a + b, np.conjugate(np.subtract(a, b, out=a), out=a)  # b's buffer freed before y exists
     y = np.zeros((len(sent), n // (2 * L)), dtype=complex)
     y[:, tab.pos], y[:, tab.neg], a, b = a, b, None, None  # and both before the transform
-    np.multiply(np.fft.ifft(y, out=y), _twiddle(n // L), out=y)
-    parts = np.abs(y.view(float), out=y.view(float)).reshape(len(y), -1, 2)
-    return parts[..., 0] - parts[..., 1]
+    return np.multiply(np.fft.ifft(y, out=y), _twiddle(n // L), out=y)
 
 
 def _decide(band, tab: LayerTables, sent):
@@ -263,18 +262,19 @@ def _decide(band, tab: LayerTables, sent):
 
 def layer_noise(config: SchemeConfig, sent_idx, det_idx, probe_bin: int | None = None):
     """Per-frame RCN power mean(delta_t^2), error power mean(e_t^2) and RCN sample FFT(delta_t)
-    at `probe_bin` (or None) of each layer, as (J, F) arrays, from sent and detected indices.
-    Every layer is taken as zero-clipped (ACO or PAM), so delta_t = (|s_t| - |s_t + e_t|)/2;
-    `run_point` rejects a config with a DCO layer. delta_t and e_t^2 are formed on one
-    period and then tiled: elementwise steps commute with tiling, so the results equal
-    those of full-length frames bit for bit."""
-    ph = None if probe_bin is None else np.exp(-2j * np.pi * probe_bin * np.arange(config.n) / config.n)
-    delta_power, err_power, probe = [], [], []
-    for spec, sent, det in zip(config.layers, sent_idx, det_idx):  # one layer's frames at a time
-        s, s_hat = (_synthesize(spec, idx, config.n) for idx in (sent, det))
-        e = s_hat - s
-        delta = np.tile(0.5 * (np.abs(s) - np.abs(s + e)), spec.fold)
-        delta_power.append(np.mean(delta ** 2, axis=-1))
-        err_power.append(np.mean(np.tile(e ** 2, spec.fold), axis=-1))
-        probe.append(None if ph is None else delta @ ph)
-    return np.array(delta_power), np.array(err_power), None if ph is None else np.array(probe)
+    at `probe_bin` (or None) of each ACO layer (`run_point` rejects any other), as (J, F) arrays.
+    On the half period N/(2L), over which delta_t and e_t^2 repeat, y = L (s_t + i s_hat_t) from
+    `_pair` gives delta_t = (|Re y| - |Im y|)/(2L) and e_t = (Im y - Re y)/L; the N-point FFT at k
+    is 2L times the half-period sum if 2L divides k, else 0. Error-free rows read exactly 0."""
+    delta_power, err_power = np.zeros((2, len(config.layers), len(sent_idx[0])))
+    probe = None if probe_bin is None else np.zeros(delta_power.shape, dtype=complex)
+    for j, (spec, sent, det) in enumerate(zip(config.layers, sent_idx, det_idx)):
+        rows = np.flatnonzero(np.count_nonzero(det != sent, axis=1))
+        if rows.size:  # an error-free row has s_hat = s
+            y, two_l = _pair(spec, sent[rows], det[rows], config.n), 2 * spec.fold
+            err_power[j, rows] = np.mean((y.imag - y.real) ** 2, axis=-1) / spec.fold ** 2
+            resid = np.abs(y.real) - np.abs(y.imag)  # 2L delta_t
+            delta_power[j, rows] = np.mean(resid ** 2, axis=-1) / two_l ** 2
+            if probe is not None and probe_bin % two_l == 0:
+                probe[j, rows] = resid @ np.exp(-2j * np.pi * probe_bin * np.arange(y.shape[-1]) / config.n)
+    return delta_power, err_power, probe

@@ -1,7 +1,7 @@
 """Test oracles: the complex loads of symbol indices, each layer's full-length
 frames, and the per-layer signals of a receive, rebuilt from its decisions,
-with the per-frame powers of `layer_noise` checked against them on configs of
-zero-clipped layers."""
+with the per-frame powers of `layer_noise` checked against them, to rounding,
+on configs of ACO layers."""
 
 import numpy as np
 
@@ -57,9 +57,22 @@ def layer_signals(y, config, truth, det_idx):
             delta.append(0.5 * (np.abs(s[j]) - np.abs(s[j] + e[j])))
         y_cur = y_cur - x_hat[j]
         y_resid.append(y_cur)
-    if any(spec.kind == "dco" for spec in config.layers):
-        return e, delta, y_resid  # layer_noise measures zero-clipped layers only
-    delta_power, err_power, _ = layer_noise(config, truth.sym_idx, det_idx)
-    np.testing.assert_array_equal(delta_power, [np.mean(d ** 2, axis=-1) for d in delta])
-    np.testing.assert_array_equal(err_power, [np.mean(ej ** 2, axis=-1) for ej in e])
+    if any(spec.kind != "aco" for spec in config.layers):
+        return e, delta, y_resid  # layer_noise measures ACO layers only
+    want = [np.mean(d ** 2, axis=-1) for d in delta], [np.mean(ej ** 2, axis=-1) for ej in e], None
+    assert_layer_noise_close(layer_noise(config, truth.sym_idx, det_idx), want, config.n)
     return e, delta, y_resid
+
+
+def assert_layer_noise_close(got, want, n):
+    """`layer_noise` arrays `got` equal reference (delta power, error power, probe) arrays
+    `want`, (J, F) each or a None probe, to rounding: both powers within 1e-13 of the row's
+    error power mean(e_t^2), which is at least 4 mean(delta_t^2), and the probe within 1e-12 of
+    its bound on the row, N sqrt(mean(e_t^2))/2 >= sum |e_t|/2 >= |Delta_t(k)|. So a row
+    without an error must read exactly 0."""
+    err = np.asarray(want[1])
+    for name, g, w, tol in zip(("delta power", "error power", "probe"), got, want,
+                               (1e-13 * err, 1e-13 * err, 1e-12 * n * np.sqrt(err) / 2)):
+        if w is not None:
+            excess = np.abs(g - np.asarray(w)) - tol
+            assert np.all(excess <= 0), f"{name} off by {excess.max():.3g} past its tolerance"

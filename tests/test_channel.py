@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oofdm.channel as channel_module
+from layer_signals import assert_layer_noise_close
 from oofdm.allocate import allocate
 from oofdm.channel import (ChannelProfile, _probed_layers, gamma_to_p_eff,
                            measure_power_relations, post_eq_noise, rcn_statistics, run_point)
@@ -267,12 +268,12 @@ def test_run_point_stderr_of_one_frame_is_nan():
 @pytest.mark.parametrize("scheme,layers,channel", [("laco", 9, "flat"), ("ado", None, "exp"),
                                                    ("haco", None, "exp")])
 def test_run_point_results_do_not_depend_on_the_block(monkeypatch, scheme, layers, channel):
-    # 7-row blocks divide neither the 150-frame batches nor the 40-frame tail; the DCO
-    # layer of ADO cannot be instrumented, so that run compares the error counts only
+    # 7-row blocks divide neither the 150-frame batches nor the 40-frame tail; only ACO
+    # layers can be instrumented, so the ADO and HACO runs compare the error counts only
     cfg = SchemeConfig.uniform(scheme, N, 16, gamma_to_p_eff(scheme, 14.0, 1.0, layers), layers)
     prof = ChannelProfile.flat(N) if channel == "flat" else ChannelProfile.exponential(N)
     monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 150)
-    probe_bin = None if scheme == "ado" else 4
+    probe_bin = 4 if scheme == "laco" else None
 
     def run():
         return run_point(cfg, prof, frames=340, seed=3, probe_bin=probe_bin)
@@ -305,10 +306,12 @@ def test_run_point_layer_errors_match_recorded(scheme, layers):
 
 # Instrumented run_point(cfg, exponential, frames=600, seed=11, probe_bin=4)
 # arrays in batches of 250 frames, recorded when the selective-channel noise became a
-# draw at the loaded bins; the file also holds the RCN-aware allocation (18 dB,
-# p_e = 1e-2) that "alloc" loads. The same random stream must give the same
-# arrays bit for bit, on the same numpy build and CPU family.
+# draw at the loaded bins, with full-period transforms; the file also holds the RCN-aware
+# allocation (18 dB, p_e = 1e-2) that "alloc" loads. The same random stream must give the
+# same arrays to rounding, on the same numpy build and CPU family. HACO's PAM layer is no
+# longer instrumented: its recorded error powers still say which frames erred.
 RECORDED_ARRAYS = Path(__file__).parent / "data" / "run_point_exponential.npz"
+NOISE_KEYS = ("delta_power", "err_power", "probe")
 
 
 @pytest.mark.parametrize("name", ["laco", "haco", "alloc"])
@@ -321,10 +324,15 @@ def test_run_point_instrumented_arrays_match_recorded(monkeypatch, name):
         layers = 9 if name == "laco" else None
         cfg = SchemeConfig.uniform(name, N, 16, gamma_to_p_eff(name, 20.0, 1.0, layers), layers)
     monkeypatch.setattr(channel_module, "DEFAULT_BATCH", 250)
-    out = run_point(cfg, ChannelProfile.exponential(N), frames=600, seed=11, instrument=True,
-                    probe_bin=4)
-    for key in ("delta_power", "err_power", "probe"):
-        assert np.array_equal(out[key], recorded[f"{name}/{key}"]), key
+    prof, want = ChannelProfile.exponential(N), [recorded[f"{name}/{key}"] for key in NOISE_KEYS]
+    if name == "haco":
+        blocks = channel_module._blocks(cfg, prof, 600, 11)
+        errors = np.concatenate([_detect(cfg, sent, v)[1] for sent, v in blocks], axis=1)
+        assert np.array_equal(errors > 0, want[1] > 0)
+        assert run_point(cfg, prof, frames=600, seed=11)["layer_errors"].tolist() == errors.sum(axis=1).tolist()
+        return
+    out = run_point(cfg, prof, frames=600, seed=11, instrument=True, probe_bin=4)
+    assert_layer_noise_close([out[key] for key in NOISE_KEYS], want, N)
 
 
 @pytest.mark.parametrize("run,frames", [("run_point", 0), ("run_point", -3),
@@ -348,16 +356,16 @@ def test_measure_rcn_power_shapes(monkeypatch):
     assert out["delta_power"][0].mean() == pytest.approx(0.427, rel=0.10)
 
 
-@pytest.mark.parametrize("scheme", ["ado", "dco"])
+@pytest.mark.parametrize("scheme", ["ado", "dco", "haco", "pam"])
 @pytest.mark.parametrize("kw", [{"instrument": True}, {"probe_bin": 4}], ids=["instrument", "probe"])
-def test_instrumented_run_rejects_a_dco_layer(monkeypatch, scheme, kw):
-    # the zero-clipped RCN does not describe a bias-clipped layer; the run fails before
-    # its first block is drawn
+def test_instrumented_run_rejects_a_non_aco_layer(monkeypatch, scheme, kw):
+    # the RCN is measured on an ACO layer's half period, over which a DCO or PAM layer's
+    # frame does not repeat; the run fails before its first block is drawn
     def no_blocks(*args):
         raise AssertionError("a frame was drawn")
     monkeypatch.setattr(channel_module, "_blocks", no_blocks)
     cfg = SchemeConfig.uniform(scheme, N, 16, 1.0)
-    with pytest.raises(ValueError, match="zero-clipped layers only, not a DCO layer"):
+    with pytest.raises(ValueError, match="ACO layers only, not a DCO or PAM layer"):
         run_point(cfg, ChannelProfile.flat(N), frames=10, seed=0, **kw)
 
 
@@ -367,7 +375,7 @@ def test_probe_bin_implies_instrumentation():
     probed = run_point(cfg, ChannelProfile.flat(N), 100, 0, probe_bin=256)
     full = run_point(cfg, ChannelProfile.flat(N), 100, 0, instrument=True, probe_bin=256)
     assert probed.keys() == full.keys()
-    for key in ("delta_power", "err_power", "probe"):
+    for key in NOISE_KEYS:
         assert np.array_equal(probed[key], full[key]), key
 
 

@@ -9,12 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 from hermitian import hermitian_embed
 from index_sets import effective_reference
-from layer_signals import layer_frames, layer_loads, layer_signals
+from layer_signals import assert_layer_noise_close, layer_frames, layer_loads, layer_signals
 from oofdm.allocate import allocate
 from oofdm.channel import ChannelProfile, post_eq_noise
 from oofdm.constellation import quantize, unit_alphabet
 from oofdm.modems import laco_layers, layer_index
-from oofdm.multilayer import (LayerSpec, SchemeConfig, _decide, _detect, _residue, _synthesize, draw_symbols,
+from oofdm.multilayer import (LayerSpec, SchemeConfig, _decide, _detect, _pair, _synthesize, draw_symbols,
                               layer_noise, modulate)
 from txrx import noise_frames, observations, receive, transmit
 
@@ -346,11 +346,14 @@ def _sliced_config(name, arg):
 
 
 def _index_array_twin(cfg):
-    """`cfg` with every layer's columns indexed by the bins // L array instead."""
+    """`cfg` with every layer's columns, and the columns of `_pair`'s half-period transform,
+    indexed by index arrays instead."""
     twins = []
     for spec in cfg.layers:
-        twin = LayerSpec(spec.kind, spec.bins, spec.M, spec.power)
-        twin.__dict__["tables"] = replace(spec.tables, cols=spec.bins // spec.fold)  # the cached property
+        twin, tab = LayerSpec(spec.kind, spec.bins, spec.M, spec.power), spec.tables
+        half = np.arange(cfg.n // (2 * spec.fold))
+        twin.__dict__["tables"] = replace(tab, cols=spec.bins // spec.fold, pos=half[tab.pos],
+                                          neg=half[tab.neg])  # the cached property
         twins.append(twin)
     return SchemeConfig(cfg.n, twins)
 
@@ -368,7 +371,7 @@ def test_equally_spaced_layers_index_their_columns_by_a_slice(name, arg):
 def test_sliced_columns_equal_the_index_array_bit_for_bit(name, arg):
     cfg = _sliced_config(name, arg)
     twin = _index_array_twin(cfg)
-    assert all(isinstance(sp.tables.cols, np.ndarray) for sp in twin.layers)
+    assert all(isinstance(getattr(sp.tables, a), np.ndarray) for sp in twin.layers for a in ("cols", "pos", "neg"))
     sym_idx = draw_symbols(cfg, np.random.default_rng(3), 6)
     x = modulate(cfg, sym_idx)
     assert np.array_equal(x, modulate(twin, sym_idx))
@@ -378,10 +381,11 @@ def test_sliced_columns_equal_the_index_array_bit_for_bit(name, arg):
     v = y - x
     det_bins, det_twin = _detect(cfg, sym_idx, v.copy())[0], _detect(twin, sym_idx, v.copy())[0]
     assert all(np.array_equal(a, b) for a, b in zip(det_bins, det_twin))
-    probe_bin = cfg.n // 4 + 1
-    for a, b in zip(layer_noise(cfg, sym_idx, det_idx, probe_bin),
-                    layer_noise(twin, sym_idx, det_idx, probe_bin)):
-        assert np.array_equal(a, b)
+    if all(sp.kind == "aco" for sp in cfg.layers):  # layer_noise measures ACO layers only
+        probe_bin = cfg.n // 4
+        for a, b in zip(layer_noise(cfg, sym_idx, det_idx, probe_bin),
+                        layer_noise(twin, sym_idx, det_idx, probe_bin)):
+            assert np.array_equal(a, b)
 
 
 def test_notched_layer_keeps_an_index_array_and_round_trips():
@@ -485,13 +489,14 @@ def test_modulate_over_row_splits_equals_transmit(scheme_layers, frames, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["haco", "aco", "pam", "allocation"]), st.integers(0, 2 ** 32 - 1),
+@given(st.sampled_from(["aco", "laco", "allocation"]), st.integers(0, 2 ** 32 - 1),
        st.floats(0.05, 1.0), st.integers(0, N_PROP - 1))
 def test_layer_noise_on_one_period_equals_full_length_oracle(scheme, seed, sigma, probe_bin):
-    # the per-period delta and error powers and probe equal those of the full-length
-    # frames of the oracle bit for bit, for a PAM layer, the zero-clipped single-layer
-    # schemes, and an allocation whose odd bins are empty, so that its first layer has
-    # period N/2
+    # the half-period delta and error powers and probe equal those of the full-length frames
+    # of the oracle to rounding, for the single-layer ACO scheme, every LACO layer, and an
+    # allocation whose odd bins are empty, so that its first layer has period N/2; a row
+    # without a detection error reads exactly 0, and so does the probe of a layer whose 2L
+    # does not divide the probe bin
     rng = np.random.default_rng(seed)
     if scheme == "allocation":
         bits = rng.integers(0, 7, N_PROP)
@@ -500,23 +505,29 @@ def test_layer_noise_on_one_period_equals_full_length_oracle(scheme, seed, sigma
         cfg = SchemeConfig.from_allocation(N_PROP, bits, N_PROP * rng.uniform(0.5, 2.0, N_PROP))
         assert cfg.layers[0].fold == 2
     else:
-        cfg = SchemeConfig.uniform(scheme, N_PROP, 16, 1.0)
+        layers = laco_layers(N_PROP) if scheme == "laco" else None
+        cfg = SchemeConfig.uniform(scheme, N_PROP, 16, 1.0, layers)
     tx = transmit(cfg, rng, 6)
     y = tx.x + sigma * rng.standard_normal(tx.x.shape)
     det_idx = receive(y, cfg)
-    _, delta, _ = layer_signals(y, cfg, tx, det_idx)  # asserts the delta and error powers
+    e, delta, _ = layer_signals(y, cfg, tx, det_idx)  # checks the delta and error powers
     ph = np.exp(-2j * np.pi * probe_bin * np.arange(N_PROP) / N_PROP)
-    probe = layer_noise(cfg, tx.sym_idx, det_idx, probe_bin)[2]
-    np.testing.assert_array_equal(probe, [d @ ph for d in delta])
+    got = layer_noise(cfg, tx.sym_idx, det_idx, probe_bin)
+    want = [[np.mean(x ** 2, axis=-1) for x in signal] for signal in (delta, e)] + [[d @ ph for d in delta]]
+    assert_layer_noise_close(got, want, N_PROP)
+    for spec, sent, det, *noise in zip(cfg.layers, tx.sym_idx, det_idx, *got):
+        clean = np.all(det == sent, axis=1)
+        assert all(np.all(a[clean] == 0.0) for a in noise)
+        assert probe_bin % (2 * spec.fold) == 0 or np.all(noise[2] == 0.0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(4, 10), st.booleans(), st.floats(0.02, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_packed_residue_equals_the_synthesized_half_period(log_n, uniform, density, seed):
-    # the receiver's residue of an ACO layer, from one complex inverse FFT of half a period,
-    # is L (|s| - |s_hat|) of the two synthesized periods on their first half: on every
-    # uniform LACO layer down to period 4, and on pruned allocation layers, whose columns
-    # are index arrays or single bins as often as slices
+    # the pair of an ACO layer that the receiver's residue and `layer_noise` read, from one
+    # complex inverse FFT of half a period, is L (s + i s_hat) of the two synthesized periods
+    # on their first half: on every uniform LACO layer down to period 4, and on pruned
+    # allocation layers, whose columns are index arrays or single bins as often as slices
     n, rng = 2 ** log_n, np.random.default_rng(seed)
     if uniform:
         cfg = SchemeConfig.uniform("laco", n, int(rng.choice([4, 16, 64])), 1.0, laco_layers(n))
@@ -528,8 +539,8 @@ def test_packed_residue_equals_the_synthesized_half_period(log_n, uniform, densi
     for spec, s_idx, d_idx in zip(cfg.layers, sent, det):
         s, s_hat = _synthesize(spec, s_idx, n), _synthesize(spec, d_idx, n)
         half = n // (2 * spec.fold)
-        want = np.abs(s[:, :half]) - np.abs(s_hat[:, :half])
-        got = _residue(spec, s_idx, d_idx, n)
+        want = s[:, :half] + 1j * s_hat[:, :half]
+        got = _pair(spec, s_idx, d_idx, n)
         assert got.shape == want.shape
         np.testing.assert_allclose(got / spec.fold, want, rtol=0, atol=1e-13 * np.abs(s).max())
 
