@@ -329,7 +329,7 @@ def test_run_point_instrumented_arrays_match_recorded(monkeypatch, name):
         blocks = channel_module._blocks(cfg, prof, 600, 11)
         errors = np.concatenate([_detect(cfg, sent, v)[1] for sent, v in blocks], axis=1)
         assert np.array_equal(errors > 0, want[1] > 0)
-        assert run_point(cfg, prof, frames=600, seed=11)["layer_errors"].tolist() == errors.sum(axis=1).tolist()
+        assert np.array_equal(run_point(cfg, prof, frames=600, seed=11)["layer_errors"], errors.sum(axis=1))
         return
     out = run_point(cfg, prof, frames=600, seed=11, instrument=True, probe_bin=4)
     assert_layer_noise_close([out[key] for key in NOISE_KEYS], want, N)

@@ -371,7 +371,8 @@ def test_equally_spaced_layers_index_their_columns_by_a_slice(name, arg):
 def test_sliced_columns_equal_the_index_array_bit_for_bit(name, arg):
     cfg = _sliced_config(name, arg)
     twin = _index_array_twin(cfg)
-    assert all(isinstance(getattr(sp.tables, a), np.ndarray) for sp in twin.layers for a in ("cols", "pos", "neg"))
+    assert all(isinstance(getattr(sp.tables, a), np.ndarray)
+               for sp in twin.layers for a in ("cols", "pos", "neg"))
     sym_idx = draw_symbols(cfg, np.random.default_rng(3), 6)
     x = modulate(cfg, sym_idx)
     assert np.array_equal(x, modulate(twin, sym_idx))
